@@ -19,6 +19,7 @@ from .matrices import (
     a_matrix_closed,
     a_matrix_from_gamma,
     a_q_matrix_closed,
+    b_gamma_transform,
     b_matrix_direct,
     b_matrix_from_gamma,
     b_q_matrix_direct,

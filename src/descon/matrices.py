@@ -12,15 +12,20 @@ descent set is exactly T; ``a`` relaxes both statistics to containments,
 joint count matrix; that letter is reserved here for the connectivity
 statistic itself.)
 
-Enumeration-backed builders all read one shared sweep of the n!
-permutations; closed-form builders never enumerate and are capped only by
-matrix side.
+Closed-form builders never enumerate and are capped only by matrix side.
+``gamma`` and ``b`` (and their q-analogues) are built from the closed-form
+``a`` by fast Moebius transforms, reading ``a = M gamma M`` right to left:
+``b = a M^-1`` and ``gamma = M^-1 a M^-1``, where ``M`` is the containment
+matrix. Each product with ``M^-1`` is one signed subset-sum pass per bit,
+with no enumeration. The sweep builders (:func:`gamma_matrix`,
+:func:`b_matrix_direct` and their q-versions) all read one shared sweep of
+the n! permutations and serve as the independent oracle for that route.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .permutations import connectivity_mask, joint_statistics, multiset_words
 from .rings import IntPolynomial, LaurentPolynomial, q_multinomial
@@ -38,6 +43,7 @@ __all__ = [
     "gamma_q_matrix",
     "a_matrix_closed",
     "a_q_matrix_closed",
+    "b_gamma_transform",
     "a_matrix_from_gamma",
     "b_matrix_from_gamma",
     "b_matrix_direct",
@@ -197,7 +203,7 @@ class SubsetMatrix:
 
 
 def _require_closed_form_size(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_CAP}")
@@ -247,15 +253,7 @@ def _multinomial(parts: list[int]) -> int:
     return out
 
 
-def a_matrix_closed(n: int) -> SubsetMatrix:
-    """Superset-count matrix: entry (S, T) counts the permutations whose
-    connectivity set contains the complement of S and whose descent set
-    contains T.
-
-    Assembled blockwise as a product of multinomial coefficients, with no
-    division anywhere; the entry is 0 unless T is a subset of S.
-    """
-    _require_closed_form_size(n)
+def _a_rows(n: int) -> list[list[int]]:
     side = _side(n)
     rows = []
     for s in range(side):
@@ -269,17 +267,10 @@ def a_matrix_closed(n: int) -> SubsetMatrix:
                     value *= _multinomial(parts)
                 row.append(value)
         rows.append(row)
-    return SubsetMatrix(n, INTEGER, rows)
+    return rows
 
 
-def a_q_matrix_closed(n: int) -> SubsetMatrix:
-    """Inversion-weighted superset-count matrix.
-
-    Each block contributes a Gaussian multinomial times q to the power of
-    the least inversion count its forced descents require; the powers across
-    blocks add up to the least inversion count of the whole column subset.
-    """
-    _require_closed_form_size(n)
+def _a_q_rows(n: int) -> list[list[IntPolynomial]]:
     side = _side(n)
     zero = IntPolynomial()
     rows = []
@@ -296,7 +287,102 @@ def a_q_matrix_closed(n: int) -> SubsetMatrix:
                     value = value * q_multinomial(length, parts)
                 row.append(value.shifted(shift))
         rows.append(row)
-    return SubsetMatrix(n, POLYNOMIAL, rows)
+    return rows
+
+
+def a_matrix_closed(n: int) -> SubsetMatrix:
+    """Superset-count matrix: entry (S, T) counts the permutations whose
+    connectivity set contains the complement of S and whose descent set
+    contains T.
+
+    Assembled blockwise as a product of multinomial coefficients, with no
+    division anywhere; the entry is 0 unless T is a subset of S.
+    """
+    _require_closed_form_size(n)
+    return SubsetMatrix(n, INTEGER, _a_rows(n))
+
+
+def a_q_matrix_closed(n: int) -> SubsetMatrix:
+    """Inversion-weighted superset-count matrix.
+
+    Each block contributes a Gaussian multinomial times q to the power of
+    the least inversion count its forced descents require; the powers across
+    blocks add up to the least inversion count of the whole column subset.
+    """
+    _require_closed_form_size(n)
+    return SubsetMatrix(n, POLYNOMIAL, _a_q_rows(n))
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _times_mobius(rows: list[list]) -> None:
+    """In place, ``rows <- rows @ mobius``: the superset Moebius transform
+    over the columns of each row, one signed pass per bit, so that entry
+    (S, T) becomes the sum over U containing T of (-1)^(#U - #T) times
+    entry (S, U).
+
+    Reads and writes only the cells with T inside S, where every matrix of
+    this family lives; the other cells must be zero and stay untouched.
+    """
+    for s, row in enumerate(rows):
+        bit = 1
+        while bit <= s:
+            if s & bit:
+                for t in _submasks(s ^ bit):
+                    v = row[t | bit]
+                    if v:
+                        row[t] = row[t] - v
+            bit <<= 1
+
+
+def _mobius_times(rows: list[list]) -> None:
+    """In place, ``rows <- mobius @ rows``: the subset Moebius transform
+    over the rows, one signed pass per bit, so that row S becomes the sum
+    over U inside S of (-1)^(#S - #U) times row U.
+
+    Same support condition as :func:`_times_mobius`.
+    """
+    side = len(rows)
+    bit = 1
+    while bit < side:
+        for s in range(side):
+            if s & bit:
+                src, dst = rows[s ^ bit], rows[s]
+                for t in _submasks(s ^ bit):
+                    v = src[t]
+                    if v:
+                        dst[t] = dst[t] - v
+        bit <<= 1
+
+
+def b_gamma_transform(n: int, q: bool = False) -> Iterator[SubsetMatrix]:
+    """Yield the half-relaxed matrix ``b = a @ mobius`` and then the joint
+    count matrix ``gamma = mobius @ a @ mobius`` (``b(q)`` and ``gamma(q)``
+    with q), both from one closed-form ``a`` and with no enumeration.
+
+    A superset Moebius pass over the columns of each row turns ``a`` into
+    ``b``; a subset Moebius pass over the rows then turns ``b`` into
+    ``gamma``. Each pass costs at most (n-1) 3^(n-2) ring operations. The
+    rows are transformed in place, so no second dense copy of ``a`` is
+    kept, and ``gamma`` is only computed when the caller asks for it.
+
+    Equals :func:`b_matrix_direct` and :func:`gamma_matrix` (or
+    :func:`b_q_matrix_direct` and :func:`gamma_q_matrix`).
+    """
+    _require_closed_form_size(n)
+    ring = POLYNOMIAL if q else INTEGER
+    rows = _a_q_rows(n) if q else _a_rows(n)
+    _times_mobius(rows)
+    yield SubsetMatrix(n, ring, rows)
+    _mobius_times(rows)
+    yield SubsetMatrix(n, ring, rows)
 
 
 def gamma_matrix(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:
@@ -357,15 +443,6 @@ def b_matrix_from_gamma(gamma: SubsetMatrix, zeta: SubsetMatrix) -> SubsetMatrix
     """Relax only the connectivity statistic: the containment matrix times
     the joint count matrix."""
     return zeta @ gamma
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def b_matrix_direct(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from math import factorial
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .subsets import Composition, SubsetMask
@@ -64,7 +65,7 @@ def enumeration_cap() -> int:
 
 
 def _require_within_cap(n: int, cap: int | None) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     limit = enumeration_cap() if cap is None else cap
     if n > limit:
@@ -326,7 +327,7 @@ def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:
 
 @lru_cache(maxsize=12)
 def _joint_statistics_cached(n: int) -> Mapping[tuple[int, int, int], int]:
-    return _sweep_chunk(n, 0, factorial(n))
+    return MappingProxyType(_sweep_chunk(n, 0, factorial(n)))
 
 
 def joint_statistics(
@@ -338,10 +339,11 @@ def joint_statistics(
     Every enumeration-backed matrix builder reads from this single pass.
     With threads > 1 the lexicographic stream is split into contiguous rank
     ranges, one worker process each; the merge is an entrywise sum, so the
-    result is identical for every thread count.
+    result is identical for every thread count. The result is a read-only
+    view, since the one-worker sweep is cached and shared by every caller.
     """
     _require_within_cap(n, cap)
-    if not isinstance(threads, int) or threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1:
         return _joint_statistics_cached(n)
@@ -354,7 +356,7 @@ def joint_statistics(
             _sweep_chunk, [n] * workers, bounds[:-1], bounds[1:]
         ):
             merged.update(part)
-    return merged
+    return MappingProxyType(merged)
 
 
 def connected_count(n: int, cap: int | None = None) -> int:

@@ -18,6 +18,7 @@ from .matrices import (
     SubsetMatrix,
     a_matrix_closed,
     a_q_matrix_closed,
+    b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
     diagonal_conjugation_matrix,
@@ -150,17 +151,22 @@ def _check_conjugation(max_n: int, threads: int) -> str | None:
 
 def _check_b_factorization(max_n: int, threads: int) -> str | None:
     """The half-relaxed matrix three ways: direct enumeration, containment
-    times joint counts, and superset counts times the signed containment."""
+    times joint counts, and superset counts times the signed containment;
+    then the Moebius-transform routes to ``b`` and ``gamma`` against the
+    sweep."""
     for n in range(1, max_n + 1):
         direct = b_matrix_direct(n, threads)
-        from_gamma = zeta_matrix(n) @ gamma_matrix(n, threads)
-        detail = _matrices_equal(n, direct, from_gamma, "b enumeration vs zeta*gamma")
-        if detail:
-            return detail
-        from_a = a_matrix_closed(n) @ mobius_matrix(n)
-        detail = _matrices_equal(n, direct, from_a, "b enumeration vs a*mobius")
-        if detail:
-            return detail
+        gamma = gamma_matrix(n, threads)
+        b_fast, gamma_fast = b_gamma_transform(n)
+        for got, want, label in (
+            (direct, zeta_matrix(n) @ gamma, "b enumeration vs zeta*gamma"),
+            (direct, a_matrix_closed(n) @ mobius_matrix(n), "b enumeration vs a*mobius"),
+            (b_fast, direct, "b transform vs enumeration"),
+            (gamma_fast, gamma, "gamma transform vs enumeration"),
+        ):
+            detail = _matrices_equal(n, got, want, label)
+            if detail:
+                return detail
     return None
 
 
@@ -259,13 +265,20 @@ def _check_q_specialization(max_n: int, threads: int) -> str | None:
 
 def _check_q_a_closed_form(max_n: int, threads: int) -> str | None:
     """Weighted closed-form superset counts against the double containment
-    relaxation of the weighted joint counts."""
+    relaxation of the weighted joint counts, and the weighted
+    Moebius-transform routes to ``b(q)`` and ``gamma(q)`` against the sweep."""
     for n in range(1, max_n + 1):
         m = zeta_matrix(n).lift(POLYNOMIAL)
-        enumerated = m @ gamma_q_matrix(n, threads) @ m
-        detail = _matrices_equal(n, a_q_matrix_closed(n), enumerated, "weighted superset counts")
-        if detail:
-            return detail
+        gamma = gamma_q_matrix(n, threads)
+        b_fast, gamma_fast = b_gamma_transform(n, q=True)
+        for got, want, label in (
+            (a_q_matrix_closed(n), m @ gamma @ m, "weighted superset counts"),
+            (b_fast, b_q_matrix_direct(n, threads), "weighted b transform vs enumeration"),
+            (gamma_fast, gamma, "weighted gamma transform vs enumeration"),
+        ):
+            detail = _matrices_equal(n, got, want, label)
+            if detail:
+                return detail
     return None
 
 

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from descon.cli import main
+from descon.cli import _emit_matrix, main
+from descon.matrices import b_matrix_direct, b_q_matrix_direct, gamma_matrix, gamma_q_matrix
 
 from golden_tables import GAMMA_N5
 
@@ -151,6 +152,28 @@ class TestTable:
         )
         assert code == 0 and out == ""
         assert target.read_text().startswith("S\\T,")
+
+
+SWEEP_BUILDERS = {
+    ("gamma", False): gamma_matrix,
+    ("gamma", True): gamma_q_matrix,
+    ("b", False): b_matrix_direct,
+    ("b", True): b_q_matrix_direct,
+}
+
+
+@pytest.mark.parametrize("kind", ("gamma", "b"))
+@pytest.mark.parametrize("q", (False, True))
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+@pytest.mark.parametrize("paper", (False, True))
+def test_table_bytes_match_sweep(capsys, kind, q, fmt, paper):
+    for n in range(1, 7):
+        argv = ["table", kind, "--n", str(n), "--format", fmt]
+        argv += ["--q"] * q + ["--paper-order"] * paper
+        code, out, _err = run_cli(capsys, *argv)
+        assert code == 0
+        _emit_matrix(SWEEP_BUILDERS[kind, q](n), fmt, paper, None)
+        assert out == capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -3,6 +3,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descon.matrices import (
     INTEGER,
@@ -12,6 +14,7 @@ from descon.matrices import (
     a_matrix_closed,
     a_matrix_from_gamma,
     a_q_matrix_closed,
+    b_gamma_transform,
     b_matrix_direct,
     b_matrix_from_gamma,
     b_q_matrix_direct,
@@ -227,6 +230,32 @@ class TestB:
         direct = b_q_matrix_direct(n)
         assert direct == zeta_matrix(n).lift(POLYNOMIAL) @ gamma_q_matrix(n)
         assert direct.specialize_q1() == b_matrix_direct(n)
+
+
+class TestTransformRoute:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 7), q=st.booleans())
+    def test_equals_sweep_and_keeps_support(self, n, q):
+        b_fast, gamma_fast = b_gamma_transform(n, q)
+        routes = (
+            (gamma_fast, gamma_q_matrix(n) if q else gamma_matrix(n)),
+            (b_fast, b_q_matrix_direct(n) if q else b_matrix_direct(n)),
+        )
+        for transformed, swept in routes:
+            assert transformed == swept
+            for matrix in (transformed, swept):
+                for s in range(matrix.side):
+                    for t in range(matrix.side):
+                        if t & ~s:
+                            assert not matrix.rows[s][t]
+
+    def test_rejects_bool_and_oversized_n(self):
+        builders = (a_matrix_closed, a_q_matrix_closed, lambda n: next(b_gamma_transform(n)))
+        for builder in builders:
+            with pytest.raises(ValueError):
+                builder(True)
+            with pytest.raises(ValueError):
+                builder(15)
 
 
 class TestInverses:

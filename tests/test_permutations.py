@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descon.matrices import gamma_matrix
 from descon.permutations import (
     EnumerationCapError,
     MultisetWord,
@@ -200,6 +201,20 @@ class TestJointStatistics:
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
             joint_statistics(4, threads=0)
+
+    def test_rejects_bool_sizes(self):
+        with pytest.raises(ValueError):
+            joint_statistics(True)
+        with pytest.raises(ValueError):
+            joint_statistics(4, threads=True)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_result_is_read_only(self, threads):
+        joint = joint_statistics(3, threads=threads)
+        key = next(iter(joint))
+        with pytest.raises(TypeError):
+            joint[key] += 100
+        assert sum(sum(row) for row in gamma_matrix(3).rows) == 6
 
 
 def test_connected_count_small_values():
