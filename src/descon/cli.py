@@ -337,7 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_multi = sub.add_parser("multiset", help="check the multiset-word correspondence")
     p_multi.add_argument("--max-n", type=int, default=6, help="check n = 1..max-n")
-    p_multi.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+    p_multi.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="sweep workers for the gamma matrix of the multiset-counts check; "
+        "the bijection check always runs in one process",
+    )
     p_multi.set_defaults(handler=_cmd_multiset)
 
     return parser

@@ -27,7 +27,12 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .permutations import connectivity_mask, joint_statistics, multiset_words
+from .permutations import (
+    _multiset_tuples,
+    _require_within_cap,
+    connectivity_mask,
+    joint_statistics,
+)
 from .rings import IntPolynomial, LaurentPolynomial, q_multinomial
 from .subsets import SubsetMask, eta, eta_q, min_inversions
 
@@ -593,13 +598,15 @@ def conjugation_identity_check(n: int, q: bool = False) -> bool:
 
 def multiset_count_matrix(n: int, cap: int | None = None) -> SubsetMatrix:
     """Entry (S, T) counts the words of the multiset of T whose connectivity
-    set is exactly S, by enumerating every rearrangement.
+    set is exactly S, by streaming every rearrangement as a plain tuple.
+    The cap is checked before the matrix is allocated.
 
     Equals the product (gamma times zeta) with both indices complemented.
     """
+    _require_within_cap(n, cap)
     side = _side(n)
     rows = [[0] * side for _ in range(side)]
     for t in range(side):
-        for word in multiset_words(SubsetMask(n, t), cap):
-            rows[connectivity_mask(word.word)][t] += 1
+        for word in _multiset_tuples(SubsetMask(n, t)):
+            rows[connectivity_mask(word)][t] += 1
     return SubsetMatrix(n, INTEGER, rows)

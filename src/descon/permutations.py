@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .subsets import Composition, SubsetMask
 
@@ -253,28 +253,37 @@ def multiset_words(t: SubsetMask, cap: int | None = None) -> Iterator[MultisetWo
 
     The subset {i_1 < ... < i_k} of [n-1] yields the multiset
     {1^i_1, 2^(i_2-i_1), ..., (k+1)^(n-i_k)}; there are n!/eta(t) words.
+    The cap is checked when called, before any word is built; each word of
+    the lexicographic tuple stream is then wrapped in a MultisetWord.
 
     >>> [str(w) for w in multiset_words(SubsetMask.from_elements(3, [1]))]
     ['122', '212', '221']
     """
     _require_within_cap(t.n, cap)
-    counts = list(t.to_composition().parts)
-    alphabet = len(counts)
-    slots = t.n
-    word = [0] * slots
+    return map(MultisetWord, _multiset_tuples(t))
 
-    def emit(depth: int) -> Iterator[MultisetWord]:
-        if depth == slots:
-            yield MultisetWord(tuple(word))
+
+def _multiset_tuples(t: SubsetMask) -> Iterator[tuple[int, ...]]:
+    """The words of :func:`multiset_words` as plain tuples, by repeated
+    next-permutation steps from the sorted multiset; no cap check."""
+    word = [
+        letter
+        for letter, part in enumerate(t.to_composition().parts, start=1)
+        for _ in range(part)
+    ]
+    last = len(word) - 1
+    while True:
+        yield tuple(word)
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for letter in range(alphabet):
-            if counts[letter]:
-                counts[letter] -= 1
-                word[depth] = letter + 1
-                yield from emit(depth + 1)
-                counts[letter] += 1
-
-    return emit(0)
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
@@ -283,15 +292,35 @@ def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
 
     Restricted to permutations with connectivity set S and descent set
     containing the complement of t, this is a bijection onto the words of
-    the multiset of t with connectivity set S.
+    the multiset of t with connectivity set S. The collapse itself is the
+    one the ``multiset-bijection`` check applies to its permutation sweep.
 
     >>> str(reduce_to_multiset(Permutation((2, 3, 1)), SubsetMask.from_elements(3, [1])))
     '212'
     """
     if t.n != w.n:
         raise ValueError(f"ambient sizes differ: permutation n={w.n}, subset n={t.n}")
+    return MultisetWord(_reducer(t)(w.inverse().word))
+
+
+def _reducer(t: SubsetMask) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The letterwise collapse for t as a function of an inverse word, with
+    its value-to-letter table built once."""
     thresholds = t.elements()
-    return MultisetWord(tuple(bisect_left(thresholds, v) + 1 for v in w.inverse().word))
+    letters = (0,) + tuple(bisect_left(thresholds, v) + 1 for v in range(1, t.n + 1))
+    return lambda inverse: tuple(map(letters.__getitem__, inverse))
+
+
+def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(descent mask, connectivity mask, inverse word) of every permutation
+    of [n], in lexicographic word order, without building Permutation
+    objects. The enumeration cap is checked when called."""
+    _require_within_cap(n, None)
+    values = range(1, n + 1)
+    return (
+        (descent_mask(word), connectivity_mask(word), tuple(map(((0,) + word).index, values)))
+        for word in _lex_permutations(values)
+    )
 
 
 def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:

@@ -30,11 +30,12 @@ from .matrices import (
     zeta_matrix,
 )
 from .permutations import (
+    _inverse_sweep,
+    _multiset_tuples,
+    _reducer,
     connected_count,
-    enumerate_permutations,
+    connectivity_mask,
     joint_statistics,
-    multiset_words,
-    reduce_to_multiset,
 )
 from .series import connected_counts_series
 from .subsets import SubsetMask, count_descent_subset, eta, min_inversions
@@ -205,33 +206,78 @@ def _check_multiset_counts(max_n: int, threads: int) -> str | None:
     return None
 
 
+def _group_inverses(n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """One lexicographic pass over the permutations of [n]: the inverse of
+    each, grouped by (descent mask, connectivity mask). Groups keep the
+    order of their lexicographically first permutation."""
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for d_mask, c_mask, inverse in _inverse_sweep(n):
+        groups.setdefault((d_mask, c_mask), []).append(inverse)
+    return groups
+
+
+def _reduce_classes(
+    groups: dict[tuple[int, int], list[tuple[int, ...]]], t: SubsetMask
+) -> tuple[dict[int, set], dict[int, int]]:
+    """Reduce the inverses of the permutations whose descent set contains
+    the complement of t, skipping the groups that do not qualify.
+
+    Returns the reduced words and the number of permutations per
+    connectivity class. Since the groups come in the order of their first
+    permutation, so do the classes, and a failure names the same class as
+    a loop over the permutations in lexicographic order would.
+    """
+    t_bar = ((1 << (t.n - 1)) - 1) ^ t.mask
+    reduce = _reducer(t)
+    reduced: dict[int, set] = {}
+    class_size: dict[int, int] = {}
+    for (d_mask, c_mask), inverses in groups.items():
+        if d_mask & t_bar == t_bar:
+            reduced.setdefault(c_mask, set()).update(map(reduce, inverses))
+            class_size[c_mask] = class_size.get(c_mask, 0) + len(inverses)
+    return reduced, class_size
+
+
+def _bijection_detail(
+    n: int,
+    t_mask: int,
+    reduced: dict[int, set],
+    class_size: dict[int, int],
+    target: dict[int, set],
+) -> str | None:
+    """The first fault of the reduction at (n, T): a class whose reduced
+    words repeat, else the smallest connectivity mask whose reduced words
+    differ from the multiset words with that connectivity set."""
+    for s_mask, words in reduced.items():
+        if len(words) != class_size[s_mask]:
+            return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
+    if reduced != target:
+        keys = sorted(set(reduced) | set(target))
+        bad = next(k for k in keys if reduced.get(k) != target.get(k))
+        return f"reduction misses a class at {_fmt(n, bad, t_mask)}"
+    return None
+
+
 def _check_multiset_bijection(max_n: int, threads: int) -> str | None:
     """Letterwise reduction of inverses maps each connectivity class of
     permutations with prescribed descents bijectively onto the matching
-    connectivity class of multiset words."""
+    connectivity class of multiset words.
+
+    The permutations of each n are swept once; a permutation w serves
+    exactly the T that contain the complement of its descent set. The
+    multiset words are enumerated on their own, without any permutation.
+    """
     for n in range(1, max_n + 1):
-        full = (1 << (n - 1)) - 1
-        for t_mask in range(full + 1):
+        groups = _group_inverses(n)
+        for t_mask in range(1 << (n - 1)):
             t = SubsetMask(n, t_mask)
-            t_bar = full ^ t_mask
-            reduced: dict[int, set] = {}
-            class_size: dict[int, int] = {}
-            for w in enumerate_permutations(n):
-                if w.descent_set().mask & t_bar != t_bar:
-                    continue
-                s_mask = w.connectivity_set().mask
-                reduced.setdefault(s_mask, set()).add(reduce_to_multiset(w, t).word)
-                class_size[s_mask] = class_size.get(s_mask, 0) + 1
+            reduced, class_size = _reduce_classes(groups, t)
             target: dict[int, set] = {}
-            for u in multiset_words(t):
-                target.setdefault(u.connectivity_set().mask, set()).add(u.word)
-            for s_mask, words in reduced.items():
-                if len(words) != class_size[s_mask]:
-                    return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
-            if reduced != target:
-                keys = sorted(set(reduced) | set(target))
-                bad = next(k for k in keys if reduced.get(k) != target.get(k))
-                return f"reduction misses a class at {_fmt(n, bad, t_mask)}"
+            for word in _multiset_tuples(t):
+                target.setdefault(connectivity_mask(word), set()).add(word)
+            detail = _bijection_detail(n, t_mask, reduced, class_size, target)
+            if detail:
+                return detail
     return None
 
 

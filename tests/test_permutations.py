@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descon.matrices import gamma_matrix
+from descon.matrices import gamma_matrix, multiset_count_matrix
 from descon.permutations import (
     EnumerationCapError,
     MultisetWord,
@@ -177,6 +177,26 @@ class TestEnumerators:
                 assert len(words) == factorial(n) // eta(t)
                 assert words == sorted(words)
                 assert len(set(words)) == len(words)
+
+    def test_multiset_words_equal_distinct_rearrangements(self):
+        # lexicographic order, no repeats and n!/eta(t) words in one comparison
+        for n in range(1, 7):
+            for mask in range(1 << (n - 1)):
+                t = SubsetMask(n, mask)
+                multiset = [
+                    letter
+                    for letter, part in enumerate(t.to_composition().parts, start=1)
+                    for _ in range(part)
+                ]
+                expected = sorted(set(itertools.permutations(multiset)))
+                assert [u.word for u in multiset_words(t)] == expected, (n, mask)
+
+    def test_multiset_enumerators_refuse_oversized_n_at_call_time(self, monkeypatch):
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        with pytest.raises(EnumerationCapError):
+            multiset_words(SubsetMask(11, 0))  # never iterated
+        with pytest.raises(EnumerationCapError):
+            multiset_count_matrix(11)
 
     def test_reduce_to_multiset_examples(self):
         w = Permutation((1, 3, 2))
