@@ -17,13 +17,10 @@ from .matrices import (
     POLYNOMIAL,
     SubsetMatrix,
     a_matrix_closed,
-    a_matrix_from_gamma,
     a_q_matrix_closed,
     b_gamma_transform,
     b_matrix_direct,
-    b_matrix_from_gamma,
     b_q_matrix_direct,
-    conjugation_identity_check,
     diagonal_conjugation_matrix,
     gamma_matrix,
     gamma_q_matrix,
@@ -50,7 +47,6 @@ from .permutations import (
 )
 from .rings import (
     InexactDivisionError,
-    IntPolynomial,
     LaurentPolynomial,
     TruncatedSeries,
     q_factorial,
@@ -62,7 +58,6 @@ from .subsets import (
     Composition,
     SubsetMask,
     cardinality_lex_order,
-    count_connectivity_superset,
     count_descent_subset,
     eta,
     eta_q,

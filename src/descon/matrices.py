@@ -33,7 +33,7 @@ from .permutations import (
     connectivity_mask,
     joint_statistics,
 )
-from .rings import IntPolynomial, LaurentPolynomial, q_multinomial
+from .rings import LaurentPolynomial, q_multinomial
 from .subsets import SubsetMask, eta, eta_q, min_inversions
 
 __all__ = [
@@ -49,20 +49,19 @@ __all__ = [
     "a_matrix_closed",
     "a_q_matrix_closed",
     "b_gamma_transform",
-    "a_matrix_from_gamma",
-    "b_matrix_from_gamma",
     "b_matrix_direct",
     "b_q_matrix_direct",
     "inverse_closed",
     "diagonal_conjugation_matrix",
-    "conjugation_identity_check",
     "multiset_count_matrix",
 ]
 
+# Ring tags, narrowest first. Both polynomial tags hold LaurentPolynomial
+# entries; "polynomial" promises that no entry has a negative power.
 INTEGER = "integer"
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
-_RING_RANK = {INTEGER: 0, POLYNOMIAL: 1, LAURENT: 2}
+_RINGS = (INTEGER, POLYNOMIAL, LAURENT)
 
 # closed-form builders stop here: side 2^(n-1) entries per row get unwieldy
 CLOSED_FORM_CAP = 14
@@ -72,24 +71,19 @@ def _side(n: int) -> int:
     return 1 << (n - 1)
 
 
+def _require_ring(ring: str) -> None:
+    if ring not in _RINGS:
+        raise ValueError(f"unknown ring {ring!r}")
+
+
 def ring_zero(ring: str):
-    if ring == INTEGER:
-        return 0
-    if ring == POLYNOMIAL:
-        return IntPolynomial()
-    if ring == LAURENT:
-        return LaurentPolynomial()
-    raise ValueError(f"unknown ring {ring!r}")
+    _require_ring(ring)
+    return 0 if ring == INTEGER else LaurentPolynomial()
 
 
 def ring_one(ring: str):
-    if ring == INTEGER:
-        return 1
-    if ring == POLYNOMIAL:
-        return IntPolynomial((1,))
-    if ring == LAURENT:
-        return LaurentPolynomial((1,))
-    raise ValueError(f"unknown ring {ring!r}")
+    _require_ring(ring)
+    return 1 if ring == INTEGER else LaurentPolynomial((1,))
 
 
 class SubsetMatrix:
@@ -98,8 +92,7 @@ class SubsetMatrix:
     __slots__ = ("n", "ring", "rows")
 
     def __init__(self, n: int, ring: str, rows: Iterable[Iterable]):
-        if ring not in _RING_RANK:
-            raise ValueError(f"unknown ring {ring!r}")
+        _require_ring(ring)
         frozen = tuple(tuple(row) for row in rows)
         side = _side(n)
         if len(frozen) != side or any(len(row) != side for row in frozen):
@@ -159,20 +152,16 @@ class SubsetMatrix:
         return SubsetMatrix(self.n, self.ring, out)
 
     def lift(self, ring: str) -> "SubsetMatrix":
-        """Reinterpret over a wider ring (integer -> polynomial -> laurent)."""
-        if ring not in _RING_RANK:
-            raise ValueError(f"unknown ring {ring!r}")
+        """Reinterpret over a wider ring (integer -> polynomial -> laurent);
+        between the two polynomial rings only the tag changes."""
+        _require_ring(ring)
         if ring == self.ring:
             return self
-        if _RING_RANK[ring] < _RING_RANK[self.ring]:
+        if _RINGS.index(ring) < _RINGS.index(self.ring):
             raise ValueError(f"cannot narrow {self.ring} matrix to {ring}")
-        if ring == POLYNOMIAL:
-            convert: Callable = lambda v: IntPolynomial((v,))
-        elif self.ring == INTEGER:
-            convert = lambda v: LaurentPolynomial((v,))
-        else:
-            convert = LaurentPolynomial.from_polynomial
-        return self.map_entries(convert, ring)
+        if self.ring == INTEGER:
+            return self.map_entries(lambda v: LaurentPolynomial((v,)), ring)
+        return SubsetMatrix(self.n, ring, self.rows)
 
     def map_entries(self, fn: Callable, ring: str) -> "SubsetMatrix":
         return SubsetMatrix(self.n, ring, [[fn(v) for v in row] for row in self.rows])
@@ -191,9 +180,7 @@ class SubsetMatrix:
         """Substitute q = 1, returning an integer matrix."""
         if self.ring == INTEGER:
             return self
-        if self.ring == POLYNOMIAL:
-            return self.map_entries(lambda p: p.evaluate(1), INTEGER)
-        return self.map_entries(lambda p: p.evaluate_at_one(), INTEGER)
+        return self.map_entries(lambda p: p.evaluate(1), INTEGER)
 
     def substitute_reciprocal(self) -> "SubsetMatrix":
         """Apply q -> 1/q entrywise; the result lives in the Laurent ring."""
@@ -275,9 +262,9 @@ def _a_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _a_q_rows(n: int) -> list[list[IntPolynomial]]:
+def _a_q_rows(n: int) -> list[list[LaurentPolynomial]]:
     side = _side(n)
-    zero = IntPolynomial()
+    zero = LaurentPolynomial()
     rows = []
     for s in range(side):
         row = []
@@ -285,7 +272,7 @@ def _a_q_rows(n: int) -> list[list[IntPolynomial]]:
             if t & ~s:
                 row.append(zero)
             else:
-                value = IntPolynomial((1,))
+                value = LaurentPolynomial((1,))
                 shift = 0
                 for length, parts in _entry_blocks(n, s, t):
                     shift += sum(comb(p, 2) for p in parts)
@@ -390,131 +377,90 @@ def b_gamma_transform(n: int, q: bool = False) -> Iterator[SubsetMatrix]:
     yield SubsetMatrix(n, ring, rows)
 
 
-def gamma_matrix(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:
+def _tally(
+    n: int,
+    threads: int,
+    rows_of: Callable[[int], Iterable[int]],
+    cols_of: Callable[[int], Iterable[int]],
+    sign: int,
+) -> SubsetMatrix:
+    """Scatter the shared sweep: each permutation with connectivity mask c
+    and descent mask d adds ``q**(sign * inv(w))`` to every cell (S, T)
+    whose S is the complement of a mask in ``rows_of(c)`` and whose T is in
+    ``cols_of(d)``. With :func:`_single` a statistic is taken exactly, with
+    :func:`_submasks` it is relaxed to containment.
+
+    Sign 0 counts (integer ring); +1 weighs by ``q**inv`` (polynomial
+    ring) and -1 by ``q**-inv`` (Laurent ring).
+    """
+    side = _side(n)
+    full = side - 1
+    cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
+    for (c, d, inv), count in joint_statistics(n, threads).items():
+        exp = sign * inv
+        cols = tuple(cols_of(d))
+        for x in rows_of(c):
+            row = cells[full ^ x]
+            for t in cols:
+                cell = row[t]
+                if cell is None:
+                    cell = row[t] = {}
+                cell[exp] = cell.get(exp, 0) + count
+    if not sign:
+        rows = [[0 if cell is None else cell[0] for cell in row] for row in cells]
+        return SubsetMatrix(n, INTEGER, rows)
+    zero = LaurentPolynomial()
+    rows = []
+    for row in cells:
+        out = []
+        for cell in row:
+            if cell is None:
+                out.append(zero)
+                continue
+            lo = min(cell)
+            coeffs = [0] * (max(cell) - lo + 1)
+            for exp, count in cell.items():
+                coeffs[exp - lo] = count
+            out.append(LaurentPolynomial(coeffs, lo))
+        rows.append(out)
+    return SubsetMatrix(n, POLYNOMIAL if sign > 0 else LAURENT, rows)
+
+
+def _single(mask: int) -> tuple[int]:
+    return (mask,)
+
+
+def gamma_matrix(n: int, threads: int = 1) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
     exactly T. Built by one pass over all n! permutations."""
-    joint = joint_statistics(n, threads, cap)
-    side = _side(n)
-    full = side - 1
-    rows = [[0] * side for _ in range(side)]
-    for (c, d, _inv), count in joint.items():
-        rows[full ^ c][d] += count
-    return SubsetMatrix(n, INTEGER, rows)
+    return _tally(n, threads, _single, _single, 0)
 
 
-def _poly_from_inv_counts(cell: dict[int, int]) -> IntPolynomial:
-    coeffs = [0] * (max(cell) + 1)
-    for exp, count in cell.items():
-        coeffs[exp] = count
-    return IntPolynomial(coeffs)
-
-
-def _laurent_from_inv_counts(cell: dict[int, int]) -> LaurentPolynomial:
-    lo = min(cell)
-    coeffs = [0] * (max(cell) - lo + 1)
-    for exp, count in cell.items():
-        coeffs[exp - lo] = count
-    return LaurentPolynomial(coeffs, lo)
-
-
-def gamma_q_matrix(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:
+def gamma_q_matrix(n: int, threads: int = 1) -> SubsetMatrix:
     """Joint count matrix refined by inversions: each permutation contributes
     q**inv(w) instead of 1. Specializes to :func:`gamma_matrix` at q=1."""
-    joint = joint_statistics(n, threads, cap)
-    side = _side(n)
-    full = side - 1
-    cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
-    for (c, d, inv), count in joint.items():
-        cell = cells[full ^ c][d]
-        if cell is None:
-            cell = cells[full ^ c][d] = {}
-        cell[inv] = cell.get(inv, 0) + count
-    zero = IntPolynomial()
-    rows = [
-        [zero if cell is None else _poly_from_inv_counts(cell) for cell in row]
-        for row in cells
-    ]
-    return SubsetMatrix(n, POLYNOMIAL, rows)
+    return _tally(n, threads, _single, _single, 1)
 
 
-def a_matrix_from_gamma(gamma: SubsetMatrix, zeta: SubsetMatrix) -> SubsetMatrix:
-    """Relax both statistics of the joint count matrix to containments by
-    sandwiching it between two containment matrices."""
-    return zeta @ gamma @ zeta
-
-
-def b_matrix_from_gamma(gamma: SubsetMatrix, zeta: SubsetMatrix) -> SubsetMatrix:
-    """Relax only the connectivity statistic: the containment matrix times
-    the joint count matrix."""
-    return zeta @ gamma
-
-
-def b_matrix_direct(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:
+def b_matrix_direct(n: int, threads: int = 1) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
     the complement of S and whose descent set is exactly T; built straight
     from the enumeration sweep, independently of any matrix product."""
-    joint = joint_statistics(n, threads, cap)
-    side = _side(n)
-    full = side - 1
-    rows = [[0] * side for _ in range(side)]
-    for (c, d, _inv), count in joint.items():
-        base = full ^ c
-        for sub in _submasks(c):
-            rows[base | sub][d] += count
-    return SubsetMatrix(n, INTEGER, rows)
+    return _tally(n, threads, _submasks, _single, 0)
 
 
-def b_q_matrix_direct(n: int, threads: int = 1, cap: int | None = None) -> SubsetMatrix:
+def b_q_matrix_direct(n: int, threads: int = 1) -> SubsetMatrix:
     """Inversion-weighted version of :func:`b_matrix_direct`."""
-    joint = joint_statistics(n, threads, cap)
-    side = _side(n)
-    full = side - 1
-    cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
-    for (c, d, inv), count in joint.items():
-        base = full ^ c
-        for sub in _submasks(c):
-            cell = cells[base | sub][d]
-            if cell is None:
-                cell = cells[base | sub][d] = {}
-            cell[inv] = cell.get(inv, 0) + count
-    zero = IntPolynomial()
-    rows = [
-        [zero if cell is None else _poly_from_inv_counts(cell) for cell in row]
-        for row in cells
-    ]
-    return SubsetMatrix(n, POLYNOMIAL, rows)
+    return _tally(n, threads, _submasks, _single, 1)
 
 
-def _b_inverse(n: int, q: bool, threads: int, cap: int | None) -> SubsetMatrix:
+def _b_inverse(n: int, q: bool, threads: int) -> SubsetMatrix:
     """Signed relaxed-descent counts: entry (S, T) is (-1)^(#S + #T) times
     the number of permutations whose connectivity set is exactly the
     complement of S and whose descent set contains T; with q, each one
     weighs q**(-inv(w))."""
-    joint = joint_statistics(n, threads, cap)
-    side = _side(n)
-    full = side - 1
-    if not q:
-        rows = [[0] * side for _ in range(side)]
-        for (c, d, _inv), count in joint.items():
-            row = rows[full ^ c]
-            for t in _submasks(d):
-                row[t] += count
-        return SubsetMatrix(n, INTEGER, rows).checkerboard_signed()
-    cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
-    for (c, d, inv), count in joint.items():
-        row = cells[full ^ c]
-        for t in _submasks(d):
-            cell = row[t]
-            if cell is None:
-                cell = row[t] = {}
-            cell[-inv] = cell.get(-inv, 0) + count
-    zero = LaurentPolynomial()
-    rows = [
-        [zero if cell is None else _laurent_from_inv_counts(cell) for cell in row]
-        for row in cells
-    ]
-    return SubsetMatrix(n, LAURENT, rows).checkerboard_signed()
+    return _tally(n, threads, _single, _submasks, -1 if q else 0).checkerboard_signed()
 
 
 def inverse_closed(
@@ -522,7 +468,6 @@ def inverse_closed(
     n: int,
     q: bool = False,
     threads: int = 1,
-    cap: int | None = None,
     verify: bool = True,
 ) -> SubsetMatrix:
     """Closed-form inverse of one of the matrices ``a``, ``b``, ``gamma``.
@@ -538,11 +483,11 @@ def inverse_closed(
         base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
         inverse = base.substitute_reciprocal().checkerboard_signed() if q else base.checkerboard_signed()
     elif kind == "gamma":
-        base = gamma_q_matrix(n, threads, cap) if q else gamma_matrix(n, threads, cap)
+        base = gamma_q_matrix(n, threads) if q else gamma_matrix(n, threads)
         inverse = base.substitute_reciprocal().checkerboard_signed() if q else base.checkerboard_signed()
     elif kind == "b":
-        base = b_q_matrix_direct(n, threads, cap) if q else b_matrix_direct(n, threads, cap)
-        inverse = _b_inverse(n, q, threads, cap)
+        base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
+        inverse = _b_inverse(n, q, threads)
     else:
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
     if verify:
@@ -589,21 +534,14 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
     return SubsetMatrix(n, POLYNOMIAL if q else INTEGER, rows)
 
 
-def conjugation_identity_check(n: int, q: bool = False) -> bool:
-    """True when the diagonal conjugation of the containment matrix equals
-    the closed-form superset-count matrix, entry for entry."""
-    expected = a_q_matrix_closed(n) if q else a_matrix_closed(n)
-    return diagonal_conjugation_matrix(n, q) == expected
-
-
-def multiset_count_matrix(n: int, cap: int | None = None) -> SubsetMatrix:
+def multiset_count_matrix(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the words of the multiset of T whose connectivity
     set is exactly S, by streaming every rearrangement as a plain tuple.
     The cap is checked before the matrix is allocated.
 
     Equals the product (gamma times zeta) with both indices complemented.
     """
-    _require_within_cap(n, cap)
+    _require_within_cap(n, None)
     side = _side(n)
     rows = [[0] * side for _ in range(side)]
     for t in range(side):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
@@ -376,6 +375,9 @@ def joint_statistics(
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads == 1:
         return _joint_statistics_cached(n)
+    # imported here: the pool costs every CLI start about 30 ms otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
     total = factorial(n)
     workers = min(threads, total)
     bounds = [k * total // workers for k in range(workers + 1)]

@@ -1,22 +1,28 @@
-"""Exact coefficient arithmetic: integer polynomials in q, Laurent polynomials
-in q, and truncated integer power series in x.
+"""Exact coefficient arithmetic: Laurent polynomials in q, and truncated
+integer power series in x.
 
-Coefficients are plain Python ints, so every operation is exact. Values are
-immutable after construction and safe to share between workers.
+Every weighted value of the package is a :class:`LaurentPolynomial`: the
+``q``-analogues weigh each permutation by ``q**inv(w)``, and their inverses
+substitute ``q -> 1/q``, so one type with a signed lowest exponent covers
+both; a plain polynomial is the case of no negative power. Coefficients are
+plain Python ints, so every operation is exact. Values are immutable after
+construction and safe to share between workers.
 
-JSON wire format for both polynomial flavours (used by the CLI emitters):
-``{"min": <int>, "coeffs": ["<int>", ...]}`` with coefficients as decimal
-strings, ascending exponents; plain polynomials always have ``"min": 0``.
+JSON wire format (used by the CLI emitters): ``{"min": <int>, "coeffs":
+["<int>", ...]}`` with coefficients as decimal strings in ascending
+exponent order from ``min``, where ``min = min(0, lowest exponent)``: a
+value with no negative power starts at ``q**0`` and keeps its leading zero
+coefficients.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
     "InexactDivisionError",
-    "IntPolynomial",
     "LaurentPolynomial",
     "TruncatedSeries",
     "q_int",
@@ -60,144 +66,169 @@ def _format_terms(pairs: Iterable[tuple[int, int]]) -> str:
     return out
 
 
-class IntPolynomial:
-    """Dense polynomial in q with integer coefficients.
+class LaurentPolynomial:
+    """Polynomial in q and 1/q with integer coefficients; the one exact type
+    of every weighted value (plain polynomials are the case ``min_exp >= 0``).
 
-    ``coeffs[i]`` is the coefficient of ``q**i``; trailing zeros are trimmed
-    on construction and the zero polynomial is the empty tuple.
+    ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``. Normalization
+    trims zeros from both ends, so each value has one representation; zero
+    is canonically ``((), 0)``.
 
-    >>> p = IntPolynomial([1, 2, 1])
+    >>> p = LaurentPolynomial([1, 2, 1])
     >>> str(p * p)
     '1+4q+6q^2+4q^3+q^4'
     >>> p.evaluate(1)
     4
+    >>> str(LaurentPolynomial((1, 2), -3))
+    'q^-3+2q^-2'
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_min_exp", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __init__(self, coeffs: Iterable[int] = (), min_exp: int = 0):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient required, got {type(c).__name__}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        hi = len(cs)
+        while hi and cs[hi - 1] == 0:
+            hi -= 1
+        lo = 0
+        while lo < hi and cs[lo] == 0:
+            lo += 1
+        self._coeffs = tuple(cs[lo:hi])
+        self._min_exp = min_exp + lo if hi else 0
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+    def min_exp(self) -> int:
+        return self._min_exp
+
+    @property
+    def max_exp(self) -> int:
+        """Highest exponent; ``-1`` for zero."""
+        return self._min_exp + len(self._coeffs) - 1
 
     def coeff(self, exp: int) -> int:
-        if 0 <= exp < len(self._coeffs):
-            return self._coeffs[exp]
+        i = exp - self._min_exp
+        if 0 <= i < len(self._coeffs):
+            return self._coeffs[i]
         return 0
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     @staticmethod
-    def _coerce(other) -> "IntPolynomial | None":
-        if isinstance(other, IntPolynomial):
+    def _coerce(other) -> "LaurentPolynomial | None":
+        if isinstance(other, LaurentPolynomial):
             return other
         if isinstance(other, int):
-            return IntPolynomial((other,))
+            return LaurentPolynomial((other,))
         return None
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return (self._min_exp, self._coeffs) == (o._min_exp, o._coeffs)
 
     def __hash__(self) -> int:
-        if len(self._coeffs) <= 1:
+        # constants hash like the int they equal
+        if self._min_exp == 0 and len(self._coeffs) <= 1:
             return hash(self._coeffs[0] if self._coeffs else 0)
-        return hash(self._coeffs)
+        return hash((self._min_exp, self._coeffs))
 
-    def __add__(self, other) -> "IntPolynomial":
+    def _plus(self, o: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
+        """``self + sign * o`` for sign +1 or -1, in one pass over ``o``."""
+        if not o:
+            return self
+        if not self:
+            return o if sign > 0 else -o
+        lo = min(self._min_exp, o._min_exp)
+        out = [0] * (self._min_exp - lo) + list(self._coeffs)
+        start = o._min_exp - lo
+        out.extend([0] * (start + len(o._coeffs) - len(out)))
+        if sign > 0:
+            for i, c in enumerate(o._coeffs, start):
+                out[i] += c
+        else:
+            for i, c in enumerate(o._coeffs, start):
+                out[i] -= c
+        return LaurentPolynomial(out, lo)
+
+    def __add__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self._coeffs))
+    def __neg__(self) -> "LaurentPolynomial":
+        return LaurentPolynomial(tuple(-c for c in self._coeffs), self._min_exp)
 
-    def __sub__(self, other) -> "IntPolynomial":
+    def __sub__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
-    def __rsub__(self, other) -> "IntPolynomial":
+    def __rsub__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
-    def __mul__(self, other) -> "IntPolynomial":
+    def __mul__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+        if not self or not o:
+            return LaurentPolynomial()
+        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
+        for i, ca in enumerate(self._coeffs):
             if ca == 0:
                 continue
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(o._coeffs):
                 out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return LaurentPolynomial(out, self._min_exp + o._min_exp)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exp: int) -> "IntPolynomial":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = IntPolynomial((1,))
-        for _ in range(exp):
-            result = result * self
-        return result
-
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by q**k (k >= 0)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative; use LaurentPolynomial for q^-k")
-        if not self._coeffs:
+    def shifted(self, k: int) -> "LaurentPolynomial":
+        """Multiply by q**k, for k of either sign."""
+        if not self:
             return self
-        return IntPolynomial((0,) * k + self._coeffs)
+        return LaurentPolynomial(self._coeffs, self._min_exp + k)
 
-    def evaluate(self, value: int) -> int:
-        """Evaluate at an integer point (Horner)."""
+    def evaluate(self, value: int) -> "int | Fraction":
+        """Evaluate at an integer point (Horner), nonzero if some power is
+        negative; the value is a Fraction only where those leave a proper one."""
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
-        return acc
+        if self._min_exp >= 0:
+            return acc * value**self._min_exp
+        den = value ** -self._min_exp
+        whole, rem = divmod(acc, den)
+        return Fraction(acc, den) if rem else whole
 
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Divide exactly; raise InexactDivisionError if any remainder appears."""
+    def exact_div(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
+        """Divide exactly; raise InexactDivisionError if any remainder appears.
+
+        Powers of q are units here, so only the coefficient tuples (whose
+        constant terms are nonzero after normalization) need to divide.
+        """
         d = self._coerce(divisor)
         if d is None:
-            raise TypeError("divisor must be an IntPolynomial or int")
+            raise TypeError("divisor must be a LaurentPolynomial or int")
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:
-            return IntPolynomial()
+            return LaurentPolynomial()
         rem = list(self._coeffs)
         dc = d._coeffs
         lead = dc[-1]
@@ -216,161 +247,19 @@ class IntPolynomial:
                 rem[pos + i] -= q * c
         if any(rem):
             raise InexactDivisionError(f"{self!r} is not divisible by {d!r}")
-        return IntPolynomial(quot)
-
-    def substitute_reciprocal(self) -> "LaurentPolynomial":
-        """Return p(1/q) as a Laurent polynomial."""
-        if not self._coeffs:
-            return LaurentPolynomial()
-        return LaurentPolynomial(tuple(reversed(self._coeffs)), -self.degree)
-
-    def to_json_dict(self) -> dict:
-        return {"min": 0, "coeffs": [str(c) for c in self._coeffs]}
-
-    def __str__(self) -> str:
-        return _format_terms(enumerate(self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({self._coeffs!r})"
-
-
-class LaurentPolynomial:
-    """Polynomial in q and 1/q with integer coefficients.
-
-    ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``. Normalization
-    trims zeros from both ends; zero is canonically ``((), 0)``.
-
-    >>> str(LaurentPolynomial((1, 2), -3))
-    'q^-3+2q^-2'
-    """
-
-    __slots__ = ("_min_exp", "_coeffs")
-
-    def __init__(self, coeffs: Iterable[int] = (), min_exp: int = 0):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient required, got {type(c).__name__}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            min_exp += 1
-        if not cs:
-            min_exp = 0
-        self._coeffs = tuple(cs)
-        self._min_exp = min_exp
-
-    @classmethod
-    def from_polynomial(cls, p: IntPolynomial) -> "LaurentPolynomial":
-        return cls(p.coeffs, 0)
-
-    @classmethod
-    def q_power(cls, exp: int) -> "LaurentPolynomial":
-        """The monomial q**exp (exp may be negative)."""
-        return cls((1,), exp)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def min_exp(self) -> int:
-        return self._min_exp
-
-    @property
-    def max_exp(self) -> int:
-        return self._min_exp + len(self._coeffs) - 1
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self._min_exp
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    @staticmethod
-    def _coerce(other) -> "LaurentPolynomial | None":
-        if isinstance(other, LaurentPolynomial):
-            return other
-        if isinstance(other, IntPolynomial):
-            return LaurentPolynomial.from_polynomial(other)
-        if isinstance(other, int):
-            return LaurentPolynomial((other,), 0)
-        return None
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self._min_exp, self._coeffs) == (o._min_exp, o._coeffs)
-
-    def __hash__(self) -> int:
-        if self._min_exp == 0 and len(self._coeffs) <= 1:
-            return hash(self._coeffs[0] if self._coeffs else 0)
-        return hash((self._min_exp, self._coeffs))
-
-    def __add__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self:
-            return o
-        if not o:
-            return self
-        lo = min(self._min_exp, o._min_exp)
-        hi = max(self.max_exp, o.max_exp)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self._coeffs):
-            out[self._min_exp - lo + i] += c
-        for i, c in enumerate(o._coeffs):
-            out[o._min_exp - lo + i] += c
-        return LaurentPolynomial(out, lo)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple(-c for c in self._coeffs), self._min_exp)
-
-    def __sub__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self or not o:
-            return LaurentPolynomial()
-        out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
-        for i, ca in enumerate(self._coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(o._coeffs):
-                out[i + j] += ca * cb
-        return LaurentPolynomial(out, self._min_exp + o._min_exp)
-
-    __rmul__ = __mul__
+        return LaurentPolynomial(quot, self._min_exp - d._min_exp)
 
     def substitute_reciprocal(self) -> "LaurentPolynomial":
         """Negate all exponents (q -> 1/q); an involution."""
         return LaurentPolynomial(tuple(reversed(self._coeffs)), -self.max_exp if self else 0)
 
-    def evaluate_at_one(self) -> int:
-        return sum(self._coeffs)
-
     def to_json_dict(self) -> dict:
-        return {"min": self._min_exp, "coeffs": [str(c) for c in self._coeffs]}
+        """Wire form; ``min`` is ``min(0, min_exp)``, so a value with no
+        negative power lists its coefficients from q**0 on."""
+        coeffs = [str(c) for c in self._coeffs]
+        if self._min_exp < 0:
+            return {"min": self._min_exp, "coeffs": coeffs}
+        return {"min": 0, "coeffs": ["0"] * self._min_exp + coeffs}
 
     def __str__(self) -> str:
         return _format_terms((self._min_exp + i, c) for i, c in enumerate(self._coeffs))
@@ -496,7 +385,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({self._order!r}, {self._coeffs!r})"
 
 
-def q_int(j: int) -> IntPolynomial:
+def q_int(j: int) -> LaurentPolynomial:
     """The q-analogue of the integer j: 1 + q + ... + q**(j-1).
 
     >>> str(q_int(3))
@@ -504,11 +393,11 @@ def q_int(j: int) -> IntPolynomial:
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"q_int requires a positive integer, got {j!r}")
-    return IntPolynomial((1,) * j)
+    return LaurentPolynomial((1,) * j)
 
 
 @lru_cache(maxsize=None)
-def q_factorial(j: int) -> IntPolynomial:
+def q_factorial(j: int) -> LaurentPolynomial:
     """The q-analogue of j!: the product q_int(1) * q_int(2) * ... * q_int(j).
 
     >>> str(q_factorial(3))
@@ -519,11 +408,11 @@ def q_factorial(j: int) -> IntPolynomial:
     if not isinstance(j, int) or j < 0:
         raise ValueError(f"q_factorial requires a nonnegative integer, got {j!r}")
     if j == 0:
-        return IntPolynomial((1,))
+        return LaurentPolynomial((1,))
     return q_factorial(j - 1) * q_int(j)
 
 
-def q_multinomial(m: int, parts: Sequence[int]) -> IntPolynomial:
+def q_multinomial(m: int, parts: Sequence[int]) -> LaurentPolynomial:
     """Gaussian multinomial coefficient: q_factorial(m) over the parts.
 
     The division is exact by construction; a remainder would be an internal

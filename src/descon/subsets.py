@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .rings import InexactDivisionError, IntPolynomial, q_factorial
+from .rings import InexactDivisionError, LaurentPolynomial, q_factorial
 
 __all__ = [
     "SubsetMask",
@@ -25,7 +25,6 @@ __all__ = [
     "eta",
     "eta_q",
     "min_inversions",
-    "count_connectivity_superset",
     "count_descent_subset",
     "cardinality_lex_order",
 ]
@@ -151,12 +150,12 @@ def eta(s: SubsetMask) -> int:
     return _eta_from_parts(s.to_composition().parts)
 
 
-def eta_q(s: SubsetMask) -> IntPolynomial:
+def eta_q(s: SubsetMask) -> LaurentPolynomial:
     """q-analogue of :func:`eta`: the product of q-factorials of the gaps.
 
     Specializes to ``eta(s)`` at q=1.
     """
-    out = IntPolynomial((1,))
+    out = LaurentPolynomial((1,))
     for p in s.to_composition().parts:
         out = out * q_factorial(p)
     return out
@@ -169,11 +168,6 @@ def min_inversions(t: SubsetMask) -> int:
     complement of t.
     """
     return sum(comb(p, 2) for p in t.complement().to_composition().parts)
-
-
-def count_connectivity_superset(s: SubsetMask) -> int:
-    """Number of permutations w of [n] whose connectivity set contains s."""
-    return eta(s)
 
 
 def count_descent_subset(s: SubsetMask) -> int:

@@ -33,7 +33,7 @@ from descon.permutations import (
     multiset_words,
     reduce_to_multiset,
 )
-from descon.rings import IntPolynomial
+from descon.rings import LaurentPolynomial
 from descon.series import connected_counts_enumerated, connected_counts_series
 from descon.subsets import SubsetMask, cardinality_lex_order, eta, min_inversions
 
@@ -145,7 +145,7 @@ def test_criterion_07_q_suite(capsys):
                 assert inverse.ring == LAURENT
                 product = builder(n).lift(LAURENT) @ inverse
                 assert product.is_identity(), (n, kind)
-        assert a_q_matrix_closed(4).entry(S(4, 2, 3), S(4, 3)) == IntPolynomial((0, 1, 1, 1))
+        assert a_q_matrix_closed(4).entry(S(4, 2, 3), S(4, 3)) == LaurentPolynomial((0, 1, 1, 1))
 
 
 def test_criterion_08_least_inversions(capsys):

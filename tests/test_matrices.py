@@ -12,13 +12,10 @@ from descon.matrices import (
     POLYNOMIAL,
     SubsetMatrix,
     a_matrix_closed,
-    a_matrix_from_gamma,
     a_q_matrix_closed,
     b_gamma_transform,
     b_matrix_direct,
-    b_matrix_from_gamma,
     b_q_matrix_direct,
-    conjugation_identity_check,
     diagonal_conjugation_matrix,
     gamma_matrix,
     gamma_q_matrix,
@@ -28,7 +25,7 @@ from descon.matrices import (
     zeta_matrix,
 )
 from descon.permutations import enumerate_permutations
-from descon.rings import IntPolynomial
+from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
 from golden_tables import GOLDEN_GAMMAS
@@ -119,13 +116,13 @@ class TestGamma:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_q_total_is_inversion_generating_function(self, n):
-        total = IntPolynomial()
+        total = LaurentPolynomial()
         for row in gamma_q_matrix(n).rows:
             for cell in row:
                 total = total + cell
-        expected = IntPolynomial((1,))
+        expected = LaurentPolynomial((1,))
         for j in range(1, n + 1):
-            expected = expected * IntPolynomial((1,) * j)
+            expected = expected * LaurentPolynomial((1,) * j)
         assert total == expected
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -165,7 +162,7 @@ class TestAClosedForm:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_enumeration_sandwich(self, n):
         m = zeta_matrix(n)
-        assert a_matrix_from_gamma(gamma_matrix(n), m) == a_matrix_closed(n)
+        assert m @ gamma_matrix(n) @ m == a_matrix_closed(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_entries_re_derived_from_eta_ratio(self, n):
@@ -185,32 +182,30 @@ class TestAClosedForm:
     def test_a_q_spot_value_against_enumeration(self):
         s, t = S(4, 2, 3), S(4, 3)
         s_bar = s.complement()
-        weights = IntPolynomial()
+        weights = LaurentPolynomial()
         witnesses = []
         for w in enumerate_permutations(4):
             if s_bar <= w.connectivity_set() and t <= w.descent_set():
                 witnesses.append(str(w))
-                weights = weights + IntPolynomial((1,)).shifted(w.inversions())
+                weights = weights + LaurentPolynomial((1,)).shifted(w.inversions())
         assert witnesses == ["1243", "1342", "1432"]
         entry = a_q_matrix_closed(4).entry(s, t)
-        assert entry == weights == IntPolynomial((0, 1, 1, 1))
+        assert entry == weights == LaurentPolynomial((0, 1, 1, 1))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_a_q_matches_enumeration_sandwich(self, n):
         mq = zeta_matrix(n).lift(POLYNOMIAL)
-        assert a_matrix_from_gamma(gamma_q_matrix(n), mq) == a_q_matrix_closed(n)
+        assert mq @ gamma_q_matrix(n) @ mq == a_q_matrix_closed(n)
 
     def test_a_q_zero_case_and_specialization(self):
         aq = a_q_matrix_closed(4)
-        assert aq.entry(S(4, 1), S(4, 2)) == IntPolynomial()
+        assert aq.entry(S(4, 1), S(4, 2)) == LaurentPolynomial()
         assert aq.specialize_q1() == a_matrix_closed(4)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_diagonal_conjugation(self, n):
         assert diagonal_conjugation_matrix(n) == a_matrix_closed(n)
         assert diagonal_conjugation_matrix(n, q=True) == a_q_matrix_closed(n)
-        assert conjugation_identity_check(n)
-        assert conjugation_identity_check(n, q=True)
 
 
 class TestB:
@@ -222,7 +217,7 @@ class TestB:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_three_routes_agree(self, n):
         direct = b_matrix_direct(n)
-        assert direct == b_matrix_from_gamma(gamma_matrix(n), zeta_matrix(n))
+        assert direct == zeta_matrix(n) @ gamma_matrix(n)
         assert direct == a_matrix_closed(n) @ mobius_matrix(n)
 
     @pytest.mark.parametrize("n", range(1, 6))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from descon.rings import (
     InexactDivisionError,
-    IntPolynomial,
     LaurentPolynomial,
     TruncatedSeries,
     q_factorial,
@@ -70,7 +69,7 @@ class TestQPrimitives:
             coeffs = [0] * (inversions(tuple(reversed(letters))) + 1)
             for word in set(itertools.permutations(letters)):
                 coeffs[inversions(word)] += 1
-            assert q_multinomial(m, list(parts)) == IntPolynomial(coeffs), parts
+            assert q_multinomial(m, list(parts)) == LaurentPolynomial(coeffs), parts
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_q_multinomial_palindromic_nonnegative(self, m):
@@ -85,61 +84,71 @@ class TestQPrimitives:
 
 
 class TestIntPolynomial:
+    """The polynomial case of the one exact type: no negative power."""
+
     def test_normalization(self):
-        assert IntPolynomial((0, 0)) == IntPolynomial()
-        assert IntPolynomial((1, 2, 0)).coeffs == (1, 2)
-        assert not IntPolynomial()
-        assert IntPolynomial().degree == -1
+        assert LaurentPolynomial((0, 0)) == LaurentPolynomial()
+        assert LaurentPolynomial((1, 2, 0)).coeffs == (1, 2)
+        assert not LaurentPolynomial()
+        assert LaurentPolynomial().max_exp == -1
+        q = LaurentPolynomial((0, 1))
+        assert (q.coeffs, q.min_exp, q.max_exp) == ((1,), 1, 1)
 
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
-            IntPolynomial((1.5,))
+            LaurentPolynomial((1.5,))
 
     def test_arithmetic(self):
-        p = IntPolynomial((1, 1))
+        p = LaurentPolynomial((1, 1))
         assert (p * p).coeffs == (1, 2, 1)
         assert (p - p) == 0
+        assert (p - 1) == LaurentPolynomial((0, 1))
+        assert (1 - p) == LaurentPolynomial((0, -1))
         assert (p + 2).coeffs == (3, 1)
         assert (3 * p).coeffs == (3, 3)
         assert (-p).coeffs == (-1, -1)
-        assert p**3 == IntPolynomial((1, 3, 3, 1))
-        assert p.shifted(2).coeffs == (0, 0, 1, 1)
+        assert p.shifted(2) == LaurentPolynomial((0, 0, 1, 1))
 
-    @given(coeff_lists, coeff_lists)
-    def test_evaluation_is_a_ring_homomorphism(self, a, b):
-        p, r = IntPolynomial(a), IntPolynomial(b)
+    @given(coeff_lists, coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
+    def test_evaluation_is_a_ring_homomorphism(self, a, b, j, k):
+        p, r = LaurentPolynomial(a, j), LaurentPolynomial(b, k)
         for v in (1, -1, 2):
             assert (p * r).evaluate(v) == p.evaluate(v) * r.evaluate(v)
             assert (p + r).evaluate(v) == p.evaluate(v) + r.evaluate(v)
+            assert (p - r).evaluate(v) == p.evaluate(v) - r.evaluate(v)
 
     def test_exact_div(self):
-        p, r = IntPolynomial((1, 1)), IntPolynomial((1, 1, 1))
+        p, r = LaurentPolynomial((1, 1)), LaurentPolynomial((1, 1, 1))
         assert (p * r).exact_div(p) == r
-        assert IntPolynomial().exact_div(p) == 0
+        assert LaurentPolynomial().exact_div(p) == 0
 
     def test_exact_div_remainder_raises(self):
         with pytest.raises(InexactDivisionError):
-            IntPolynomial((1, 0, 1)).exact_div(IntPolynomial((1, 1)))
+            LaurentPolynomial((1, 0, 1)).exact_div(LaurentPolynomial((1, 1)))
         with pytest.raises(InexactDivisionError):
-            IntPolynomial((0, 1)).exact_div(IntPolynomial((0, 2)))
+            LaurentPolynomial((0, 1)).exact_div(LaurentPolynomial((0, 2)))
+        with pytest.raises(InexactDivisionError):
+            LaurentPolynomial((1, 0, 1), -2).exact_div(LaurentPolynomial((1, 1), 3))
         with pytest.raises(ZeroDivisionError):
-            IntPolynomial((1,)).exact_div(IntPolynomial())
+            LaurentPolynomial((1,)).exact_div(LaurentPolynomial())
 
     def test_substitute_reciprocal_examples(self):
-        assert IntPolynomial((0, 1, 1, 1)).substitute_reciprocal() == LaurentPolynomial((1, 1, 1), -3)
-        assert IntPolynomial((5,)).substitute_reciprocal() == 5
-        assert IntPolynomial((1, 2, 2, 1)).substitute_reciprocal() == LaurentPolynomial((1, 2, 2, 1), -3)
+        assert LaurentPolynomial((0, 1, 1, 1)).substitute_reciprocal() == LaurentPolynomial((1, 1, 1), -3)
+        assert LaurentPolynomial((5,)).substitute_reciprocal() == 5
+        assert LaurentPolynomial((1, 2, 2, 1)).substitute_reciprocal() == LaurentPolynomial((1, 2, 2, 1), -3)
 
     def test_str(self):
-        assert str(IntPolynomial()) == "0"
-        assert str(IntPolynomial((1,))) == "1"
-        assert str(IntPolynomial((0, 1))) == "q"
-        assert str(IntPolynomial((1, 2, 2, 1))) == "1+2q+2q^2+q^3"
-        assert str(IntPolynomial((1, -1, 1))) == "1-q+q^2"
+        assert str(LaurentPolynomial()) == "0"
+        assert str(LaurentPolynomial((1,))) == "1"
+        assert str(LaurentPolynomial((0, 1))) == "q"
+        assert str(LaurentPolynomial((1, 2, 2, 1))) == "1+2q+2q^2+q^3"
+        assert str(LaurentPolynomial((1, -1, 1))) == "1-q+q^2"
 
     def test_json_dict(self):
-        assert IntPolynomial((1, 0, 2)).to_json_dict() == {"min": 0, "coeffs": ["1", "0", "2"]}
-        assert IntPolynomial().to_json_dict() == {"min": 0, "coeffs": []}
+        assert LaurentPolynomial((1, 0, 2)).to_json_dict() == {"min": 0, "coeffs": ["1", "0", "2"]}
+        assert LaurentPolynomial().to_json_dict() == {"min": 0, "coeffs": []}
+        # no negative power: listed from q^0, leading zeros kept
+        assert LaurentPolynomial((0, 0, 3, 1)).to_json_dict() == {"min": 0, "coeffs": ["0", "0", "3", "1"]}
 
 
 class TestLaurentPolynomial:
@@ -153,16 +162,19 @@ class TestLaurentPolynomial:
         b = LaurentPolynomial((1, -1), 0)  # 1 - q
         assert a * b == LaurentPolynomial((1, 0, -1), -1)
         assert a + 1 == LaurentPolynomial((1, 2), -1)
+        assert a - b == LaurentPolynomial((1, 0, 1), -1)
+        assert b - a == LaurentPolynomial((-1, 0, -1), -1)
         assert a - a == 0
         assert a.coeff(-1) == 1 and a.coeff(3) == 0
 
     def test_mixes_with_polynomials_and_ints(self):
-        p = IntPolynomial((1, 1))
-        lp = LaurentPolynomial.q_power(-1)
+        p = LaurentPolynomial((1, 1))
+        lp = LaurentPolynomial((1,), -1)
         assert lp * p == LaurentPolynomial((1, 1), -1)
-        assert lp == LaurentPolynomial((1,), -1)
+        assert p * lp == lp * p
+        assert lp + p - lp == p
         assert LaurentPolynomial((7,), 0) == 7
-        assert LaurentPolynomial.from_polynomial(p) == p
+        assert 7 - LaurentPolynomial((7,), 0) == 0
 
     @given(coeff_lists, st.integers(min_value=-5, max_value=5))
     def test_substitute_reciprocal_is_an_involution(self, coeffs, min_exp):
@@ -170,12 +182,13 @@ class TestLaurentPolynomial:
         assert lp.substitute_reciprocal().substitute_reciprocal() == lp
 
     def test_evaluate_at_one(self):
-        assert LaurentPolynomial((1, 2, 3), -4).evaluate_at_one() == 6
+        assert LaurentPolynomial((1, 2, 3), -4).evaluate(1) == 6
 
     def test_str_and_json(self):
         lp = LaurentPolynomial((1, 2, 2, 1), -3)
         assert str(lp) == "q^-3+2q^-2+2q^-1+1"
         assert lp.to_json_dict() == {"min": -3, "coeffs": ["1", "2", "2", "1"]}
+        assert LaurentPolynomial((1, 0, 1), -1).to_json_dict() == {"min": -1, "coeffs": ["1", "0", "1"]}
 
 
 class TestTruncatedSeries:

@@ -9,7 +9,6 @@ from descon.subsets import (
     Composition,
     SubsetMask,
     cardinality_lex_order,
-    count_connectivity_superset,
     count_descent_subset,
     eta,
     eta_q,
@@ -155,11 +154,11 @@ class TestWeights:
 
 class TestCounts:
     def test_count_examples(self):
-        assert count_connectivity_superset(SubsetMask.from_elements(4, [2, 3])) == 2
+        assert eta(SubsetMask.from_elements(4, [2, 3])) == 2
         assert count_descent_subset(SubsetMask.from_elements(4, [2])) == 6
         for n in range(1, 7):
-            assert count_connectivity_superset(SubsetMask.empty(n)) == factorial(n)
-            assert count_connectivity_superset(SubsetMask.full(n)) == 1
+            assert eta(SubsetMask.empty(n)) == factorial(n)
+            assert eta(SubsetMask.full(n)) == 1
             assert count_descent_subset(SubsetMask.full(n)) == factorial(n)
             assert count_descent_subset(SubsetMask.empty(n)) == 1
 
@@ -170,7 +169,7 @@ class TestCounts:
                 wanted = set(s.elements())
                 superset = sum(1 for w in words if wanted <= connectivity_set(w))
                 subset = sum(1 for w in words if descent_set(w) <= wanted)
-                assert superset == count_connectivity_superset(s), (n, s)
+                assert superset == eta(s), (n, s)
                 assert subset == count_descent_subset(s), (n, s)
 
 
