@@ -201,16 +201,11 @@ def _cmd_verify(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
     results = run_checks(args.max_n, include_q=args.q, threads=args.threads)
-    failed = _report_checks(results)
-    total = len(results)
-    if failed:
-        print(f"{failed} of {total} checks failed")
-        return 1
-    print(f"all {total} checks passed")
-    return 0
+    return 1 if _report_checks(results) else 0
 
 
 def _report_checks(results) -> int:
+    """Print one line per check and a summary; return the number failed."""
     failed = 0
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -218,6 +213,10 @@ def _report_checks(results) -> int:
         if not r.passed:
             failed += 1
             print(f"  counterexample: {r.detail}")
+    if failed:
+        print(f"{failed} of {len(results)} checks failed")
+    else:
+        print(f"all {len(results)} checks passed")
     return failed
 
 
@@ -274,12 +273,7 @@ def _cmd_multiset(args) -> int:
         threads=args.threads,
         names=("multiset-counts", "multiset-bijection"),
     )
-    failed = _report_checks(results)
-    if failed:
-        print(f"{failed} of {len(results)} checks failed")
-        return 1
-    print(f"all {len(results)} checks passed")
-    return 0
+    return 1 if _report_checks(results) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

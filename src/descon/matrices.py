@@ -474,22 +474,25 @@ def inverse_closed(
 
     For ``a`` and ``gamma`` the inverse is the checkerboard-signed matrix
     itself (with q replaced by 1/q in the weighted case); for ``b`` it is
-    built by a separate signed enumeration. q-inverses live in the Laurent
-    ring. With ``verify`` (the default) the product with the original is
-    checked to be the identity, exactly; failure raises ArithmeticError
-    since it can only mean a transcription bug in the formulas.
+    built by a separate signed enumeration, and ``b`` itself is only built
+    to verify. q-inverses live in the Laurent ring. With ``verify`` (the
+    default) the product with the original is checked to be the identity,
+    exactly; failure raises ArithmeticError since it can only mean a
+    transcription bug in the formulas.
     """
-    if kind == "a":
-        base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
-        inverse = base.substitute_reciprocal().checkerboard_signed() if q else base.checkerboard_signed()
-    elif kind == "gamma":
-        base = gamma_q_matrix(n, threads) if q else gamma_matrix(n, threads)
-        inverse = base.substitute_reciprocal().checkerboard_signed() if q else base.checkerboard_signed()
-    elif kind == "b":
-        base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
+    if kind == "b":
         inverse = _b_inverse(n, q, threads)
+        if not verify:
+            return inverse
+        base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
     else:
-        raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
+        if kind == "a":
+            base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
+        elif kind == "gamma":
+            base = gamma_q_matrix(n, threads) if q else gamma_matrix(n, threads)
+        else:
+            raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
+        inverse = (base.substitute_reciprocal() if q else base).checkerboard_signed()
     if verify:
         product = base.lift(inverse.ring) @ inverse
         if not product.is_identity():

@@ -2,8 +2,10 @@
 package implements, each checked exactly against an independent route, with
 the first counterexample (n, S, T) reported on failure.
 
-All checks run for every n from 1 up to the requested bound; the exact
-arithmetic means there is no tolerance anywhere, only equality.
+n is the outer loop. The matrices of one n are built on first use, shared
+by all its checks and dropped before the next n. A check that fails is not
+run for larger n. The exact arithmetic means there is no tolerance anywhere,
+only equality.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .matrices import (
+    INTEGER,
     LAURENT,
     POLYNOMIAL,
     SubsetMatrix,
@@ -33,6 +36,7 @@ from .permutations import (
     _inverse_sweep,
     _multiset_tuples,
     _reducer,
+    _require_within_cap,
     connected_count,
     connectivity_mask,
     joint_statistics,
@@ -72,137 +76,81 @@ def _matrices_equal(n: int, got: SubsetMatrix, want: SubsetMatrix, label: str) -
     return f"{label} at {_fmt(n, s, t)}: {got.rows[s][t]} != {want.rows[s][t]}"
 
 
-def _check_containment_counts(max_n: int, threads: int) -> str | None:
+# How each shared oracle of one n is built. The lambdas read the module-level
+# builders when they run, so substituting one of them takes effect here.
+_ORACLES = {
+    "joint": lambda o: joint_statistics(o.n, o.threads),
+    "zeta": lambda o: zeta_matrix(o.n),
+    "zeta_q": lambda o: o.zeta.lift(POLYNOMIAL),
+    "identity": lambda o: SubsetMatrix.identity(o.n),
+    "mobius": lambda o: mobius_matrix(o.n),
+    "gamma": lambda o: gamma_matrix(o.n, o.threads),
+    "b": lambda o: b_matrix_direct(o.n, o.threads),
+    "a": lambda o: a_matrix_closed(o.n),
+    "gamma_q": lambda o: gamma_q_matrix(o.n, o.threads),
+    "b_q": lambda o: b_q_matrix_direct(o.n, o.threads),
+    "a_q": lambda o: a_q_matrix_closed(o.n),
+    # (b, gamma) from the closed-form a by Moebius transforms
+    "transform": lambda o: tuple(b_gamma_transform(o.n)),
+    "transform_q": lambda o: tuple(b_gamma_transform(o.n, q=True)),
+}
+
+
+class _Oracles:
+    """The oracles of one n, each built on first access and then kept."""
+
+    def __init__(self, n: int, threads: int):
+        self.n = n
+        self.threads = threads
+
+    def __getattr__(self, name: str):
+        if name not in _ORACLES:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _ORACLES[name](self)
+        return value
+
+
+def _containment_counts(o: _Oracles) -> str | None:
     """Counting permutations whose connectivity set contains S (resp. whose
     descent set is inside S) against the factorial-product weights."""
-    for n in range(1, max_n + 1):
-        by_c: dict[int, int] = {}
-        by_d: dict[int, int] = {}
-        for (c, d, _inv), count in joint_statistics(n, threads).items():
-            by_c[c] = by_c.get(c, 0) + count
-            by_d[d] = by_d.get(d, 0) + count
-        for s in range(1 << (n - 1)):
-            subset = SubsetMask(n, s)
-            superset_count = sum(v for c, v in by_c.items() if c & s == s)
-            if superset_count != eta(subset):
-                return f"connectivity-superset count at n={n}, S={subset}: {superset_count} != {eta(subset)}"
-            subset_count = sum(v for d, v in by_d.items() if d & ~s == 0)
-            if subset_count != count_descent_subset(subset):
-                return (
-                    f"descent-subset count at n={n}, S={subset}: "
-                    f"{subset_count} != {count_descent_subset(subset)}"
-                )
-        if sum(by_c.values()) != factorial(n):
-            return f"total count at n={n} is not n!"
+    n = o.n
+    by_c: dict[int, int] = {}
+    by_d: dict[int, int] = {}
+    for (c, d, _inv), count in o.joint.items():
+        by_c[c] = by_c.get(c, 0) + count
+        by_d[d] = by_d.get(d, 0) + count
+    for s in range(1 << (n - 1)):
+        subset = SubsetMask(n, s)
+        superset_count = sum(v for c, v in by_c.items() if c & s == s)
+        if superset_count != eta(subset):
+            return f"connectivity-superset count at n={n}, S={subset}: {superset_count} != {eta(subset)}"
+        subset_count = sum(v for d, v in by_d.items() if d & ~s == 0)
+        if subset_count != count_descent_subset(subset):
+            return (
+                f"descent-subset count at n={n}, S={subset}: "
+                f"{subset_count} != {count_descent_subset(subset)}"
+            )
+    if sum(by_c.values()) != factorial(n):
+        return f"total count at n={n} is not n!"
     return None
 
 
-def _check_least_inversions(max_n: int, threads: int) -> str | None:
+def _least_inversions(o: _Oracles) -> str | None:
     """The binomial-sum weight of T equals the fewest inversions among
     permutations whose descent set contains T."""
-    for n in range(1, max_n + 1):
-        least_by_d: dict[int, int] = {}
-        for (_c, d, inv), _count in joint_statistics(n, threads).items():
-            if inv < least_by_d.get(d, inv + 1):
-                least_by_d[d] = inv
-        for t in range(1 << (n - 1)):
-            enumerated = min(v for d, v in least_by_d.items() if d & t == t)
-            weight = min_inversions(SubsetMask(n, t))
-            if weight != enumerated:
-                return (
-                    f"least inversions at n={n}, T={SubsetMask(n, t)}: "
-                    f"weight {weight} != enumerated {enumerated}"
-                )
-    return None
-
-
-def _check_mobius_inverse(max_n: int, threads: int) -> str | None:
-    """The signed containment matrix inverts the containment matrix."""
-    for n in range(1, max_n + 1):
-        product = zeta_matrix(n) @ mobius_matrix(n)
-        detail = _matrices_equal(n, product, SubsetMatrix.identity(n), "zeta inverse")
-        if detail:
-            return detail
-    return None
-
-
-def _check_a_closed_form(max_n: int, threads: int) -> str | None:
-    """Closed-form superset counts against the double containment
-    relaxation of the enumerated joint counts."""
-    for n in range(1, max_n + 1):
-        m = zeta_matrix(n)
-        enumerated = m @ gamma_matrix(n, threads) @ m
-        detail = _matrices_equal(n, a_matrix_closed(n), enumerated, "superset counts")
-        if detail:
-            return detail
-    return None
-
-
-def _check_conjugation(max_n: int, threads: int) -> str | None:
-    """Closed-form superset counts as a diagonal conjugation of the
-    containment matrix, with exact entrywise division."""
-    for n in range(1, max_n + 1):
-        detail = _matrices_equal(
-            n, diagonal_conjugation_matrix(n), a_matrix_closed(n), "diagonal conjugation"
-        )
-        if detail:
-            return detail
-    return None
-
-
-def _check_b_factorization(max_n: int, threads: int) -> str | None:
-    """The half-relaxed matrix three ways: direct enumeration, containment
-    times joint counts, and superset counts times the signed containment;
-    then the Moebius-transform routes to ``b`` and ``gamma`` against the
-    sweep."""
-    for n in range(1, max_n + 1):
-        direct = b_matrix_direct(n, threads)
-        gamma = gamma_matrix(n, threads)
-        b_fast, gamma_fast = b_gamma_transform(n)
-        for got, want, label in (
-            (direct, zeta_matrix(n) @ gamma, "b enumeration vs zeta*gamma"),
-            (direct, a_matrix_closed(n) @ mobius_matrix(n), "b enumeration vs a*mobius"),
-            (b_fast, direct, "b transform vs enumeration"),
-            (gamma_fast, gamma, "gamma transform vs enumeration"),
-        ):
-            detail = _matrices_equal(n, got, want, label)
-            if detail:
-                return detail
-    return None
-
-
-def _check_signed_inverses(max_n: int, threads: int) -> str | None:
-    """Each closed-form inverse times its matrix is the identity."""
-    for n in range(1, max_n + 1):
-        for kind, builder in (
-            ("a", a_matrix_closed),
-            ("b", lambda k: b_matrix_direct(k, threads)),
-            ("gamma", lambda k: gamma_matrix(k, threads)),
-        ):
-            product = builder(n) @ inverse_closed(kind, n, threads=threads, verify=False)
-            detail = _matrices_equal(
-                n, product, SubsetMatrix.identity(n), f"{kind} inverse product"
+    n = o.n
+    least_by_d: dict[int, int] = {}
+    for (_c, d, inv), _count in o.joint.items():
+        if inv < least_by_d.get(d, inv + 1):
+            least_by_d[d] = inv
+    for t in range(1 << (n - 1)):
+        enumerated = min(v for d, v in least_by_d.items() if d & t == t)
+        weight = min_inversions(SubsetMask(n, t))
+        if weight != enumerated:
+            return (
+                f"least inversions at n={n}, T={SubsetMask(n, t)}: "
+                f"weight {weight} != enumerated {enumerated}"
             )
-            if detail:
-                return detail
-    return None
-
-
-def _check_multiset_counts(max_n: int, threads: int) -> str | None:
-    """Connectivity-class sizes over multiset words against the joint-count
-    matrix times the containment matrix, with both indices complemented."""
-    for n in range(1, max_n + 1):
-        counted = multiset_count_matrix(n)
-        gm = gamma_matrix(n, threads) @ zeta_matrix(n)
-        full = (1 << (n - 1)) - 1
-        reindexed = SubsetMatrix(
-            n,
-            gm.ring,
-            [[gm.rows[full ^ s][full ^ t] for t in range(full + 1)] for s in range(full + 1)],
-        )
-        detail = _matrices_equal(n, counted, reindexed, "multiset counts")
-        if detail:
-            return detail
     return None
 
 
@@ -258,127 +206,99 @@ def _bijection_detail(
     return None
 
 
-def _check_multiset_bijection(max_n: int, threads: int) -> str | None:
+def _multiset_bijection(o: _Oracles) -> str | None:
     """Letterwise reduction of inverses maps each connectivity class of
     permutations with prescribed descents bijectively onto the matching
-    connectivity class of multiset words.
-
-    The permutations of each n are swept once; a permutation w serves
-    exactly the T that contain the complement of its descent set. The
-    multiset words are enumerated on their own, without any permutation.
-    """
-    for n in range(1, max_n + 1):
-        groups = _group_inverses(n)
-        for t_mask in range(1 << (n - 1)):
-            t = SubsetMask(n, t_mask)
-            reduced, class_size = _reduce_classes(groups, t)
-            target: dict[int, set] = {}
-            for word in _multiset_tuples(t):
-                target.setdefault(connectivity_mask(word), set()).add(word)
-            detail = _bijection_detail(n, t_mask, reduced, class_size, target)
-            if detail:
-                return detail
-    return None
-
-
-def _check_connected_series(max_n: int, threads: int) -> str | None:
-    """Connected counts by scan and by the reciprocal-series route agree."""
-    top = min(max_n, 9)
-    series = connected_counts_series(top)
-    for n in range(1, top + 1):
-        scanned = connected_count(n)
-        if scanned != series.count(n):
-            return f"connected counts at n={n}: scan {scanned} != series {series.count(n)}"
-    return None
-
-
-def _check_q_specialization(max_n: int, threads: int) -> str | None:
-    """Substituting q = 1 into each weighted matrix recovers its plain
-    counting version."""
-    for n in range(1, max_n + 1):
-        for label, weighted, plain in (
-            ("gamma", gamma_q_matrix(n, threads), gamma_matrix(n, threads)),
-            ("a", a_q_matrix_closed(n), a_matrix_closed(n)),
-            ("b", b_q_matrix_direct(n, threads), b_matrix_direct(n, threads)),
-        ):
-            detail = _matrices_equal(
-                n, weighted.specialize_q1(), plain, f"{label} at q=1"
-            )
-            if detail:
-                return detail
-    return None
-
-
-def _check_q_a_closed_form(max_n: int, threads: int) -> str | None:
-    """Weighted closed-form superset counts against the double containment
-    relaxation of the weighted joint counts, and the weighted
-    Moebius-transform routes to ``b(q)`` and ``gamma(q)`` against the sweep."""
-    for n in range(1, max_n + 1):
-        m = zeta_matrix(n).lift(POLYNOMIAL)
-        gamma = gamma_q_matrix(n, threads)
-        b_fast, gamma_fast = b_gamma_transform(n, q=True)
-        for got, want, label in (
-            (a_q_matrix_closed(n), m @ gamma @ m, "weighted superset counts"),
-            (b_fast, b_q_matrix_direct(n, threads), "weighted b transform vs enumeration"),
-            (gamma_fast, gamma, "weighted gamma transform vs enumeration"),
-        ):
-            detail = _matrices_equal(n, got, want, label)
-            if detail:
-                return detail
-    return None
-
-
-def _check_q_conjugation(max_n: int, threads: int) -> str | None:
-    """Weighted diagonal conjugation (with the least-inversion power as a
-    column factor) against the weighted closed form."""
-    for n in range(1, max_n + 1):
-        detail = _matrices_equal(
-            n,
-            diagonal_conjugation_matrix(n, q=True),
-            a_q_matrix_closed(n),
-            "weighted diagonal conjugation",
-        )
+    connectivity class of multiset words. The permutations are swept once;
+    the multiset words are streamed on their own, one T at a time."""
+    groups = _group_inverses(o.n)
+    for t_mask in range(1 << (o.n - 1)):
+        t = SubsetMask(o.n, t_mask)
+        reduced, class_size = _reduce_classes(groups, t)
+        target: dict[int, set] = {}
+        for word in _multiset_tuples(t):
+            target.setdefault(connectivity_mask(word), set()).add(word)
+        detail = _bijection_detail(o.n, t_mask, reduced, class_size, target)
         if detail:
             return detail
     return None
 
 
-def _check_q_signed_inverses(max_n: int, threads: int) -> str | None:
-    """Each weighted inverse times its matrix is the identity over the
-    Laurent ring."""
-    for n in range(1, max_n + 1):
-        identity = SubsetMatrix.identity(n, LAURENT)
-        for kind, builder in (
-            ("a", a_q_matrix_closed),
-            ("b", lambda k: b_q_matrix_direct(k, threads)),
-            ("gamma", lambda k: gamma_q_matrix(k, threads)),
-        ):
-            inverse = inverse_closed(kind, n, q=True, threads=threads, verify=False)
-            product = builder(n).lift(LAURENT) @ inverse
-            detail = _matrices_equal(n, product, identity, f"weighted {kind} inverse product")
-            if detail:
-                return detail
+def _connected_series(o: _Oracles) -> str | None:
+    """Connected counts by scan and by the reciprocal-series route agree (n <= 9)."""
+    if o.n > 9:
+        return None
+    scanned, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
+    if scanned != series:
+        return f"connected counts at n={o.n}: scan {scanned} != series {series}"
     return None
 
 
+def _complemented(m: SubsetMatrix) -> SubsetMatrix:
+    """Entry (S, T) is entry (complement of S, complement of T) of m."""
+    return SubsetMatrix(m.n, m.ring, [row[::-1] for row in reversed(m.rows)])
+
+
+def _inverse_products(o: _Oracles, q: bool) -> list:
+    """Each closed-form inverse times its matrix, against the identity."""
+    ring, prefix = (LAURENT, "weighted ") if q else (INTEGER, "")
+    bases = (o.a_q, o.b_q, o.gamma_q) if q else (o.a, o.b, o.gamma)
+    return [
+        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, threads=o.threads, verify=False),
+         SubsetMatrix.identity(o.n, ring), f"{prefix}{kind} inverse product")
+        for kind, base in zip(("a", "b", "gamma"), bases)
+    ]
+
+
+# A check maps the oracles of one n to its first fault (or None), or to a
+# list of (got, want, label) comparisons that the runner makes in order.
 _INTEGER_CHECKS = (
-    ("containment-counts", _check_containment_counts),
-    ("least-inversions", _check_least_inversions),
-    ("zeta-signed-inverse", _check_mobius_inverse),
-    ("superset-closed-form", _check_a_closed_form),
-    ("diagonal-conjugation", _check_conjugation),
-    ("b-factorization", _check_b_factorization),
-    ("signed-inverses", _check_signed_inverses),
-    ("multiset-counts", _check_multiset_counts),
-    ("multiset-bijection", _check_multiset_bijection),
-    ("connected-series", _check_connected_series),
+    ("containment-counts", _containment_counts),
+    ("least-inversions", _least_inversions),
+    # the signed containment matrix inverts the containment matrix
+    ("zeta-signed-inverse", lambda o: [(o.zeta @ o.mobius, o.identity, "zeta inverse")]),
+    # closed-form superset counts against the enumerated joint counts relaxed twice
+    ("superset-closed-form", lambda o: [(o.a, o.zeta @ o.gamma @ o.zeta, "superset counts")]),
+    # the same as a diagonal conjugation of zeta, with exact entrywise division
+    ("diagonal-conjugation", lambda o: [
+        (diagonal_conjugation_matrix(o.n), o.a, "diagonal conjugation"),
+    ]),
+    # b three ways (direct enumeration, zeta * gamma, a * mobius), then the
+    # Moebius-transform routes to b and gamma against the sweep
+    ("b-factorization", lambda o: [
+        (o.b, o.zeta @ o.gamma, "b enumeration vs zeta*gamma"),
+        (o.b, o.a @ o.mobius, "b enumeration vs a*mobius"),
+        (o.transform[0], o.b, "b transform vs enumeration"),
+        (o.transform[1], o.gamma, "gamma transform vs enumeration"),
+    ]),
+    ("signed-inverses", lambda o: _inverse_products(o, q=False)),
+    # connectivity-class sizes over multiset words against gamma * zeta,
+    # with both indices complemented
+    ("multiset-counts", lambda o: [
+        (multiset_count_matrix(o.n), _complemented(o.gamma @ o.zeta), "multiset counts"),
+    ]),
+    ("multiset-bijection", _multiset_bijection),
+    ("connected-series", _connected_series),
 )
 
 _Q_CHECKS = (
-    ("q-specialization", _check_q_specialization),
-    ("q-superset-closed-form", _check_q_a_closed_form),
-    ("q-diagonal-conjugation", _check_q_conjugation),
-    ("q-signed-inverses", _check_q_signed_inverses),
+    # substituting q = 1 into each weighted matrix recovers the plain one
+    ("q-specialization", lambda o: [
+        (o.gamma_q.specialize_q1(), o.gamma, "gamma at q=1"),
+        (o.a_q.specialize_q1(), o.a, "a at q=1"),
+        (o.b_q.specialize_q1(), o.b, "b at q=1"),
+    ]),
+    # the weighted closed form and Moebius-transform routes against the sweep
+    ("q-superset-closed-form", lambda o: [
+        (o.a_q, o.zeta_q @ o.gamma_q @ o.zeta_q, "weighted superset counts"),
+        (o.transform_q[0], o.b_q, "weighted b transform vs enumeration"),
+        (o.transform_q[1], o.gamma_q, "weighted gamma transform vs enumeration"),
+    ]),
+    # the least-inversion power of q is an extra column factor
+    ("q-diagonal-conjugation", lambda o: [
+        (diagonal_conjugation_matrix(o.n, q=True), o.a_q, "weighted diagonal conjugation"),
+    ]),
+    ("q-signed-inverses", lambda o: _inverse_products(o, q=True)),
 )
 
 
@@ -394,9 +314,9 @@ def run_checks(
     names: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
     """Run the identity suite for all n up to max_n and return one result
-    per check, in a fixed order."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n!r}")
+    per check, in a fixed order. A check's seconds are summed over n and
+    include every shared oracle it is the first to build."""
+    _require_within_cap(max_n, None)
     selected = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
     if names is not None:
         wanted = set(names)
@@ -404,10 +324,17 @@ def run_checks(
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         selected = tuple((name, fn) for name, fn in selected if name in wanted)
-    results = []
-    for name, fn in selected:
-        start = time.perf_counter()
-        detail = fn(max_n, threads)
-        elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, max_n, detail is None, elapsed, detail or ""))
+    results = [CheckResult(name, max_n, True, 0.0) for name, _fn in selected]
+    for n in range(1, max_n + 1):
+        oracles = _Oracles(n, threads)
+        for result, (_name, check) in zip(results, selected):
+            if not result.passed:
+                continue
+            start = time.perf_counter()
+            detail = check(oracles)
+            if isinstance(detail, list):
+                detail = next(filter(None, (_matrices_equal(n, *c) for c in detail)), None)
+            result.seconds += time.perf_counter() - start
+            if detail:
+                result.passed, result.detail = False, detail
     return results

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import descon
 from descon.cli import _emit_matrix, main
 from descon.matrices import b_matrix_direct, b_q_matrix_direct, gamma_matrix, gamma_q_matrix
 
@@ -261,10 +263,14 @@ class TestMultiset:
 
 
 def test_module_entry_point():
+    # the child imports descon from where this process found it
+    src = os.path.dirname(os.path.dirname(descon.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "descon", "stats", "1342"],
         capture_output=True,
         text=True,
         check=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert "inversions    2" in proc.stdout
