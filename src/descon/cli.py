@@ -13,18 +13,20 @@ import io
 import json
 import sys
 import time
-from pathlib import Path
+from contextlib import contextmanager
+from itertools import compress
 
 from .matrices import (
+    INTEGER,
+    POLYNOMIAL,
     SubsetMatrix,
-    a_matrix_closed,
-    a_q_matrix_closed,
-    b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
+    block_row,
     gamma_matrix,
     gamma_q_matrix,
-    zeta_matrix,
+    ring_zero,
+    top_rows,
 )
 from .permutations import CAP_ENV_VAR, Permutation, enumeration_cap
 from .series import connected_counts_enumerated, connected_counts_series
@@ -36,11 +38,11 @@ __all__ = ["main", "HARD_CEILING"]
 # no CLI run may sweep more than 12! permutations, whatever the env says
 HARD_CEILING = 12
 
-# Up to this n one sweep of the n! permutations costs less than the
-# closed-form a plus the Moebius passes (fresh process, 2-core machine:
-# gamma(5) 0.4 ms by sweep against 0.6 ms by transforms, gamma(6) 3.2 against
-# 2.9 ms). q-tables cross over later, at n=8, but by at most 30 ms, which
-# does not pay for a second cutoff.
+# Up to this n, `table gamma|b` still sweeps the n! permutations; above
+# it every table is streamed from top rows. The benchmark's self-test
+# (perfbench/tests/test_perfbench.py::test_traced_run_reports_every_layer)
+# expects `table gamma --n 4` to sweep once; ROADMAP item 1 makes that
+# assertion route-agnostic, and then this branch can go.
 SWEEP_MAX_N = 5
 
 CANONICAL_ORDER = "ascending-bitmask"
@@ -54,11 +56,22 @@ def _session_cap() -> int:
     return cap
 
 
-def _write(text: str, out: str | None) -> None:
+@contextmanager
+def _sink(out: str | None):
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            yield handle
+
+
+def _write(text: str, out: str | None) -> None:
+    with _sink(out) as stream:
+        stream.write(text)
+
+
+def _json(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -69,7 +82,7 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    return _json(payload) + "\n"
 
 
 def _grid_text(header: list[str], rows: list[list[str]]) -> str:
@@ -90,24 +103,67 @@ def _matrix_order(n: int, paper: bool) -> tuple[str, list[int]]:
     return CANONICAL_ORDER, list(range(1 << (n - 1)))
 
 
-def _emit_matrix(matrix: SubsetMatrix, fmt: str, paper: bool, out: str | None) -> None:
-    order_name, masks = _matrix_order(matrix.n, paper)
-    labels = [str(SubsetMask(matrix.n, m)) for m in masks]
-    grid = [[matrix.rows[r][c] for c in masks] for r in masks]
-    if fmt == "json":
-        if matrix.ring == "integer":
-            entries = [[str(v) for v in row] for row in grid]
+def _cell_renderer(fmt: str, ring: str):
+    if fmt != "json":
+        return str
+    if ring == INTEGER:
+        return lambda v: f'"{v}"'  # the JSON string of the decimal digits
+    return lambda v: _json(v.to_json_dict())
+
+
+def _emit_rows(n: int, ring: str, row_of, fmt: str, paper: bool, out: str | None) -> None:
+    """Write a matrix one row at a time: ``row_of(S)`` is row S as a
+    sequence indexed by column mask. Only its nonzero cells are rendered;
+    every zero gets one constant text. Text output makes two passes over
+    the rows, the first for the column widths."""
+    order_name, masks = _matrix_order(n, paper)
+    labels = [str(SubsetMask(n, m)) for m in masks]
+    side = len(masks)
+    column = sorted(range(side), key=masks.__getitem__)  # the position of each mask
+    render = _cell_renderer(fmt, ring)
+    zero = render(ring_zero(ring))
+
+    def nonzero_texts(s: int) -> list[tuple[int, str]]:
+        row = row_of(s)
+        return [(column[t], render(row[t])) for t in compress(range(side), row)]
+
+    def row_texts(s: int) -> list[str]:
+        texts = [zero] * side
+        for pos, text in nonzero_texts(s):
+            texts[pos] = text
+        return texts
+
+    with _sink(out) as stream:
+        if fmt == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(["S\\T", *labels])
+            for label, s in zip(labels, masks):
+                writer.writerow([label, *row_texts(s)])
+        elif fmt == "json":
+            head = _json({"n": n, "order": order_name, "ring": ring, "entries": []})
+            stream.write(head[:-2])  # up to the opening bracket of the entries
+            for i, s in enumerate(masks):
+                stream.write(("," if i else "") + "[" + ",".join(row_texts(s)) + "]")
+            stream.write("]}\n")
         else:
-            entries = [[v.to_json_dict() for v in row] for row in grid]
-        payload = {"n": matrix.n, "order": order_name, "ring": matrix.ring, "entries": entries}
-        _write(_json_text(payload), out)
-        return
-    cells = [[str(v) for v in row] for row in grid]
-    if fmt == "csv":
-        rows = [["S\\T"] + labels] + [[labels[i]] + row for i, row in enumerate(cells)]
-        _write(_csv_text(rows), out)
-        return
-    _write(_grid_text(["S\\T"] + labels, [[labels[i]] + row for i, row in enumerate(cells)]), out)
+            # every label is at least "{}", wider than any zero text
+            widths = [len(label) for label in labels]
+            for s in masks:
+                for pos, text in nonzero_texts(s):
+                    widths[pos] = max(widths[pos], len(text))
+            first = max(len("S\\T"), *map(len, labels))
+            cells = [label.rjust(w) for label, w in zip(labels, widths)]
+            stream.write("S\\T".ljust(first) + "  " + "  ".join(cells) + "\n")
+            blank = [zero.rjust(w) for w in widths]
+            for label, s in zip(labels, masks):
+                cells = blank.copy()
+                for pos, text in nonzero_texts(s):
+                    cells[pos] = text.rjust(widths[pos])
+                stream.write(label.ljust(first) + "  " + "  ".join(cells) + "\n")
+
+
+def _emit_matrix(matrix: SubsetMatrix, fmt: str, paper: bool, out: str | None) -> None:
+    _emit_rows(matrix.n, matrix.ring, matrix.rows.__getitem__, fmt, paper, out)
 
 
 def _cmd_stats(args) -> int:
@@ -155,16 +211,10 @@ def _stat_text(value) -> str:
     return str(value)
 
 
-def _joint_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
-    if n <= SWEEP_MAX_N:
-        if kind == "gamma":
-            return gamma_q_matrix(n) if q else gamma_matrix(n)
-        return b_q_matrix_direct(n) if q else b_matrix_direct(n)
-    # returning drops the suspended generator, and with it the work rows
-    stages = b_gamma_transform(n, q)
+def _sweep_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
     if kind == "gamma":
-        next(stages)
-    return next(stages)
+        return gamma_q_matrix(n) if q else gamma_matrix(n)
+    return b_q_matrix_direct(n) if q else b_matrix_direct(n)
 
 
 def _cmd_table(args) -> int:
@@ -184,13 +234,12 @@ def _cmd_table(args) -> int:
             )
     elif n > HARD_CEILING:
         raise ValueError(f"n={n} exceeds the hard ceiling {HARD_CEILING}")
-    if kind in ("gamma", "b"):
-        matrix = _joint_matrix(kind, n, args.q)
-    elif kind == "a":
-        matrix = a_q_matrix_closed(n) if args.q else a_matrix_closed(n)
-    else:
-        matrix = zeta_matrix(n)
-    _emit_matrix(matrix, args.format, args.paper_order, args.out)
+    if kind in ("gamma", "b") and n <= SWEEP_MAX_N:
+        _emit_matrix(_sweep_matrix(kind, n, args.q), args.format, args.paper_order, args.out)
+        return 0
+    tops = top_rows(kind, n, args.q)
+    ring = POLYNOMIAL if args.q else INTEGER
+    _emit_rows(n, ring, lambda s: block_row(n, tops, s), args.format, args.paper_order, args.out)
     return 0
 
 

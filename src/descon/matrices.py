@@ -12,14 +12,24 @@ descent set is exactly T; ``a`` relaxes both statistics to containments,
 joint count matrix; that letter is reserved here for the connectivity
 statistic itself.)
 
-Closed-form builders never enumerate and are capped only by matrix side.
-``gamma`` and ``b`` (and their q-analogues) are built from the closed-form
-``a`` by fast Moebius transforms, reading ``a = M gamma M`` right to left:
+Every matrix of the family splits over direct sums: a connectivity point
+of a permutation is a cut into a direct sum, across which descents and
+inversions add. So entry (S, T) is zero unless T is inside S, and then it
+is the product, over the blocks of [n] cut at the complement of S, of one
+*top-row* value v_L(T restricted to the block). :func:`top_rows` builds
+v_1, ..., v_n of ``a``, ``b``, ``gamma`` and the containment matrix, plain
+or q-weighted, with no enumeration, and :func:`block_row` expands any row
+from them. That is the route of the closed-form builders and of
+``descon table``, which writes the rows one at a time. Closed-form
+builders are capped only by matrix side.
+
+The other routes are the oracles that ``verify`` checks the top rows
+against. The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct`
+and their q-versions) all read one shared sweep of the n! permutations.
+:func:`b_gamma_transform` turns ``a`` into ``b`` and ``gamma`` by fast
+Moebius transforms, reading ``a = M gamma M`` right to left:
 ``b = a M^-1`` and ``gamma = M^-1 a M^-1``, where ``M`` is the containment
-matrix. Each product with ``M^-1`` is one signed subset-sum pass per bit,
-with no enumeration. The sweep builders (:func:`gamma_matrix`,
-:func:`b_matrix_direct` and their q-versions) all read one shared sweep of
-the n! permutations and serve as the independent oracle for that route.
+matrix; each product with ``M^-1`` is one signed subset-sum pass per bit.
 """
 
 from __future__ import annotations
@@ -48,6 +58,9 @@ __all__ = [
     "gamma_q_matrix",
     "a_matrix_closed",
     "a_q_matrix_closed",
+    "top_rows",
+    "block_row",
+    "block_matrix",
     "b_gamma_transform",
     "b_matrix_direct",
     "b_q_matrix_direct",
@@ -220,66 +233,136 @@ def mobius_matrix(n: int) -> SubsetMatrix:
     return zeta_matrix(n).checkerboard_signed()
 
 
-def _complement_elements(n: int, mask: int) -> list[int]:
-    return [i + 1 for i in range(n - 1) if not mask >> i & 1]
+def _cut_parts(length: int, mask: int) -> list[int]:
+    """Lengths of the blocks of [length] cut at the elements of [length-1]
+    that are not in ``mask`` (element i is bit i-1)."""
+    parts, run = [], 1
+    for i in range(length - 1):
+        if mask >> i & 1:
+            run += 1
+        else:
+            parts.append(run)
+            run = 1
+    parts.append(run)
+    return parts
 
 
-def _entry_blocks(n: int, s_mask: int, t_mask: int) -> list[tuple[int, list[int]]]:
-    """Blocks of [n] cut at the complement of S, each further split at the
-    complement of T. Assumes T is a subset of S, so every block boundary is
-    itself a split point."""
-    tbar = _complement_elements(n, t_mask)
-    boundaries = [0, *_complement_elements(n, s_mask), n]
-    blocks = []
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        points = [lo, *(e for e in tbar if lo < e < hi), hi]
-        blocks.append((hi - lo, [b - a for a, b in zip(points, points[1:])]))
-    return blocks
+# Top-row builders: entry L of the result is the top row v_L (the row
+# S = [L-1] of the matrix at size L, indexed by the masks T of [L-1]) for
+# L = 1..n; entry 0 is unused.
 
 
-def _multinomial(parts: list[int]) -> int:
-    out, total = 1, 0
-    for p in parts:
-        total += p
-        out *= comb(total, p)
-    return out
-
-
-def _a_rows(n: int) -> list[list[int]]:
-    side = _side(n)
-    rows = []
-    for s in range(side):
-        row = []
-        for t in range(side):
-            if t & ~s:
-                row.append(0)
+def _a_tops(n: int, q: bool) -> list[list]:
+    """Permutations of [L] whose descent set contains T: the multinomial of
+    L cut at the complement of T; with q, the Gaussian multinomial times q to
+    the least inversion count of those permutations. The last part p of the
+    cut contributes binomial(L, p) (with q, the Gaussian binomial times
+    q^binomial(p, 2)) to the entry of the first L - p elements."""
+    tops: list[list] = [[]]
+    for length in range(1, n + 1):
+        last = [None]
+        for p in range(1, length + 1):
+            if q:
+                parts = [length - p, p] if p < length else [p]
+                last.append(q_multinomial(length, parts).shifted(comb(p, 2)))
             else:
-                value = 1
-                for length, parts in _entry_blocks(n, s, t):
-                    value *= _multinomial(parts)
-                row.append(value)
-        rows.append(row)
-    return rows
-
-
-def _a_q_rows(n: int) -> list[list[LaurentPolynomial]]:
-    side = _side(n)
-    zero = LaurentPolynomial()
-    rows = []
-    for s in range(side):
+                last.append(comb(length, p))
         row = []
-        for t in range(side):
-            if t & ~s:
-                row.append(zero)
-            else:
-                value = LaurentPolynomial((1,))
-                shift = 0
-                for length, parts in _entry_blocks(n, s, t):
-                    shift += sum(comb(p, 2) for p in parts)
-                    value = value * q_multinomial(length, parts)
-                row.append(value.shifted(shift))
-        rows.append(row)
-    return rows
+        for t in range(_side(length)):
+            p = _cut_parts(length, t)[-1]
+            head = length - p
+            row.append(tops[head][t & (_side(head) - 1)] * last[p] if head else last[p])
+        tops.append(row)
+    return tops
+
+
+def _b_tops(n: int, q: bool) -> list[list]:
+    """beta_L(T), the permutations of [L] with descent set exactly T: the
+    superset Moebius transform of the top row of ``a``, one pass per bit."""
+    tops = _a_tops(n, q)
+    for row in tops:
+        bit = 1
+        while bit < len(row):
+            for t in range(len(row)):
+                if not t & bit:
+                    row[t] = row[t] - row[t | bit]
+            bit <<= 1
+    return tops
+
+
+def _gamma_tops(n: int, q: bool) -> list[list]:
+    """The connected permutations of [L] with descent set exactly T, by
+    splitting off the first connected summand, of length k:
+    ``g_L(T) = beta_L(T) - sum over k < L with k not in T of
+    g_k(T & [k-1]) * beta_(L-k)(T shifted down by k)``."""
+    beta = _b_tops(n, q)
+    tops: list[list] = [[]]
+    for length in range(1, n + 1):
+        row = list(beta[length])
+        for t in range(len(row)):
+            acc = row[t]
+            for k in range(1, length):
+                if not t >> (k - 1) & 1:
+                    first = tops[k][t & (_side(k) - 1)]
+                    if first:
+                        acc = acc - first * beta[length - k][t >> k]
+            row[t] = acc
+        tops.append(row)
+    return tops
+
+
+def _m_tops(n: int, q: bool) -> list[list]:
+    """The containment matrix: every top-row entry is 1."""
+    return [[]] + [[1] * _side(length) for length in range(1, n + 1)]
+
+
+_TOP_ROWS = {"a": _a_tops, "b": _b_tops, "gamma": _gamma_tops, "m": _m_tops}
+
+
+def top_rows(kind: str, n: int, q: bool = False) -> list[list]:
+    """The top rows v_1, ..., v_n (at indices 1..n) of the matrix ``kind``
+    (``a``, ``b``, ``gamma`` or ``m``), with q the inversion-weighted ones.
+
+    They fix the whole matrix: see :func:`block_row`. Together they hold
+    fewer than 2^n ring values and take no enumeration.
+    """
+    _require_closed_form_size(n)
+    if kind not in _TOP_ROWS:
+        raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b', 'gamma' or 'm'")
+    if kind == "m" and q:
+        raise ValueError("kind 'm' is the containment matrix; it has no weighted version")
+    return _TOP_ROWS[kind](n, q)
+
+
+def block_row(n: int, tops: list[list], s: int) -> list:
+    """Row S (mask ``s``) of the matrix whose top rows are ``tops``.
+
+    A connectivity point is a direct-sum cut, across which descents and
+    inversions add. So entry (S, T) is zero unless T is inside S, and then
+    it is the product, over the blocks of [n] cut at the complement of S,
+    of v_L(T restricted to the block). The row is expanded as a Kronecker
+    product over the blocks that forms only the nonzero entries.
+    """
+    zero = tops[1][0] * 0  # the zero of the tops' ring
+    parts = _cut_parts(n, s)
+    cells = [(u, v) for u, v in enumerate(tops[parts[0]]) if v]
+    lo = parts[0]
+    for length in parts[1:]:
+        top = tops[length]
+        if length > 1 or top[0] != 1:  # else the factor is 1 for every cell
+            cells = [(t | u << lo, x * v) for u, v in enumerate(top) if v for t, x in cells]
+        lo += length
+    row = [zero] * _side(n)
+    for t, v in cells:
+        row[t] = v
+    return row
+
+
+def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
+    """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows."""
+    tops = top_rows(kind, n, q)
+    rows = [block_row(n, tops, s) for s in range(_side(n))]
+    return SubsetMatrix(n, POLYNOMIAL if q else INTEGER, rows)
 
 
 def a_matrix_closed(n: int) -> SubsetMatrix:
@@ -287,11 +370,10 @@ def a_matrix_closed(n: int) -> SubsetMatrix:
     connectivity set contains the complement of S and whose descent set
     contains T.
 
-    Assembled blockwise as a product of multinomial coefficients, with no
-    division anywhere; the entry is 0 unless T is a subset of S.
+    Expanded from its top rows, multinomial coefficients built from
+    binomials with no division; the entry is 0 unless T is a subset of S.
     """
-    _require_closed_form_size(n)
-    return SubsetMatrix(n, INTEGER, _a_rows(n))
+    return block_matrix("a", n)
 
 
 def a_q_matrix_closed(n: int) -> SubsetMatrix:
@@ -301,8 +383,7 @@ def a_q_matrix_closed(n: int) -> SubsetMatrix:
     the least inversion count its forced descents require; the powers across
     blocks add up to the least inversion count of the whole column subset.
     """
-    _require_closed_form_size(n)
-    return SubsetMatrix(n, POLYNOMIAL, _a_q_rows(n))
+    return block_matrix("a", n, q=True)
 
 
 def _submasks(mask: int):
@@ -368,9 +449,9 @@ def b_gamma_transform(n: int, q: bool = False) -> Iterator[SubsetMatrix]:
     Equals :func:`b_matrix_direct` and :func:`gamma_matrix` (or
     :func:`b_q_matrix_direct` and :func:`gamma_q_matrix`).
     """
-    _require_closed_form_size(n)
+    tops = top_rows("a", n, q)
     ring = POLYNOMIAL if q else INTEGER
-    rows = _a_q_rows(n) if q else _a_rows(n)
+    rows = [block_row(n, tops, s) for s in range(_side(n))]
     _times_mobius(rows)
     yield SubsetMatrix(n, ring, rows)
     _mobius_times(rows)
@@ -390,11 +471,24 @@ def _tally(
     ``cols_of(d)``. With :func:`_single` a statistic is taken exactly, with
     :func:`_submasks` it is relaxed to containment.
 
-    Sign 0 counts (integer ring); +1 weighs by ``q**inv`` (polynomial
+    Sign 0 counts (integer ring), summing over the inversion counts first
+    and keeping one plain int per cell; +1 weighs by ``q**inv`` (polynomial
     ring) and -1 by ``q**-inv`` (Laurent ring).
     """
     side = _side(n)
     full = side - 1
+    if not sign:
+        by_masks: dict[tuple[int, int], int] = {}
+        for (c, d, _inv), count in joint_statistics(n, threads).items():
+            by_masks[c, d] = by_masks.get((c, d), 0) + count
+        counts = [[0] * side for _ in range(side)]
+        for (c, d), count in by_masks.items():
+            cols = tuple(cols_of(d))
+            for x in rows_of(c):
+                row = counts[full ^ x]
+                for t in cols:
+                    row[t] += count
+        return SubsetMatrix(n, INTEGER, counts)
     cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
     for (c, d, inv), count in joint_statistics(n, threads).items():
         exp = sign * inv
@@ -406,9 +500,6 @@ def _tally(
                 if cell is None:
                     cell = row[t] = {}
                 cell[exp] = cell.get(exp, 0) + count
-    if not sign:
-        rows = [[0 if cell is None else cell[0] for cell in row] for row in cells]
-        return SubsetMatrix(n, INTEGER, rows)
     zero = LaurentPolynomial()
     rows = []
     for row in cells:
@@ -469,29 +560,35 @@ def inverse_closed(
     q: bool = False,
     threads: int = 1,
     verify: bool = True,
+    base: SubsetMatrix | None = None,
 ) -> SubsetMatrix:
     """Closed-form inverse of one of the matrices ``a``, ``b``, ``gamma``.
 
     For ``a`` and ``gamma`` the inverse is the checkerboard-signed matrix
     itself (with q replaced by 1/q in the weighted case); for ``b`` it is
     built by a separate signed enumeration, and ``b`` itself is only built
-    to verify. q-inverses live in the Laurent ring. With ``verify`` (the
-    default) the product with the original is checked to be the identity,
-    exactly; failure raises ArithmeticError since it can only mean a
-    transcription bug in the formulas.
+    to verify. ``base`` is the matrix itself when the caller has already
+    built it; otherwise it is built here. q-inverses live in the Laurent
+    ring. With ``verify`` (the default) the product with the original is
+    checked to be the identity, exactly; failure raises ArithmeticError
+    since it can only mean a transcription bug in the formulas.
     """
+    if kind not in ("a", "b", "gamma"):
+        raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
+    ring = POLYNOMIAL if q else INTEGER
+    if base is not None and (base.n, base.ring) != (n, ring):
+        raise ValueError(f"base must be the {ring} matrix for n={n}, got {base!r}")
     if kind == "b":
         inverse = _b_inverse(n, q, threads)
         if not verify:
             return inverse
-        base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
+        if base is None:
+            base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
     else:
-        if kind == "a":
+        if base is None and kind == "a":
             base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
-        elif kind == "gamma":
+        elif base is None:
             base = gamma_q_matrix(n, threads) if q else gamma_matrix(n, threads)
-        else:
-            raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
         inverse = (base.substitute_reciprocal() if q else base).checkerboard_signed()
     if verify:
         product = base.lift(inverse.ring) @ inverse

@@ -24,6 +24,7 @@ from .matrices import (
     b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
+    block_matrix,
     diagonal_conjugation_matrix,
     gamma_matrix,
     gamma_q_matrix,
@@ -85,6 +86,7 @@ _ORACLES = {
     "identity": lambda o: SubsetMatrix.identity(o.n),
     "mobius": lambda o: mobius_matrix(o.n),
     "gamma": lambda o: gamma_matrix(o.n, o.threads),
+    "zeta_gamma": lambda o: o.zeta @ o.gamma,
     "b": lambda o: b_matrix_direct(o.n, o.threads),
     "a": lambda o: a_matrix_closed(o.n),
     "gamma_q": lambda o: gamma_q_matrix(o.n, o.threads),
@@ -93,6 +95,9 @@ _ORACLES = {
     # (b, gamma) from the closed-form a by Moebius transforms
     "transform": lambda o: tuple(b_gamma_transform(o.n)),
     "transform_q": lambda o: tuple(b_gamma_transform(o.n, q=True)),
+    # (b, gamma) expanded from their top rows, the route of `descon table`
+    "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
+    "tops_q": lambda o: (block_matrix("b", o.n, q=True), block_matrix("gamma", o.n, q=True)),
 }
 
 
@@ -244,7 +249,8 @@ def _inverse_products(o: _Oracles, q: bool) -> list:
     ring, prefix = (LAURENT, "weighted ") if q else (INTEGER, "")
     bases = (o.a_q, o.b_q, o.gamma_q) if q else (o.a, o.b, o.gamma)
     return [
-        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, threads=o.threads, verify=False),
+        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, threads=o.threads, verify=False,
+                                          base=base),
          SubsetMatrix.identity(o.n, ring), f"{prefix}{kind} inverse product")
         for kind, base in zip(("a", "b", "gamma"), bases)
     ]
@@ -258,18 +264,20 @@ _INTEGER_CHECKS = (
     # the signed containment matrix inverts the containment matrix
     ("zeta-signed-inverse", lambda o: [(o.zeta @ o.mobius, o.identity, "zeta inverse")]),
     # closed-form superset counts against the enumerated joint counts relaxed twice
-    ("superset-closed-form", lambda o: [(o.a, o.zeta @ o.gamma @ o.zeta, "superset counts")]),
+    ("superset-closed-form", lambda o: [(o.a, o.zeta_gamma @ o.zeta, "superset counts")]),
     # the same as a diagonal conjugation of zeta, with exact entrywise division
     ("diagonal-conjugation", lambda o: [
         (diagonal_conjugation_matrix(o.n), o.a, "diagonal conjugation"),
     ]),
     # b three ways (direct enumeration, zeta * gamma, a * mobius), then the
-    # Moebius-transform routes to b and gamma against the sweep
+    # Moebius-transform and top-row routes to b and gamma against the sweep
     ("b-factorization", lambda o: [
-        (o.b, o.zeta @ o.gamma, "b enumeration vs zeta*gamma"),
+        (o.b, o.zeta_gamma, "b enumeration vs zeta*gamma"),
         (o.b, o.a @ o.mobius, "b enumeration vs a*mobius"),
         (o.transform[0], o.b, "b transform vs enumeration"),
         (o.transform[1], o.gamma, "gamma transform vs enumeration"),
+        (o.tops[0], o.b, "b top rows vs enumeration"),
+        (o.tops[1], o.gamma, "gamma top rows vs enumeration"),
     ]),
     ("signed-inverses", lambda o: _inverse_products(o, q=False)),
     # connectivity-class sizes over multiset words against gamma * zeta,
@@ -288,11 +296,14 @@ _Q_CHECKS = (
         (o.a_q.specialize_q1(), o.a, "a at q=1"),
         (o.b_q.specialize_q1(), o.b, "b at q=1"),
     ]),
-    # the weighted closed form and Moebius-transform routes against the sweep
+    # the weighted closed form, Moebius-transform and top-row routes against
+    # the sweep
     ("q-superset-closed-form", lambda o: [
         (o.a_q, o.zeta_q @ o.gamma_q @ o.zeta_q, "weighted superset counts"),
         (o.transform_q[0], o.b_q, "weighted b transform vs enumeration"),
         (o.transform_q[1], o.gamma_q, "weighted gamma transform vs enumeration"),
+        (o.tops_q[0], o.b_q, "weighted b top rows vs enumeration"),
+        (o.tops_q[1], o.gamma_q, "weighted gamma top rows vs enumeration"),
     ]),
     # the least-inversion power of q is an extra column factor
     ("q-diagonal-conjugation", lambda o: [

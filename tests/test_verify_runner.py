@@ -14,7 +14,7 @@ from descon.verify import run_checks
 _ORACLE_BUILDERS = (
     "joint_statistics", "zeta_matrix", "mobius_matrix", "gamma_matrix", "b_matrix_direct",
     "a_matrix_closed", "gamma_q_matrix", "b_q_matrix_direct", "a_q_matrix_closed",
-    "b_gamma_transform",
+    "b_gamma_transform", "block_matrix",
 )
 _AT = "at n=3, S={1,2}, T={1}"
 
@@ -70,6 +70,9 @@ def _record(monkeypatch, names):
         ("b-factorization", "b_gamma_transform", 0, f"b transform vs enumeration {_AT}: 3 != 2"),
         ("b-factorization", "b_gamma_transform", 1,
          f"gamma transform vs enumeration {_AT}: 2 != 1"),
+        ("b-factorization", "block_matrix", "b", f"b top rows vs enumeration {_AT}: 3 != 2"),
+        ("b-factorization", "block_matrix", "gamma",
+         f"gamma top rows vs enumeration {_AT}: 2 != 1"),
         ("signed-inverses", "inverse_closed", "a", f"a inverse product {_AT}: 1 != 0"),
         ("signed-inverses", "inverse_closed", "b", f"b inverse product {_AT}: 1 != 0"),
         ("signed-inverses", "inverse_closed", "gamma", f"gamma inverse product {_AT}: 1 != 0"),
@@ -83,6 +86,10 @@ def _record(monkeypatch, names):
          f"weighted b transform vs enumeration {_AT}: 1+q+q^2 != q+q^2"),
         ("q-superset-closed-form", "b_gamma_transform", 1,
          f"weighted gamma transform vs enumeration {_AT}: 1+q^2 != q^2"),
+        ("q-superset-closed-form", "block_matrix", "b",
+         f"weighted b top rows vs enumeration {_AT}: 1+q+q^2 != q+q^2"),
+        ("q-superset-closed-form", "block_matrix", "gamma",
+         f"weighted gamma top rows vs enumeration {_AT}: 1+q^2 != q^2"),
         ("q-diagonal-conjugation", "diagonal_conjugation_matrix", None,
          f"weighted diagonal conjugation {_AT}: 1+q+q^2+q^3 != q+q^2+q^3"),
         ("q-signed-inverses", "inverse_closed", "a", f"weighted a inverse product {_AT}: q^3 != 0"),
@@ -137,3 +144,15 @@ def test_b_inverse_without_verify_builds_no_b(monkeypatch):
     monkeypatch.setattr(matrices, "b_matrix_direct", refuse)
     monkeypatch.setattr(matrices, "b_q_matrix_direct", refuse)
     assert [matrices.inverse_closed("b", 4, q=q, verify=False) for q in (False, True)] == want
+
+
+def test_signed_inverses_reuse_the_oracles(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("matrix rebuilt for its inverse")
+
+    for name in ("a_matrix_closed", "a_q_matrix_closed", "gamma_matrix", "gamma_q_matrix"):
+        monkeypatch.setattr(matrices, name, refuse)
+    results = run_checks(4, include_q=True, names=("signed-inverses", "q-signed-inverses"))
+    assert all(r.passed for r in results)
+    with pytest.raises(ValueError, match="polynomial matrix for n=4, got SubsetMatrix"):
+        matrices.inverse_closed("a", 4, q=True, base=verify.a_matrix_closed(4))
