@@ -18,7 +18,6 @@ from .matrices import (
     SubsetMatrix,
     a_matrix_closed,
     a_q_matrix_closed,
-    b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
     diagonal_conjugation_matrix,
@@ -48,7 +47,6 @@ from .permutations import (
 from .rings import (
     InexactDivisionError,
     LaurentPolynomial,
-    TruncatedSeries,
     q_factorial,
     q_int,
     q_multinomial,

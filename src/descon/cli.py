@@ -170,25 +170,22 @@ def _cmd_stats(args) -> int:
     w = Permutation.from_text(args.word)
     descents = w.descent_set()
     connectivity = w.connectivity_set()
+    composition = w.descent_composition()
     fields = [
         ("word", w.to_text()),
         ("n", w.n),
         ("descents", descents),
         ("connectivity", connectivity),
         ("inversions", w.inversions()),
-        ("composition", w.descent_composition()),
+        ("composition", composition),
         ("connected", w.is_connected()),
     ]
     if args.format == "json":
-        payload = {
-            "word": w.to_text(),
-            "n": w.n,
-            "descents": list(descents.elements()),
-            "connectivity": list(connectivity.elements()),
-            "inversions": w.inversions(),
-            "composition": list(w.descent_composition().parts),
-            "connected": w.is_connected(),
-        }
+        # the same values, with the sets and the composition as arrays
+        payload = dict(fields)
+        payload["descents"] = descents.elements()
+        payload["connectivity"] = connectivity.elements()
+        payload["composition"] = composition.parts
         _write(_json_text(payload), None)
     elif args.format == "csv":
         rows = [

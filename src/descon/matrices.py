@@ -23,19 +23,17 @@ from them. That is the route of the closed-form builders and of
 ``descon table``, which writes the rows one at a time. Closed-form
 builders are capped only by matrix side.
 
-The other routes are the oracles that ``verify`` checks the top rows
-against. The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct`
-and their q-versions) all read one shared sweep of the n! permutations.
-:func:`b_gamma_transform` turns ``a`` into ``b`` and ``gamma`` by fast
-Moebius transforms, reading ``a = M gamma M`` right to left:
-``b = a M^-1`` and ``gamma = M^-1 a M^-1``, where ``M`` is the containment
-matrix; each product with ``M^-1`` is one signed subset-sum pass per bit.
+The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
+their q-versions) are the oracle that ``verify`` checks the top rows
+against; they all read one shared sweep of the n! permutations. The dense
+products with the containment matrix ``M`` check the identity
+``a = M gamma M`` that ties the family together.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .permutations import (
     _multiset_tuples,
@@ -61,7 +59,6 @@ __all__ = [
     "top_rows",
     "block_row",
     "block_matrix",
-    "b_gamma_transform",
     "b_matrix_direct",
     "b_q_matrix_direct",
     "inverse_closed",
@@ -393,69 +390,6 @@ def _submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def _times_mobius(rows: list[list]) -> None:
-    """In place, ``rows <- rows @ mobius``: the superset Moebius transform
-    over the columns of each row, one signed pass per bit, so that entry
-    (S, T) becomes the sum over U containing T of (-1)^(#U - #T) times
-    entry (S, U).
-
-    Reads and writes only the cells with T inside S, where every matrix of
-    this family lives; the other cells must be zero and stay untouched.
-    """
-    for s, row in enumerate(rows):
-        bit = 1
-        while bit <= s:
-            if s & bit:
-                for t in _submasks(s ^ bit):
-                    v = row[t | bit]
-                    if v:
-                        row[t] = row[t] - v
-            bit <<= 1
-
-
-def _mobius_times(rows: list[list]) -> None:
-    """In place, ``rows <- mobius @ rows``: the subset Moebius transform
-    over the rows, one signed pass per bit, so that row S becomes the sum
-    over U inside S of (-1)^(#S - #U) times row U.
-
-    Same support condition as :func:`_times_mobius`.
-    """
-    side = len(rows)
-    bit = 1
-    while bit < side:
-        for s in range(side):
-            if s & bit:
-                src, dst = rows[s ^ bit], rows[s]
-                for t in _submasks(s ^ bit):
-                    v = src[t]
-                    if v:
-                        dst[t] = dst[t] - v
-        bit <<= 1
-
-
-def b_gamma_transform(n: int, q: bool = False) -> Iterator[SubsetMatrix]:
-    """Yield the half-relaxed matrix ``b = a @ mobius`` and then the joint
-    count matrix ``gamma = mobius @ a @ mobius`` (``b(q)`` and ``gamma(q)``
-    with q), both from one closed-form ``a`` and with no enumeration.
-
-    A superset Moebius pass over the columns of each row turns ``a`` into
-    ``b``; a subset Moebius pass over the rows then turns ``b`` into
-    ``gamma``. Each pass costs at most (n-1) 3^(n-2) ring operations. The
-    rows are transformed in place, so no second dense copy of ``a`` is
-    kept, and ``gamma`` is only computed when the caller asks for it.
-
-    Equals :func:`b_matrix_direct` and :func:`gamma_matrix` (or
-    :func:`b_q_matrix_direct` and :func:`gamma_q_matrix`).
-    """
-    tops = top_rows("a", n, q)
-    ring = POLYNOMIAL if q else INTEGER
-    rows = [block_row(n, tops, s) for s in range(_side(n))]
-    _times_mobius(rows)
-    yield SubsetMatrix(n, ring, rows)
-    _mobius_times(rows)
-    yield SubsetMatrix(n, ring, rows)
 
 
 def _tally(

@@ -124,10 +124,45 @@ def inversion_count(word: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A permutation of [n] in one-line notation."""
+class MultisetWord:
+    """A word of n positive integers, repeats allowed."""
 
     word: tuple[int, ...]
+
+    def __post_init__(self):
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
+        if not word:
+            raise ValueError("empty multiset word")
+        for pos, value in enumerate(word, start=1):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"value {value!r} at position {pos} is not a positive integer")
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
+
+    def descent_set(self) -> SubsetMask:
+        return SubsetMask(self.n, descent_mask(self.word))
+
+    def connectivity_set(self) -> SubsetMask:
+        """Same strict prefix-below-suffix rule as for permutations."""
+        return SubsetMask(self.n, connectivity_mask(self.word))
+
+    def inversions(self) -> int:
+        return inversion_count(self.word)
+
+    def __str__(self) -> str:
+        if max(self.word) <= 9:
+            return "".join(str(v) for v in self.word)
+        return ",".join(str(v) for v in self.word)
+
+
+@dataclass(frozen=True)
+class Permutation(MultisetWord):
+    """A permutation of [n] in one-line notation: a multiset word whose
+    letters are 1..n, each once. It inherits ``n``, the statistics and
+    ``str`` (which is :meth:`to_text`, since the largest letter is n)."""
 
     def __post_init__(self):
         word = tuple(self.word)
@@ -166,24 +201,7 @@ class Permutation:
         return cls(tuple(values))
 
     def to_text(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
-
-    __str__ = to_text
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def descent_set(self) -> SubsetMask:
-        return SubsetMask(self.n, descent_mask(self.word))
-
-    def connectivity_set(self) -> SubsetMask:
-        return SubsetMask(self.n, connectivity_mask(self.word))
-
-    def inversions(self) -> int:
-        return inversion_count(self.word)
+        return str(self)
 
     def descent_composition(self) -> Composition:
         """The composition of n cut at the descent positions."""
@@ -199,41 +217,6 @@ class Permutation:
         for pos, value in enumerate(self.word, start=1):
             inv[value - 1] = pos
         return Permutation(tuple(inv))
-
-
-@dataclass(frozen=True)
-class MultisetWord:
-    """A word of n positive integers, repeats allowed."""
-
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        if not word:
-            raise ValueError("empty multiset word")
-        for pos, value in enumerate(word, start=1):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"value {value!r} at position {pos} is not a positive integer")
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def descent_set(self) -> SubsetMask:
-        return SubsetMask(self.n, descent_mask(self.word))
-
-    def connectivity_set(self) -> SubsetMask:
-        """Same strict prefix-below-suffix rule as for permutations."""
-        return SubsetMask(self.n, connectivity_mask(self.word))
-
-    def inversions(self) -> int:
-        return inversion_count(self.word)
-
-    def __str__(self) -> str:
-        if max(self.word) <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
 
 
 def enumerate_permutations(n: int, cap: int | None = None) -> Iterator[Permutation]:

@@ -1,5 +1,5 @@
-"""Exact coefficient arithmetic: Laurent polynomials in q, and truncated
-integer power series in x.
+"""Exact coefficient arithmetic: Laurent polynomials in q and the
+q-analogues of integers, factorials and multinomials.
 
 Every weighted value of the package is a :class:`LaurentPolynomial`: the
 ``q``-analogues weigh each permutation by ``q**inv(w)``, and their inverses
@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "InexactDivisionError",
     "LaurentPolynomial",
-    "TruncatedSeries",
     "q_int",
     "q_factorial",
     "q_multinomial",
@@ -266,123 +265,6 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self._coeffs!r}, {self._min_exp!r})"
-
-
-class TruncatedSeries:
-    """Integer power series in x truncated at a fixed order N.
-
-    All arithmetic discards terms above x**N; operands must share the same
-    order (mixed orders are rejected, never coerced).
-
-    >>> s = TruncatedSeries(3, [1, 1])
-    >>> str(s.reciprocal())
-    '1-x+x^2-x^3'
-    """
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[int] = ()):
-        if not isinstance(order, int) or order < 1:
-            raise ValueError("series order must be a positive integer")
-        cs = list(coeffs)[: order + 1]
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient required, got {type(c).__name__}")
-        cs.extend([0] * (order + 1 - len(cs)))
-        self._order = order
-        self._coeffs = tuple(cs)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    def coeff(self, exp: int) -> int:
-        if not 0 <= exp <= self._order:
-            raise IndexError(f"coefficient index {exp} outside truncation order {self._order}")
-        return self._coeffs[exp]
-
-    def _coerce(self, other) -> "TruncatedSeries | None":
-        if isinstance(other, TruncatedSeries):
-            if other._order != self._order:
-                raise ValueError(
-                    f"mixed truncation orders {self._order} and {other._order}"
-                )
-            return other
-        if isinstance(other, int):
-            return TruncatedSeries(self._order, (other,))
-        return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self._order, self._coeffs) == (other._order, other._coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
-    def __add__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedSeries(self._order, tuple(a + b for a, b in zip(self._coeffs, o._coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self._order, tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [0] * (self._order + 1)
-        for i, ca in enumerate(self._coeffs):
-            if ca == 0:
-                continue
-            for j in range(self._order + 1 - i):
-                out[i + j] += ca * o._coeffs[j]
-        return TruncatedSeries(self._order, out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Series t with self * t == 1 up to the truncation order.
-
-        The constant term must be a unit of the integers (+1 or -1).
-        """
-        a = self._coeffs
-        if a[0] not in (1, -1):
-            raise ValueError("series reciprocal requires constant term +1 or -1")
-        out = [0] * (self._order + 1)
-        out[0] = a[0]
-        for k in range(1, self._order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += a[i] * out[k - i]
-            out[k] = -a[0] * acc
-        return TruncatedSeries(self._order, out)
-
-    def __str__(self) -> str:
-        return _format_terms(enumerate(self._coeffs)).replace("q", "x")
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self._order!r}, {self._coeffs!r})"
 
 
 def q_int(j: int) -> LaurentPolynomial:

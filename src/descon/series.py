@@ -4,10 +4,11 @@ A permutation is connected (indecomposable) when its connectivity set is
 empty. The count f(n) is obtained either by scanning all n! permutations or
 by reading coefficients off the generating-function identity
 
-    sum_{n>=1} f(n) x^n  =  1 - 1 / (sum_{n>=0} n! x^n),
+    sum_{n>=1} f(n) x^n  =  1 - 1 / (sum_{n>=0} n! x^n).
 
-evaluated in exact truncated integer series, so the two routes must agree
-coefficient for coefficient.
+Multiplying out, n! = sum_{k=1..n} f(k) (n-k)!: a permutation splits off
+its first connected summand. So f(n) = n! - sum_{k<n} f(k) (n-k)!, in
+exact integers, and the two routes must agree coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .permutations import connected_count
-from .rings import TruncatedSeries
 
 __all__ = ["ConnectedCountTable", "connected_counts_enumerated", "connected_counts_series"]
 
@@ -49,9 +49,12 @@ def connected_counts_enumerated(max_n: int, cap: int | None = None) -> Connected
 
 
 def connected_counts_series(max_n: int) -> ConnectedCountTable:
-    """f(n) for n = 1..max_n as coefficients of 1 - 1/(sum of n! x^n)."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive, got {max_n!r}")
-    factorials = TruncatedSeries(max_n, [factorial(k) for k in range(max_n + 1)])
-    rhs = 1 - factorials.reciprocal()
-    return ConnectedCountTable(max_n, rhs.coeffs[1:], "series")
+    """f(n) for n = 1..max_n as coefficients of 1 - 1/(sum of n! x^n), by
+    the convolution recurrence f(n) = n! - sum_{k<n} f(k) (n-k)!."""
+    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
+        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    factorials = [factorial(k) for k in range(max_n + 1)]
+    counts: list[int] = []
+    for n in range(1, max_n + 1):
+        counts.append(factorials[n] - sum(f * factorials[n - k] for k, f in enumerate(counts, 1)))
+    return ConnectedCountTable(max_n, tuple(counts), "series")

@@ -21,7 +21,6 @@ from .matrices import (
     SubsetMatrix,
     a_matrix_closed,
     a_q_matrix_closed,
-    b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
     block_matrix,
@@ -92,9 +91,6 @@ _ORACLES = {
     "gamma_q": lambda o: gamma_q_matrix(o.n, o.threads),
     "b_q": lambda o: b_q_matrix_direct(o.n, o.threads),
     "a_q": lambda o: a_q_matrix_closed(o.n),
-    # (b, gamma) from the closed-form a by Moebius transforms
-    "transform": lambda o: tuple(b_gamma_transform(o.n)),
-    "transform_q": lambda o: tuple(b_gamma_transform(o.n, q=True)),
     # (b, gamma) expanded from their top rows, the route of `descon table`
     "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
     "tops_q": lambda o: (block_matrix("b", o.n, q=True), block_matrix("gamma", o.n, q=True)),
@@ -270,12 +266,10 @@ _INTEGER_CHECKS = (
         (diagonal_conjugation_matrix(o.n), o.a, "diagonal conjugation"),
     ]),
     # b three ways (direct enumeration, zeta * gamma, a * mobius), then the
-    # Moebius-transform and top-row routes to b and gamma against the sweep
+    # top-row routes to b and gamma against the sweep
     ("b-factorization", lambda o: [
         (o.b, o.zeta_gamma, "b enumeration vs zeta*gamma"),
         (o.b, o.a @ o.mobius, "b enumeration vs a*mobius"),
-        (o.transform[0], o.b, "b transform vs enumeration"),
-        (o.transform[1], o.gamma, "gamma transform vs enumeration"),
         (o.tops[0], o.b, "b top rows vs enumeration"),
         (o.tops[1], o.gamma, "gamma top rows vs enumeration"),
     ]),
@@ -296,12 +290,9 @@ _Q_CHECKS = (
         (o.a_q.specialize_q1(), o.a, "a at q=1"),
         (o.b_q.specialize_q1(), o.b, "b at q=1"),
     ]),
-    # the weighted closed form, Moebius-transform and top-row routes against
-    # the sweep
+    # the weighted closed form and top-row routes against the sweep
     ("q-superset-closed-form", lambda o: [
         (o.a_q, o.zeta_q @ o.gamma_q @ o.zeta_q, "weighted superset counts"),
-        (o.transform_q[0], o.b_q, "weighted b transform vs enumeration"),
-        (o.transform_q[1], o.gamma_q, "weighted gamma transform vs enumeration"),
         (o.tops_q[0], o.b_q, "weighted b top rows vs enumeration"),
         (o.tops_q[1], o.gamma_q, "weighted gamma top rows vs enumeration"),
     ]),

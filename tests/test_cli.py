@@ -61,6 +61,24 @@ class TestStats:
         assert record["descents"] == "{3}"
         assert record["composition"] == "(3,1)"
 
+    def test_formats_carry_the_same_values(self, capsys):
+        word = "10,3,1,2,4,5,6,7,8,9"
+        _code, text, _err = run_cli(capsys, "stats", word)
+        _code, out, _err = run_cli(capsys, "stats", word, "--format", "csv")
+        header, row = list(csv.reader(io.StringIO(out)))
+        record = dict(zip(header, row))
+        payload = json.loads(run_cli(capsys, "stats", word, "--format", "json")[1])
+        assert list(payload) == header
+        assert text.splitlines() == [f"{name.ljust(12)}  {record[name]}" for name in header]
+        assert record == {
+            "word": word, "n": "10", "descents": "{1,2}", "connectivity": "{}",
+            "inversions": "11", "composition": "(1,1,8)", "connected": "yes",
+        }
+        assert payload == {
+            "word": word, "n": 10, "descents": [1, 2], "connectivity": [],
+            "inversions": 11, "composition": [1, 1, 8], "connected": True,
+        }
+
     def test_parse_error_has_position(self, capsys):
         code, _out, err = run_cli(capsys, "stats", "13a2")
         assert code == 2

@@ -13,15 +13,17 @@ from descon.matrices import (
     SubsetMatrix,
     a_matrix_closed,
     a_q_matrix_closed,
-    b_gamma_transform,
     b_matrix_direct,
     b_q_matrix_direct,
+    block_matrix,
+    block_row,
     diagonal_conjugation_matrix,
     gamma_matrix,
     gamma_q_matrix,
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
+    top_rows,
     zeta_matrix,
 )
 from descon.permutations import enumerate_permutations
@@ -231,21 +233,35 @@ class TestTransformRoute:
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 7), q=st.booleans())
     def test_equals_sweep_and_keeps_support(self, n, q):
-        b_fast, gamma_fast = b_gamma_transform(n, q)
         routes = (
-            (gamma_fast, gamma_q_matrix(n) if q else gamma_matrix(n)),
-            (b_fast, b_q_matrix_direct(n) if q else b_matrix_direct(n)),
+            (block_matrix("gamma", n, q), gamma_q_matrix(n) if q else gamma_matrix(n)),
+            (block_matrix("b", n, q), b_q_matrix_direct(n) if q else b_matrix_direct(n)),
         )
-        for transformed, swept in routes:
-            assert transformed == swept
-            for matrix in (transformed, swept):
+        for expanded, swept in routes:
+            assert expanded == swept
+            for matrix in (expanded, swept):
                 for s in range(matrix.side):
                     for t in range(matrix.side):
                         if t & ~s:
                             assert not matrix.rows[s][t]
 
+    @pytest.mark.parametrize("q", (False, True))
+    def test_sampled_row_mobius_check(self, q):
+        # gamma = M^-1 b, so row S of gamma is the signed sum of the b rows
+        # of the subsets U of S: the check of one sampled row past the cap
+        for n in range(1, 6):
+            b_tops, gamma_tops = top_rows("b", n, q), top_rows("gamma", n, q)
+            for s in range(1 << (n - 1)):
+                total = [0] * (1 << (n - 1))
+                for u in range(1 << (n - 1)):
+                    if not u & ~s:
+                        sign = -1 if bin(s ^ u).count("1") % 2 else 1
+                        row = block_row(n, b_tops, u)
+                        total = [x + sign * y for x, y in zip(total, row)]
+                assert total == block_row(n, gamma_tops, s)
+
     def test_rejects_bool_and_oversized_n(self):
-        builders = (a_matrix_closed, a_q_matrix_closed, lambda n: next(b_gamma_transform(n)))
+        builders = (a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n))
         for builder in builders:
             with pytest.raises(ValueError):
                 builder(True)

@@ -1,5 +1,6 @@
 """Permutation and multiset-word statistics and enumerators."""
 
+import dataclasses
 import itertools
 from math import factorial
 
@@ -136,6 +137,32 @@ class TestPermutationType:
         assert Permutation((4, 3, 2, 1)).is_connected()
         assert not Permutation((1, 3, 4, 2)).is_connected()
         assert Permutation((1,)).is_connected()
+
+    def test_is_a_frozen_multiset_word(self):
+        p = Permutation((2, 3, 1))
+        assert isinstance(p, MultisetWord)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.word = (1, 2, 3)
+        assert p == Permutation([2, 3, 1])
+        assert hash(p) == hash(Permutation((2, 3, 1)))
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_inherited_statistics_agree_with_definitions(self, word):
+        p = Permutation(tuple(word))
+        n = len(word)
+        assert p.n == n
+        assert p.descent_set().elements() == tuple(i for i in range(1, n) if word[i - 1] > word[i])
+        assert p.connectivity_set().mask == connectivity_quadratic(word)
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if word[i] > word[j])
+        assert p.inversions() == inversions
+        assert str(p) == str(MultisetWord(tuple(word))) == p.to_text()
+
+    def test_text_uses_commas_past_nine(self):
+        nine = Permutation(tuple(range(9, 0, -1)))
+        assert str(nine) == "987654321"
+        ten = Permutation((10, *range(1, 10)))
+        assert str(ten) == "10,1,2,3,4,5,6,7,8,9"
+        assert Permutation.from_text(ten.to_text()) == ten
 
 
 class TestEnumerators:

@@ -1,4 +1,4 @@
-"""Exact polynomial, Laurent, and truncated-series arithmetic."""
+"""Exact Laurent polynomial arithmetic and the q-analogues."""
 
 import itertools
 from math import factorial
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from descon.rings import (
     InexactDivisionError,
     LaurentPolynomial,
-    TruncatedSeries,
     q_factorial,
     q_int,
     q_multinomial,
@@ -189,52 +188,3 @@ class TestLaurentPolynomial:
         assert str(lp) == "q^-3+2q^-2+2q^-1+1"
         assert lp.to_json_dict() == {"min": -3, "coeffs": ["1", "2", "2", "1"]}
         assert LaurentPolynomial((1, 0, 1), -1).to_json_dict() == {"min": -1, "coeffs": ["1", "0", "1"]}
-
-
-class TestTruncatedSeries:
-    def test_reciprocal_examples(self):
-        one = TruncatedSeries(5, (1,))
-        assert one.reciprocal() == one
-        geo = TruncatedSeries(3, (1, 1)).reciprocal()
-        assert geo.coeffs == (1, -1, 1, -1)
-
-    def test_one_minus_reciprocal_of_factorial_series(self):
-        # oracle: count words with no prefix equal to an initial segment,
-        # straight from the definition
-        def connected(n):
-            count = 0
-            for w in itertools.permutations(range(1, n + 1)):
-                if not any(set(w[:i]) == set(range(1, i + 1)) for i in range(1, n)):
-                    count += 1
-            return count
-
-        fact = TruncatedSeries(6, tuple(factorial(k) for k in range(7)))
-        result = 1 - fact.reciprocal()
-        assert result.coeffs == (0, 1, 1, 3, 13, 71, 461)
-        assert result.coeffs[1:] == tuple(connected(n) for n in range(1, 7))
-
-    @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=6),
-           st.sampled_from((1, -1)))
-    def test_reciprocal_roundtrip(self, tail, unit):
-        s = TruncatedSeries(6, (unit, *tail))
-        assert s * s.reciprocal() == TruncatedSeries(6, (1,))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(6, (2, 1)).reciprocal()
-        with pytest.raises(ValueError):
-            TruncatedSeries(3, (1,)) + TruncatedSeries(4, (1,))
-        with pytest.raises(ValueError):
-            TruncatedSeries(0, ())
-
-    def test_construction_truncates_and_pads(self):
-        s = TruncatedSeries(2, (1, 2, 3, 4, 5))
-        assert s.coeffs == (1, 2, 3)
-        assert TruncatedSeries(3, (1,)).coeffs == (1, 0, 0, 0)
-
-    def test_negative_unit(self):
-        s = TruncatedSeries(4, (-1, 1))
-        assert s * s.reciprocal() == TruncatedSeries(4, (1,))
-
-    def test_str(self):
-        assert str(TruncatedSeries(3, (1, -1, 1, -1))) == "1-x+x^2-x^3"

@@ -1,5 +1,8 @@
 """Connected-permutation counts by enumeration and by series inversion."""
 
+import itertools
+from math import factorial
+
 import pytest
 
 from descon.series import (
@@ -31,6 +34,36 @@ def test_routes_agree(max_n):
     assert connected_counts_enumerated(max_n).counts == connected_counts_series(max_n).counts
 
 
+def test_series_matches_the_definition():
+    # oracle: count words with no prefix equal to an initial segment,
+    # straight from the definition
+    def connected(n):
+        count = 0
+        for w in itertools.permutations(range(1, n + 1)):
+            if not any(set(w[:i]) == set(range(1, i + 1)) for i in range(1, n)):
+                count += 1
+        return count
+
+    assert connected_counts_series(7).counts == tuple(connected(n) for n in range(1, 8))
+
+
+def _one_minus_reciprocal_of_factorial_series(max_n):
+    # 1 / (sum of k! x^k) term by term: r(0) = 1, r(n) = -sum_{k=1..n} k! r(n-k)
+    r = [1]
+    for n in range(1, max_n + 1):
+        r.append(-sum(factorial(k) * r[n - k] for k in range(1, n + 1)))
+    return tuple(-c for c in r[1:])
+
+
+@pytest.mark.parametrize("max_n", (1, 2, 25))
+def test_recurrence_equals_series_reciprocal(max_n):
+    assert connected_counts_series(max_n).counts == _one_minus_reciprocal_of_factorial_series(max_n)
+
+
+def test_series_value_past_the_enumeration_cap():
+    assert connected_counts_series(13).count(13) == 5201061455
+
+
 def test_series_matches_pinned_values():
     assert connected_counts_series(9).counts == CONNECTED_COUNTS
 
@@ -42,5 +75,6 @@ def test_table_validation():
         ConnectedCountTable(2, (2, 1), "series")
     with pytest.raises(IndexError):
         connected_counts_series(3).count(4)
-    with pytest.raises(ValueError):
-        connected_counts_series(0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            connected_counts_series(bad)

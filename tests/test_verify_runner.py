@@ -14,7 +14,7 @@ from descon.verify import run_checks
 _ORACLE_BUILDERS = (
     "joint_statistics", "zeta_matrix", "mobius_matrix", "gamma_matrix", "b_matrix_direct",
     "a_matrix_closed", "gamma_q_matrix", "b_q_matrix_direct", "a_q_matrix_closed",
-    "b_gamma_transform", "block_matrix",
+    "block_matrix",
 )
 _AT = "at n=3, S={1,2}, T={1}"
 
@@ -27,21 +27,15 @@ def _bump(m):
 
 def _alter(monkeypatch, name, part=None, sizes=(3,)):
     """Substitute verify.<name> by a copy whose entry (S, T) = ({1,2}, {1})
-    is one more at the given sizes. ``part`` picks one yielded matrix (an
-    index) or one inverse kind (a string)."""
+    is one more at the given sizes. ``part`` picks one matrix kind of a
+    builder that takes the kind first (``block_matrix``, ``inverse_closed``)."""
     original = getattr(verify, name)
 
     def altered(*args, **kwargs):
         out = original(*args, **kwargs)
-        if isinstance(part, str):
+        if part is not None:
             return _bump(out) if args[:2] == (part, 3) else out
-        if args[0] not in sizes:
-            return out
-        if part is None:
-            return _bump(out)
-        out = list(out)
-        out[part] = _bump(out[part])
-        return out
+        return _bump(out) if args[0] in sizes else out
 
     monkeypatch.setattr(verify, name, altered)
 
@@ -67,9 +61,6 @@ def _record(monkeypatch, names):
         ("b-factorization", "b_matrix_direct", None, f"b enumeration vs zeta*gamma {_AT}: 3 != 2"),
         ("b-factorization", "a_matrix_closed", None,
          "b enumeration vs a*mobius at n=3, S={1,2}, T={}: 1 != 0"),
-        ("b-factorization", "b_gamma_transform", 0, f"b transform vs enumeration {_AT}: 3 != 2"),
-        ("b-factorization", "b_gamma_transform", 1,
-         f"gamma transform vs enumeration {_AT}: 2 != 1"),
         ("b-factorization", "block_matrix", "b", f"b top rows vs enumeration {_AT}: 3 != 2"),
         ("b-factorization", "block_matrix", "gamma",
          f"gamma top rows vs enumeration {_AT}: 2 != 1"),
@@ -82,10 +73,6 @@ def _record(monkeypatch, names):
         ("q-specialization", "b_q_matrix_direct", None, f"b at q=1 {_AT}: 3 != 2"),
         ("q-superset-closed-form", "a_q_matrix_closed", None,
          f"weighted superset counts {_AT}: 1+q+q^2+q^3 != q+q^2+q^3"),
-        ("q-superset-closed-form", "b_gamma_transform", 0,
-         f"weighted b transform vs enumeration {_AT}: 1+q+q^2 != q+q^2"),
-        ("q-superset-closed-form", "b_gamma_transform", 1,
-         f"weighted gamma transform vs enumeration {_AT}: 1+q^2 != q^2"),
         ("q-superset-closed-form", "block_matrix", "b",
          f"weighted b top rows vs enumeration {_AT}: 1+q+q^2 != q+q^2"),
         ("q-superset-closed-form", "block_matrix", "gamma",
@@ -112,7 +99,7 @@ def test_first_failing_n_is_reported_and_other_checks_pass(monkeypatch):
 
 
 def test_multiset_checks_build_no_closed_form(monkeypatch):
-    calls = _record(monkeypatch, ("a_q_matrix_closed", "a_matrix_closed", "b_gamma_transform"))
+    calls = _record(monkeypatch, ("a_q_matrix_closed", "a_matrix_closed", "block_matrix"))
     assert all(r.passed for r in run_checks(5, names=("multiset-counts", "multiset-bijection")))
     assert calls == []
 
