@@ -28,6 +28,12 @@ their q-versions) are the oracle that ``verify`` checks the top rows
 against; they all read one shared sweep of the n! permutations. The dense
 products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together.
+
+A product (``@``) is one loop over plain ints for every ring. Integer
+entries are used as they are. A Laurent entry becomes one int by Kronecker
+substitution q -> 2**w: signed w-bit slots, aligned at the lowest exponent
+of its operand, with w picked from both operands so that no slot of a
+result cell can overflow. Each result cell is unpacked once.
 """
 
 from __future__ import annotations
@@ -35,12 +41,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Iterable
 
-from .permutations import (
-    _multiset_tuples,
-    _require_within_cap,
-    connectivity_mask,
-    joint_statistics,
-)
+from .permutations import _multiset_stream, _require_within_cap, joint_statistics
 from .rings import LaurentPolynomial, q_multinomial
 from .subsets import SubsetMask, eta, eta_q, min_inversions
 
@@ -96,6 +97,69 @@ def ring_one(ring: str):
     return 1 if ring == INTEGER else LaurentPolynomial((1,))
 
 
+def _int_product(left, right) -> list[list[int]]:
+    """The product of two square int matrices, summed against the nonzero
+    cells of each row of ``right``."""
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+    out = []
+    for arow in left:
+        acc = [0] * len(right)
+        for a, bcells in zip(arow, nonzero):
+            if a:
+                for j, b in bcells:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def _extent(rows) -> tuple[int, int, int]:
+    """(lowest exponent, exponent span, largest |coefficient|) over the
+    nonzero Laurent entries of ``rows``; ``(0, 0, 0)`` when all are zero."""
+    cells = [v for row in rows for v in row if v]
+    if not cells:
+        return 0, 0, 0
+    lo = min(v.min_exp for v in cells)
+    hi = max(v.max_exp for v in cells)
+    return lo, hi - lo + 1, max(abs(c) for v in cells for c in v.coeffs)
+
+
+def _pack(rows, lo: int, width: int) -> list[list[int]]:
+    """Kronecker substitution q -> 2**width: each entry becomes one int whose
+    ``width``-bit signed slot k holds the coefficient of q**(lo + k)."""
+    out = []
+    for row in rows:
+        packed = []
+        for v in row:
+            x = 0
+            for c in reversed(v.coeffs):
+                x = (x << width) + c
+            packed.append(x << (width * (v.min_exp - lo)) if x else 0)
+        out.append(packed)
+    return out
+
+
+_ZERO = LaurentPolynomial()
+
+
+def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial:
+    """Read the signed ``width``-bit slots of ``x`` back into the polynomial
+    whose slot k is the coefficient of q**(lo + k); a negative slot borrows
+    one from the slot above it."""
+    if not x:
+        return _ZERO
+    full = 1 << width
+    half = full >> 1
+    slot = full - 1
+    coeffs = []
+    while x:
+        c = x & slot
+        if c >= half:
+            c -= full
+        coeffs.append(c)
+        x = (x - c) >> width
+    return LaurentPolynomial(coeffs, lo)
+
+
 class SubsetMatrix:
     """Square matrix over one of the exact rings, indexed by subset masks."""
 
@@ -144,22 +208,15 @@ class SubsetMatrix:
             raise ValueError(f"matrix sizes differ: n={self.n} vs n={other.n}")
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}; lift one side first")
-        side = self.side
-        zero = ring_zero(self.ring)
-        out = []
-        for arow in self.rows:
-            acc = [zero] * side
-            for k in range(side):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = other.rows[k]
-                for j in range(side):
-                    b = brow[j]
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return SubsetMatrix(self.n, self.ring, out)
+        if self.ring == INTEGER:
+            return SubsetMatrix(self.n, INTEGER, _int_product(self.rows, other.rows))
+        (lo_x, span_x, big_x), (lo_y, span_y, big_y) = _extent(self.rows), _extent(other.rows)
+        # a slot of a result cell sums at most side * min(span_x, span_y)
+        # products of two coefficients; two more bits hold its sign
+        width = (big_x * big_y * min(span_x, span_y) * self.side).bit_length() + 2
+        out = _int_product(_pack(self.rows, lo_x, width), _pack(other.rows, lo_y, width))
+        rows = [[_unpack(v, lo_x + lo_y, width) for v in row] for row in out]
+        return SubsetMatrix(self.n, self.ring, rows)
 
     def lift(self, ring: str) -> "SubsetMatrix":
         """Reinterpret over a wider ring (integer -> polynomial -> laurent);
@@ -544,21 +601,21 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
     """
     _require_closed_form_size(n)
     side = _side(n)
+    full = side - 1
     zero = ring_zero(POLYNOMIAL if q else INTEGER)
+    # weight[m] is the weight of the complement of the subset with mask m
+    weight = [(eta_q if q else eta)(SubsetMask(n, full ^ m)) for m in range(side)]
+    shift = [min_inversions(SubsetMask(n, t)) for t in range(side)] if q else None
     rows = []
     for s in range(side):
-        s_bar = SubsetMask(n, s).complement()
         row = []
         for t in range(side):
             if t & ~s:
                 row.append(zero)
-                continue
-            t_bar = SubsetMask(n, t).complement()
-            if q:
-                shift = min_inversions(SubsetMask(n, t))
-                row.append((eta_q(s_bar).shifted(shift)).exact_div(eta_q(t_bar)))
+            elif q:
+                row.append(weight[s].shifted(shift[t]).exact_div(weight[t]))
             else:
-                ratio, rem = divmod(eta(s_bar), eta(t_bar))
+                ratio, rem = divmod(weight[s], weight[t])
                 if rem:
                     raise ArithmeticError(
                         f"eta ratio not exact at n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
@@ -570,8 +627,8 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
 
 def multiset_count_matrix(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the words of the multiset of T whose connectivity
-    set is exactly S, by streaming every rearrangement as a plain tuple.
-    The cap is checked before the matrix is allocated.
+    set is exactly S, by streaming the connectivity mask of every
+    rearrangement. The cap is checked before the matrix is allocated.
 
     Equals the product (gamma times zeta) with both indices complemented.
     """
@@ -579,6 +636,6 @@ def multiset_count_matrix(n: int) -> SubsetMatrix:
     side = _side(n)
     rows = [[0] * side for _ in range(side)]
     for t in range(side):
-        for word in _multiset_tuples(SubsetMask(n, t)):
-            rows[connectivity_mask(word)][t] += 1
+        for _word, mask in _multiset_stream(SubsetMask(n, t)):
+            rows[mask][t] += 1
     return SubsetMatrix(n, INTEGER, rows)

@@ -235,28 +235,51 @@ def multiset_words(t: SubsetMask, cap: int | None = None) -> Iterator[MultisetWo
 
     The subset {i_1 < ... < i_k} of [n-1] yields the multiset
     {1^i_1, 2^(i_2-i_1), ..., (k+1)^(n-i_k)}; there are n!/eta(t) words.
-    The cap is checked when called, before any word is built; each word of
-    the lexicographic tuple stream is then wrapped in a MultisetWord.
+    The cap is checked when called, before any word is built.
 
     >>> [str(w) for w in multiset_words(SubsetMask.from_elements(3, [1]))]
     ['122', '212', '221']
     """
     _require_within_cap(t.n, cap)
-    return map(MultisetWord, _multiset_tuples(t))
+    return (MultisetWord(tuple(word)) for word, _mask in _multiset_stream(t))
 
 
-def _multiset_tuples(t: SubsetMask) -> Iterator[tuple[int, ...]]:
-    """The words of :func:`multiset_words` as plain tuples, by repeated
-    next-permutation steps from the sorted multiset; no cap check."""
-    word = [
+def _multiset_stream(t: SubsetMask) -> Iterator[tuple[list[int], int]]:
+    """The words of :func:`multiset_words`, each with its connectivity mask,
+    by repeated next-permutation steps from the sorted multiset; no cap check.
+
+    The word is one list, changed in place by the next step: a caller that
+    keeps it takes a copy. Position i is a cut exactly when i is in t (the
+    sorted letters rise there) and the prefix maximum at i equals the sorted
+    letter at i (the prefix is the i smallest letters). A step keeps the
+    word before its pivot, so the prefix maxima and the mask bits are
+    recomputed only from the pivot on.
+    """
+    letters = [
         letter
         for letter, part in enumerate(t.to_composition().parts, start=1)
         for _ in range(part)
     ]
+    rises = [bool(t.mask >> i & 1) for i in range(len(letters))]
+    word = list(letters)
+    high = list(letters)  # high[i] is the largest of word[0..i]
+    mask = t.mask  # the sorted word is cut at every rise
     last = len(word) - 1
+    if not last:
+        yield word, mask
+        return
+    no_last_cut = ~(1 << (last - 1))
     while True:
-        yield tuple(word)
-        i = last - 1
+        yield word, mask
+        if word[-2] < word[-1]:
+            # The pivot is the next-to-last position: the step swaps the last
+            # two letters. The last letter is then not the largest, so no cut
+            # precedes it. high[last - 1] is left stale: the next step pivots
+            # further left and recomputes it.
+            word[-2], word[-1] = word[-1], word[-2]
+            mask &= no_last_cut
+            yield word, mask
+        i = last - 2
         while i >= 0 and word[i] >= word[i + 1]:
             i -= 1
         if i < 0:
@@ -266,6 +289,14 @@ def _multiset_tuples(t: SubsetMask) -> Iterator[tuple[int, ...]]:
             j -= 1
         word[i], word[j] = word[j], word[i]
         word[i + 1:] = word[:i:-1]
+        top = high[i - 1] if i else 0
+        mask &= (1 << i) - 1
+        for k in range(i, last):
+            if word[k] > top:
+                top = word[k]
+            high[k] = top
+            if rises[k] and top == letters[k]:
+                mask |= 1 << k
 
 
 def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
@@ -288,9 +319,15 @@ def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
 def _reducer(t: SubsetMask) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The letterwise collapse for t as a function of an inverse word, with
     its value-to-letter table built once."""
-    thresholds = t.elements()
-    letters = (0,) + tuple(bisect_left(thresholds, v) + 1 for v in range(1, t.n + 1))
+    letters = _letter_table(t)
     return lambda inverse: tuple(map(letters.__getitem__, inverse))
+
+
+def _letter_table(t: SubsetMask) -> tuple[int, ...]:
+    """The value-to-letter table of the collapse for t: entry v is the letter
+    of the value v in 1..n, one more than the elements of t below v."""
+    thresholds = t.elements()
+    return (0,) + tuple(bisect_left(thresholds, v) + 1 for v in range(1, t.n + 1))
 
 
 def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:

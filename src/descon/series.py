@@ -42,8 +42,14 @@ class ConnectedCountTable:
         return self.counts[n - 1]
 
 
+def _require_max_n(max_n: int) -> None:
+    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
+        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+
+
 def connected_counts_enumerated(max_n: int, cap: int | None = None) -> ConnectedCountTable:
     """f(n) for n = 1..max_n by scanning every permutation."""
+    _require_max_n(max_n)
     counts = tuple(connected_count(n, cap) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")
 
@@ -51,8 +57,7 @@ def connected_counts_enumerated(max_n: int, cap: int | None = None) -> Connected
 def connected_counts_series(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n as coefficients of 1 - 1/(sum of n! x^n), by
     the convolution recurrence f(n) = n! - sum_{k<n} f(k) (n-k)!."""
-    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
+    _require_max_n(max_n)
     factorials = [factorial(k) for k in range(max_n + 1)]
     counts: list[int] = []
     for n in range(1, max_n + 1):

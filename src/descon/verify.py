@@ -11,6 +11,7 @@ only equality.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from math import factorial
 
@@ -34,11 +35,10 @@ from .matrices import (
 )
 from .permutations import (
     _inverse_sweep,
-    _multiset_tuples,
-    _reducer,
+    _letter_table,
+    _multiset_stream,
     _require_within_cap,
     connected_count,
-    connectivity_mask,
     joint_statistics,
 )
 from .series import connected_counts_series
@@ -155,34 +155,35 @@ def _least_inversions(o: _Oracles) -> str | None:
     return None
 
 
-def _group_inverses(n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+def _group_inverses(n: int) -> dict[tuple[int, int], list[bytes]]:
     """One lexicographic pass over the permutations of [n]: the inverse of
-    each, grouped by (descent mask, connectivity mask). Groups keep the
-    order of their lexicographically first permutation."""
-    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    each as bytes (one letter a byte, so a collapse is one ``translate``),
+    grouped by (descent mask, connectivity mask). Groups keep the order of
+    their lexicographically first permutation."""
+    groups: dict[tuple[int, int], list[bytes]] = {}
     for d_mask, c_mask, inverse in _inverse_sweep(n):
-        groups.setdefault((d_mask, c_mask), []).append(inverse)
+        groups.setdefault((d_mask, c_mask), []).append(bytes(inverse))
     return groups
 
 
 def _reduce_classes(
-    groups: dict[tuple[int, int], list[tuple[int, ...]]], t: SubsetMask
+    groups: dict[tuple[int, int], list[bytes]], t: SubsetMask
 ) -> tuple[dict[int, set], dict[int, int]]:
     """Reduce the inverses of the permutations whose descent set contains
     the complement of t, skipping the groups that do not qualify.
 
-    Returns the reduced words and the number of permutations per
+    Returns the reduced words, as bytes, and the number of permutations per
     connectivity class. Since the groups come in the order of their first
     permutation, so do the classes, and a failure names the same class as
     a loop over the permutations in lexicographic order would.
     """
     t_bar = ((1 << (t.n - 1)) - 1) ^ t.mask
-    reduce = _reducer(t)
+    table = bytes(_letter_table(t)).ljust(256, b"\0")
     reduced: dict[int, set] = {}
     class_size: dict[int, int] = {}
     for (d_mask, c_mask), inverses in groups.items():
         if d_mask & t_bar == t_bar:
-            reduced.setdefault(c_mask, set()).update(map(reduce, inverses))
+            reduced.setdefault(c_mask, set()).update([u.translate(table) for u in inverses])
             class_size[c_mask] = class_size.get(c_mask, 0) + len(inverses)
     return reduced, class_size
 
@@ -216,9 +217,9 @@ def _multiset_bijection(o: _Oracles) -> str | None:
     for t_mask in range(1 << (o.n - 1)):
         t = SubsetMask(o.n, t_mask)
         reduced, class_size = _reduce_classes(groups, t)
-        target: dict[int, set] = {}
-        for word in _multiset_tuples(t):
-            target.setdefault(connectivity_mask(word), set()).add(word)
+        target: dict[int, set] = defaultdict(set)
+        for word, mask in _multiset_stream(t):
+            target[mask].add(bytes(word))
         detail = _bijection_detail(o.n, t_mask, reduced, class_size, target)
         if detail:
             return detail

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import descon
-from descon.cli import _emit_matrix, main
+from descon.cli import _cell_renderer, _emit_matrix, _json, main
 from descon.matrices import b_matrix_direct, b_q_matrix_direct, gamma_matrix, gamma_q_matrix
+from descon.rings import LaurentPolynomial
 
 from golden_tables import GAMMA_N5
 
@@ -126,6 +127,18 @@ class TestTable:
         assert payload["order"] == "cardinality-lex"
         cell = payload["entries"][1][1]  # lone descent at 1 comes from 213, one inversion
         assert cell == {"min": 0, "coeffs": ["0", "1"]}
+
+    @pytest.mark.parametrize(
+        "value",
+        (
+            LaurentPolynomial(),
+            LaurentPolynomial((1, -2), 3),  # the wire form starts at q**0: leading "0"s
+            LaurentPolynomial((4, 0, -5), -2),
+            LaurentPolynomial((2**70, 1)),
+        ),
+    )
+    def test_weighted_json_cell_is_the_wire_form(self, value):
+        assert _cell_renderer("json", "laurent")(value) == _json(value.to_json_dict())
 
     def test_a_table_text(self, capsys):
         code, out, _err = run_cli(capsys, "table", "a", "--n", "4", "--paper-order")

@@ -75,6 +75,85 @@ class TestSubsetMatrix:
             z.lift(POLYNOMIAL).lift(INTEGER)
 
 
+def schoolbook(x, y):
+    """The dense product with one ring operation per term: the reference the
+    packed product of ``SubsetMatrix.__matmul__`` is checked against."""
+    zero = 0 if x.ring == INTEGER else LaurentPolynomial()
+    side = x.side
+    rows = [
+        [sum((x.rows[i][k] * y.rows[k][j] for k in range(side)), zero) for j in range(side)]
+        for i in range(side)
+    ]
+    return SubsetMatrix(x.n, x.ring, rows)
+
+
+# small coefficients collide in the slots; huge ones (past 2**64) widen them
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of one n and ring; a quarter of the rows are zero."""
+    n = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from((INTEGER, POLYNOMIAL, LAURENT)))
+    side = 1 << (n - 1)
+    if ring == INTEGER:
+        entry, zero = COEFFS, 0
+    else:
+        low = -4 if ring == LAURENT else 0
+        entry = st.builds(
+            LaurentPolynomial, st.lists(COEFFS, max_size=4), st.integers(low, 4)
+        )
+        zero = LaurentPolynomial()
+
+    def matrix():
+        rows = []
+        for _ in range(side):
+            if draw(st.integers(0, 3)):
+                rows.append(draw(st.lists(entry, min_size=side, max_size=side)))
+            else:
+                rows.append([zero] * side)
+        return SubsetMatrix(n, ring, rows)
+
+    return matrix(), matrix()
+
+
+class TestPackedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=matrix_pairs())
+    def test_equals_schoolbook(self, pair):
+        x, y = pair
+        assert x @ y == schoolbook(x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pair=matrix_pairs())
+    def test_all_zero_operand(self, pair):
+        x, y = pair
+        zero = SubsetMatrix(x.n, x.ring, [[v * 0 for v in row] for row in x.rows])
+        assert zero @ y == schoolbook(zero, y) == zero
+        assert y @ zero == zero
+
+    @pytest.mark.parametrize("c", (1, 3, 2**64 + 1))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_slots_at_their_bound(self, c, sign):
+        # the middle slot of every cell reaches the bound the width is
+        # chosen for, side * span * c**2, with either sign
+        p = LaurentPolynomial((c,) * 5, -2)
+        x = SubsetMatrix(3, LAURENT, [[p] * 4] * 4)
+        y = SubsetMatrix(3, LAURENT, [[p * sign] * 4] * 4)
+        product = x @ y
+        assert product == schoolbook(x, y)
+        assert product.rows[0][0].coeff(0) == sign * 4 * 5 * c * c
+
+    def test_ring_and_size_errors(self):
+        with pytest.raises(ValueError, match=r"^ring mismatch: polynomial vs laurent; lift one side first$"):
+            zeta_matrix(3).lift(POLYNOMIAL) @ zeta_matrix(3).lift(LAURENT)
+        with pytest.raises(ValueError, match=r"^matrix sizes differ: n=3 vs n=4$"):
+            zeta_matrix(3).lift(LAURENT) @ zeta_matrix(4).lift(LAURENT)
+        with pytest.raises(TypeError):
+            zeta_matrix(3) @ 2
+
+
 class TestZetaMobius:
     def test_zeta_entries(self):
         z = zeta_matrix(3)

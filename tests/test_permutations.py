@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from descon.matrices import gamma_matrix, multiset_count_matrix
 from descon.permutations import (
+    _multiset_stream,
     EnumerationCapError,
     MultisetWord,
     Permutation,
@@ -217,6 +218,20 @@ class TestEnumerators:
                 ]
                 expected = sorted(set(itertools.permutations(multiset)))
                 assert [u.word for u in multiset_words(t)] == expected, (n, mask)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stream_is_every_distinct_rearrangement_with_its_mask(self, n):
+        for mask in range(1 << (n - 1)):
+            t = SubsetMask(n, mask)
+            multiset = [
+                letter
+                for letter, part in enumerate(t.to_composition().parts, start=1)
+                for _ in range(part)
+            ]
+            stream = [(tuple(word), cut) for word, cut in _multiset_stream(t)]
+            assert [word for word, _cut in stream] == sorted(set(itertools.permutations(multiset)))
+            for word, cut in stream:
+                assert cut == connectivity_mask(word), word
 
     def test_multiset_enumerators_refuse_oversized_n_at_call_time(self, monkeypatch):
         monkeypatch.delenv("DESCON_MAX_N", raising=False)

@@ -78,3 +78,9 @@ def test_table_validation():
     for bad in (0, True, 2.0):
         with pytest.raises(ValueError, match="positive integer"):
             connected_counts_series(bad)
+
+
+@pytest.mark.parametrize("bad", (0, True, 2.0))
+def test_enumerated_rejects_what_the_series_rejects(bad):
+    with pytest.raises(ValueError, match="max_n must be a positive integer"):
+        connected_counts_enumerated(bad)

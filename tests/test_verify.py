@@ -75,7 +75,7 @@ def test_sweep_reduction_is_the_public_one():
             for w in perms:
                 if w.descent_set().mask & t_bar == t_bar:
                     s_mask = w.connectivity_set().mask
-                    reduced.setdefault(s_mask, set()).add(reduce_to_multiset(w, t).word)
+                    reduced.setdefault(s_mask, set()).add(bytes(reduce_to_multiset(w, t).word))
                     class_size[s_mask] = class_size.get(s_mask, 0) + 1
             got_reduced, got_size = _reduce_classes(groups, t)
             assert list(got_reduced.items()) == list(reduced.items()), (n, t.mask)
