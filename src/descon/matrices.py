@@ -29,20 +29,20 @@ against; they all read one shared sweep of the n! permutations. The dense
 products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together.
 
-A product (``@``) is one loop over plain ints for every ring. Integer
-entries are used as they are. A Laurent entry becomes one int by Kronecker
-substitution q -> 2**w: signed w-bit slots, aligned at the lowest exponent
-of its operand, with w picked from both operands so that no slot of a
-result cell can overflow. Each result cell is unpacked once.
+Weighted values are computed on plain ints by Kronecker substitution
+q -> 2**w, in signed w-bit slots, and unpacked once at the end; a count is
+the same code at w = 0, where q -> 1. The top-row builders and the sweep
+tally take w from n; a product (``@``), one int loop for every ring, picks
+it from both operands so that no slot of a result cell can overflow.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable
 
 from .permutations import _multiset_stream, _require_within_cap, joint_statistics
-from .rings import LaurentPolynomial, q_multinomial
+from .rings import LaurentPolynomial
 from .subsets import SubsetMask, eta, eta_q, min_inversions
 
 __all__ = [
@@ -301,26 +301,28 @@ def _cut_parts(length: int, mask: int) -> list[int]:
     return parts
 
 
+def _slot_width(n: int, weighted: bool) -> int:
+    """The slot width w of q -> 2**w in the builders, 0 for counts. Every
+    top-row value, product of them and sweep cell counts permutations of at
+    most n letters by inversions, so no coefficient exceeds n! or reaches
+    the sign bit of a slot one bit wider than n!."""
+    return factorial(n).bit_length() + 1 if weighted else 0
+
+
 # Top-row builders: entry L of the result is the top row v_L (the row
 # S = [L-1] of the matrix at size L, indexed by the masks T of [L-1]) for
-# L = 1..n; entry 0 is unused.
-
-
-def _a_tops(n: int, q: bool) -> list[list]:
-    """Permutations of [L] whose descent set contains T: the multinomial of
-    L cut at the complement of T; with q, the Gaussian multinomial times q to
-    the least inversion count of those permutations. The last part p of the
-    cut contributes binomial(L, p) (with q, the Gaussian binomial times
-    q^binomial(p, 2)) to the entry of the first L - p elements."""
-    tops: list[list] = [[]]
+# L = 1..n, each value packed by q -> 2**w; entry 0 is unused.
+def _a_tops(n: int, w: int) -> list[list[int]]:
+    """Permutations of [L] whose descent set contains T, weighted by q**inv:
+    the Gaussian multinomial of L cut at the complement of T times q to the
+    least inversion count. The last part p of the cut contributes [L, p]
+    times q^binomial(p, 2) to the entry of the first L - p elements, with
+    the Gaussian binomials from ``[L, p] = [L-1, p-1] + q^p [L-1, p]``."""
+    tops: list[list[int]] = [[]]
+    binom = [1]  # [L, p] for p = 0..L
     for length in range(1, n + 1):
-        last = [None]
-        for p in range(1, length + 1):
-            if q:
-                parts = [length - p, p] if p < length else [p]
-                last.append(q_multinomial(length, parts).shifted(comb(p, 2)))
-            else:
-                last.append(comb(length, p))
+        binom = [1] + [binom[p - 1] + (binom[p] << w * p) for p in range(1, length)] + [1]
+        last = [None] + [binom[p] << w * comb(p, 2) for p in range(1, length + 1)]
         row = []
         for t in range(_side(length)):
             p = _cut_parts(length, t)[-1]
@@ -330,10 +332,10 @@ def _a_tops(n: int, q: bool) -> list[list]:
     return tops
 
 
-def _b_tops(n: int, q: bool) -> list[list]:
+def _b_tops(n: int, w: int) -> list[list[int]]:
     """beta_L(T), the permutations of [L] with descent set exactly T: the
     superset Moebius transform of the top row of ``a``, one pass per bit."""
-    tops = _a_tops(n, q)
+    tops = _a_tops(n, w)
     for row in tops:
         bit = 1
         while bit < len(row):
@@ -344,28 +346,26 @@ def _b_tops(n: int, q: bool) -> list[list]:
     return tops
 
 
-def _gamma_tops(n: int, q: bool) -> list[list]:
+def _gamma_tops(n: int, w: int) -> list[list[int]]:
     """The connected permutations of [L] with descent set exactly T, by
     splitting off the first connected summand, of length k:
     ``g_L(T) = beta_L(T) - sum over k < L with k not in T of
     g_k(T & [k-1]) * beta_(L-k)(T shifted down by k)``."""
-    beta = _b_tops(n, q)
-    tops: list[list] = [[]]
+    beta = _b_tops(n, w)
+    tops: list[list[int]] = [[]]
     for length in range(1, n + 1):
         row = list(beta[length])
         for t in range(len(row)):
             acc = row[t]
             for k in range(1, length):
                 if not t >> (k - 1) & 1:
-                    first = tops[k][t & (_side(k) - 1)]
-                    if first:
-                        acc = acc - first * beta[length - k][t >> k]
+                    acc -= tops[k][t & (_side(k) - 1)] * beta[length - k][t >> k]
             row[t] = acc
         tops.append(row)
     return tops
 
 
-def _m_tops(n: int, q: bool) -> list[list]:
+def _m_tops(n: int, w: int) -> list[list[int]]:
     """The containment matrix: every top-row entry is 1."""
     return [[]] + [[1] * _side(length) for length in range(1, n + 1)]
 
@@ -379,13 +379,22 @@ def top_rows(kind: str, n: int, q: bool = False) -> list[list]:
 
     They fix the whole matrix: see :func:`block_row`. Together they hold
     fewer than 2^n ring values and take no enumeration.
+
+    >>> top_rows("b", 3)[3]
+    [1, 2, 2, 1]
+    >>> [str(v) for v in top_rows("b", 3, q=True)[3]]
+    ['1', 'q+q^2', 'q+q^2', 'q^3']
     """
     _require_closed_form_size(n)
     if kind not in _TOP_ROWS:
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b', 'gamma' or 'm'")
     if kind == "m" and q:
         raise ValueError("kind 'm' is the containment matrix; it has no weighted version")
-    return _TOP_ROWS[kind](n, q)
+    w = _slot_width(n, q)
+    tops = _TOP_ROWS[kind](n, w)
+    if q:
+        return [[_unpack(x, 0, w) for x in row] for row in tops]
+    return tops
 
 
 def block_row(n: int, tops: list[list], s: int) -> list:
@@ -462,49 +471,27 @@ def _tally(
     ``cols_of(d)``. With :func:`_single` a statistic is taken exactly, with
     :func:`_submasks` it is relaxed to containment.
 
-    Sign 0 counts (integer ring), summing over the inversion counts first
-    and keeping one plain int per cell; +1 weighs by ``q**inv`` (polynomial
-    ring) and -1 by ``q**-inv`` (Laurent ring).
+    Sign 0 counts (integer ring), +1 weighs by ``q**inv`` (polynomial ring)
+    and -1 by ``q**-inv`` (Laurent ring). A cell is one int under q -> 2**w,
+    slot k the coefficient of q**(lo + k), unpacked once at the end.
     """
     side = _side(n)
     full = side - 1
-    if not sign:
-        by_masks: dict[tuple[int, int], int] = {}
-        for (c, d, _inv), count in joint_statistics(n, threads).items():
-            by_masks[c, d] = by_masks.get((c, d), 0) + count
-        counts = [[0] * side for _ in range(side)]
-        for (c, d), count in by_masks.items():
-            cols = tuple(cols_of(d))
-            for x in rows_of(c):
-                row = counts[full ^ x]
-                for t in cols:
-                    row[t] += count
-        return SubsetMatrix(n, INTEGER, counts)
-    cells: list[list[dict[int, int] | None]] = [[None] * side for _ in range(side)]
+    w = _slot_width(n, sign != 0)
+    lo = -comb(n, 2) if sign < 0 else 0
+    by_masks: dict[tuple[int, int], int] = {}
     for (c, d, inv), count in joint_statistics(n, threads).items():
-        exp = sign * inv
+        by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * (sign * inv - lo))
+    cells = [[0] * side for _ in range(side)]
+    for (c, d), value in by_masks.items():
         cols = tuple(cols_of(d))
         for x in rows_of(c):
             row = cells[full ^ x]
             for t in cols:
-                cell = row[t]
-                if cell is None:
-                    cell = row[t] = {}
-                cell[exp] = cell.get(exp, 0) + count
-    zero = LaurentPolynomial()
-    rows = []
-    for row in cells:
-        out = []
-        for cell in row:
-            if cell is None:
-                out.append(zero)
-                continue
-            lo = min(cell)
-            coeffs = [0] * (max(cell) - lo + 1)
-            for exp, count in cell.items():
-                coeffs[exp - lo] = count
-            out.append(LaurentPolynomial(coeffs, lo))
-        rows.append(out)
+                row[t] += value
+    if not sign:
+        return SubsetMatrix(n, INTEGER, cells)
+    rows = [[_unpack(x, lo, w) for x in row] for row in cells]
     return SubsetMatrix(n, POLYNOMIAL if sign > 0 else LAURENT, rows)
 
 

@@ -16,7 +16,6 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from math import factorial
 from types import MappingProxyType
@@ -335,11 +334,23 @@ def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     of [n], in lexicographic word order, without building Permutation
     objects. The enumeration cap is checked when called."""
     _require_within_cap(n, None)
-    values = range(1, n + 1)
-    return (
-        (descent_mask(word), connectivity_mask(word), tuple(map(((0,) + word).index, values)))
-        for word in _lex_permutations(values)
-    )
+    return map(_masks_and_inverse, _lex_permutations(range(1, n + 1)))
+
+
+def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """Both masks in one pass by :func:`_sweep_chunk`'s rule; the inverse by position."""
+    inverse = [0] * len(word)
+    d_mask = c_mask = high = 0
+    for i, v in enumerate(word[:-1]):
+        inverse[v - 1] = i + 1
+        if v > high:
+            high = v
+        if high == i + 1:
+            c_mask |= 1 << i
+        if v > word[i + 1]:
+            d_mask |= 1 << i
+    inverse[word[-1] - 1] = len(word)
+    return d_mask, c_mask, tuple(inverse)
 
 
 def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:
@@ -373,9 +384,8 @@ def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:
     return counts
 
 
-@lru_cache(maxsize=12)
-def _joint_statistics_cached(n: int) -> Mapping[tuple[int, int, int], int]:
-    return MappingProxyType(_sweep_chunk(n, 0, factorial(n)))
+# The sweep of each n, made by whichever call asks for it first.
+_SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
 
 
 def joint_statistics(
@@ -384,30 +394,34 @@ def joint_statistics(
     """One sweep over all n! permutations, tallying the triple
     (connectivity mask, descent mask, inversion count).
 
-    Every enumeration-backed matrix builder reads from this single pass.
-    With threads > 1 the lexicographic stream is split into contiguous rank
-    ranges, one worker process each; the merge is an entrywise sum, so the
-    result is identical for every thread count. The result is a read-only
-    view, since the one-worker sweep is cached and shared by every caller.
+    Every enumeration-backed matrix builder reads from this single pass,
+    which is made once per n and shared by every later call, whatever its
+    thread count. With threads > 1 the first call splits the lexicographic
+    stream into contiguous rank ranges, one worker process each; the merge
+    is an entrywise sum, so the result is identical for every thread count.
+    The result is a read-only view, since every caller shares it.
     """
     _require_within_cap(n, cap)
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
-    if threads == 1:
-        return _joint_statistics_cached(n)
-    # imported here: the pool costs every CLI start about 30 ms otherwise
-    from concurrent.futures import ProcessPoolExecutor
-
+    sweep = _SWEEPS.get(n)
+    if sweep is not None:
+        return sweep
     total = factorial(n)
-    workers = min(threads, total)
-    bounds = [k * total // workers for k in range(workers + 1)]
-    merged: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(
-            _sweep_chunk, [n] * workers, bounds[:-1], bounds[1:]
-        ):
-            merged.update(part)
-    return MappingProxyType(merged)
+    if threads == 1:
+        merged = _sweep_chunk(n, 0, total)
+    else:
+        # imported here: the pool costs every CLI start about 30 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(threads, total)
+        bounds = [k * total // workers for k in range(workers + 1)]
+        merged = Counter()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_sweep_chunk, [n] * workers, bounds[:-1], bounds[1:]):
+                merged.update(part)
+    sweep = _SWEEPS[n] = MappingProxyType(merged)
+    return sweep
 
 
 def connected_count(n: int, cap: int | None = None) -> int:

@@ -227,9 +227,7 @@ def _multiset_bijection(o: _Oracles) -> str | None:
 
 
 def _connected_series(o: _Oracles) -> str | None:
-    """Connected counts by scan and by the reciprocal-series route agree (n <= 9)."""
-    if o.n > 9:
-        return None
+    """Connected counts by scan and by the series route agree."""
     scanned, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
     if scanned != series:
         return f"connected counts at n={o.n}: scan {scanned} != series {series}"

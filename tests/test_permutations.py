@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descon import permutations
 from descon.matrices import gamma_matrix, multiset_count_matrix
 from descon.permutations import (
     _multiset_stream,
+    _sweep_chunk,
     EnumerationCapError,
     MultisetWord,
     Permutation,
@@ -256,9 +258,17 @@ class TestJointStatistics:
         for n in range(1, 7):
             assert sum(joint_statistics(n).values()) == factorial(n)
 
-    def test_worker_partition_matches_single_sweep(self):
+    def test_worker_partition_matches_single_sweep(self, monkeypatch):
         for threads in (2, 3, 7):
-            assert dict(joint_statistics(5, threads=threads)) == dict(joint_statistics(5))
+            monkeypatch.setattr(permutations, "_SWEEPS", {})
+            assert dict(joint_statistics(5, threads=threads)) == _sweep_chunk(5, 0, 120)
+
+    def test_one_sweep_per_n_for_every_thread_count(self, monkeypatch):
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        first = joint_statistics(5, threads=2)
+        assert joint_statistics(5) is first
+        assert joint_statistics(5, threads=3) is first
+        assert list(permutations._SWEEPS) == [5]
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):

@@ -73,8 +73,8 @@ def test_top_rows_give_the_paper_counts_without_enumeration():
     for length in range(1, 14):
         assert sum(gamma[length]) == f[length - 1]
         assert sum(beta[length]) == factorial(length)
-    gamma_q, beta_q = top_rows("gamma", 11, q=True), top_rows("b", 11, q=True)
-    for length in range(1, 12):
+    gamma_q, beta_q = top_rows("gamma", 13, q=True), top_rows("b", 13, q=True)
+    for length in range(1, 14):
         assert [v.evaluate(1) for v in gamma_q[length]] == gamma[length]
         assert [v.evaluate(1) for v in beta_q[length]] == beta[length]
         assert sum(beta_q[length], 0) == q_factorial(length)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from descon import verify
 from descon.matrices import SubsetMatrix, zeta_matrix
 from descon.permutations import Permutation, _reducer, enumerate_permutations, reduce_to_multiset
+from descon.series import connected_counts_series
 from descon.subsets import SubsetMask
 from descon.verify import (
     _bijection_detail,
@@ -37,6 +39,22 @@ def test_names_filter():
         run_checks(2, names=("no-such-check",))
     with pytest.raises(ValueError):
         run_checks(0)
+
+
+def test_connected_series_scans_every_n_it_reports(monkeypatch):
+    # a scan that is wrong only at n = 10 must fail a check reported as n <= 10
+    scanned = []
+
+    def recording(n, cap=None):
+        scanned.append(n)
+        return connected_counts_series(n).count(n) + (n == 10)
+
+    monkeypatch.delenv("DESCON_MAX_N", raising=False)
+    monkeypatch.setattr(verify, "connected_count", recording)
+    (result,) = run_checks(10, names=("connected-series",))
+    assert scanned == list(range(1, 11))
+    assert not result.passed
+    assert result.detail == "connected counts at n=10: scan 2829326 != series 2829325"
 
 
 def test_first_mismatch_locates_entry():
