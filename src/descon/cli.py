@@ -14,19 +14,20 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from itertools import compress
+from functools import partial
 
 from .matrices import (
     INTEGER,
     POLYNOMIAL,
     SubsetMatrix,
+    _block_cells,
+    _packed_tops,
+    _unpack,
     b_matrix_direct,
     b_q_matrix_direct,
-    block_row,
     gamma_matrix,
     gamma_q_matrix,
     ring_zero,
-    top_rows,
 )
 from .permutations import CAP_ENV_VAR, Permutation, enumeration_cap
 from .series import connected_counts_enumerated, connected_counts_series
@@ -119,34 +120,52 @@ def _laurent_json(v) -> str:
     return '{"min":%d,"coeffs":[%s]}' % (low, ",".join(f'"{t}"' for t in texts))
 
 
-def _emit_rows(n: int, ring: str, row_of, fmt: str, paper: bool, out: str | None) -> None:
-    """Write a matrix one row at a time: ``row_of(S)`` is row S as a
-    sequence indexed by column mask. Only its nonzero cells are rendered;
-    every zero gets one constant text. Text output makes two passes over
-    the rows, the first for the column widths."""
+class _Texts(dict):
+    """The text of each distinct cell value of one table, rendered on its
+    first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value):
+        text = self[value] = self.render(value)
+        return text
+
+
+def _emit_rows(
+    n: int, ring: str, cells_of, fmt: str, paper: bool, out: str | None, w: int = 0
+) -> None:
+    """Write a matrix one row at a time: ``cells_of(S)`` lists the nonzero
+    cells ``(column mask, value)`` of row S, where a weighted value is an
+    int packed by q -> 2**w if ``w`` is nonzero. Each distinct value is
+    rendered once, and every zero gets one constant text. Text output makes
+    two passes over the rows, the first for the column widths."""
     order_name, masks = _matrix_order(n, paper)
     labels = [str(SubsetMask(n, m)) for m in masks]
     side = len(masks)
     column = sorted(range(side), key=masks.__getitem__)  # the position of each mask
     render = _cell_renderer(fmt, ring)
     zero = render(ring_zero(ring))
+    texts = _Texts((lambda x: render(_unpack(x, 0, w))) if w else render)
 
     def nonzero_texts(s: int) -> list[tuple[int, str]]:
-        row = row_of(s)
-        return [(column[t], render(row[t])) for t in compress(range(side), row)]
+        return [(column[t], texts[x]) for t, x in cells_of(s)]
 
     def row_texts(s: int) -> list[str]:
-        texts = [zero] * side
-        for pos, text in nonzero_texts(s):
-            texts[pos] = text
-        return texts
+        row = [zero] * side
+        for t, x in cells_of(s):
+            row[column[t]] = texts[x]
+        return row
 
     with _sink(out) as stream:
         if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["S\\T", *labels])
-            for label, s in zip(labels, masks):
-                writer.writerow([label, *row_texts(s)])
+            stream.write(_csv_text([["S\\T", *labels]]))
+            # cell texts hold no comma, quote or space (rings._format_terms),
+            # so only the labels need the csv module's quoting
+            quoted = _csv_text([[label] for label in labels]).splitlines()
+            for label, s in zip(quoted, masks):
+                stream.write(label + "," + ",".join(row_texts(s)) + "\n")
         elif fmt == "json":
             head = _json({"n": n, "order": order_name, "ring": ring, "entries": []})
             stream.write(head[:-2])  # up to the opening bracket of the entries
@@ -160,9 +179,9 @@ def _emit_rows(n: int, ring: str, row_of, fmt: str, paper: bool, out: str | None
                 for pos, text in nonzero_texts(s):
                     widths[pos] = max(widths[pos], len(text))
             first = max(len("S\\T"), *map(len, labels))
-            cells = [label.rjust(w) for label, w in zip(labels, widths)]
+            cells = [label.rjust(width) for label, width in zip(labels, widths)]
             stream.write("S\\T".ljust(first) + "  " + "  ".join(cells) + "\n")
-            blank = [zero.rjust(w) for w in widths]
+            blank = [zero.rjust(width) for width in widths]
             for label, s in zip(labels, masks):
                 cells = blank.copy()
                 for pos, text in nonzero_texts(s):
@@ -171,7 +190,10 @@ def _emit_rows(n: int, ring: str, row_of, fmt: str, paper: bool, out: str | None
 
 
 def _emit_matrix(matrix: SubsetMatrix, fmt: str, paper: bool, out: str | None) -> None:
-    _emit_rows(matrix.n, matrix.ring, matrix.rows.__getitem__, fmt, paper, out)
+    def cells_of(s: int) -> list:
+        return [(t, v) for t, v in enumerate(matrix.rows[s]) if v]
+
+    _emit_rows(matrix.n, matrix.ring, cells_of, fmt, paper, out)
 
 
 def _cmd_stats(args) -> int:
@@ -242,9 +264,10 @@ def _cmd_table(args) -> int:
     if kind in ("gamma", "b") and n <= SWEEP_MAX_N:
         _emit_matrix(_sweep_matrix(kind, n, args.q), args.format, args.paper_order, args.out)
         return 0
-    tops = top_rows(kind, n, args.q)
+    tops, w = _packed_tops(kind, n, args.q)
     ring = POLYNOMIAL if args.q else INTEGER
-    _emit_rows(n, ring, lambda s: block_row(n, tops, s), args.format, args.paper_order, args.out)
+    cells_of = partial(_block_cells, n, tops)
+    _emit_rows(n, ring, cells_of, args.format, args.paper_order, args.out, w)
     return 0
 
 

@@ -33,7 +33,10 @@ Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots, and unpacked once at the end; a count is
 the same code at w = 0, where q -> 1. The top-row builders and the sweep
 tally take w from n; a product (``@``), one int loop for every ring, picks
-it from both operands so that no slot of a result cell can overflow.
+it from both operands so that no slot of a result cell can overflow. The
+row expansion multiplies the packed top rows too, into sparse cells
+(column mask, packed int): :func:`block_matrix` unpacks each distinct
+value once, and ``descon table`` renders each distinct value once.
 """
 
 from __future__ import annotations
@@ -373,6 +376,18 @@ def _m_tops(n: int, w: int) -> list[list[int]]:
 _TOP_ROWS = {"a": _a_tops, "b": _b_tops, "gamma": _gamma_tops, "m": _m_tops}
 
 
+def _packed_tops(kind: str, n: int, q: bool) -> tuple[list[list[int]], int]:
+    """The top rows of :func:`top_rows`, every value packed by q -> 2**w,
+    and the slot width w (0 for counts)."""
+    _require_closed_form_size(n)
+    if kind not in _TOP_ROWS:
+        raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b', 'gamma' or 'm'")
+    if kind == "m" and q:
+        raise ValueError("kind 'm' is the containment matrix; it has no weighted version")
+    w = _slot_width(n, q)
+    return _TOP_ROWS[kind](n, w), w
+
+
 def top_rows(kind: str, n: int, q: bool = False) -> list[list]:
     """The top rows v_1, ..., v_n (at indices 1..n) of the matrix ``kind``
     (``a``, ``b``, ``gamma`` or ``m``), with q the inversion-weighted ones.
@@ -385,28 +400,18 @@ def top_rows(kind: str, n: int, q: bool = False) -> list[list]:
     >>> [str(v) for v in top_rows("b", 3, q=True)[3]]
     ['1', 'q+q^2', 'q+q^2', 'q^3']
     """
-    _require_closed_form_size(n)
-    if kind not in _TOP_ROWS:
-        raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b', 'gamma' or 'm'")
-    if kind == "m" and q:
-        raise ValueError("kind 'm' is the containment matrix; it has no weighted version")
-    w = _slot_width(n, q)
-    tops = _TOP_ROWS[kind](n, w)
+    tops, w = _packed_tops(kind, n, q)
     if q:
         return [[_unpack(x, 0, w) for x in row] for row in tops]
     return tops
 
 
-def block_row(n: int, tops: list[list], s: int) -> list:
-    """Row S (mask ``s``) of the matrix whose top rows are ``tops``.
-
-    A connectivity point is a direct-sum cut, across which descents and
-    inversions add. So entry (S, T) is zero unless T is inside S, and then
-    it is the product, over the blocks of [n] cut at the complement of S,
-    of v_L(T restricted to the block). The row is expanded as a Kronecker
-    product over the blocks that forms only the nonzero entries.
-    """
-    zero = tops[1][0] * 0  # the zero of the tops' ring
+def _block_cells(n: int, tops: list[list], s: int) -> list[tuple[int, object]]:
+    """The nonzero cells ``(column mask, value)`` of row S (mask ``s``) of
+    the matrix whose top rows are ``tops``, as a Kronecker product over the
+    blocks of [n] cut at the complement of S. On tops packed at the width
+    n fixes, the products are the packed products too: every slot of a
+    cell counts permutations of [n], so none reaches its sign bit."""
     parts = _cut_parts(n, s)
     cells = [(u, v) for u, v in enumerate(tops[parts[0]]) if v]
     lo = parts[0]
@@ -415,16 +420,32 @@ def block_row(n: int, tops: list[list], s: int) -> list:
         if length > 1 or top[0] != 1:  # else the factor is 1 for every cell
             cells = [(t | u << lo, x * v) for u, v in enumerate(top) if v for t, x in cells]
         lo += length
-    row = [zero] * _side(n)
-    for t, v in cells:
+    return cells
+
+
+def block_row(n: int, tops: list[list], s: int) -> list:
+    """Row S (mask ``s``) of the matrix whose top rows are ``tops``.
+
+    A connectivity point is a direct-sum cut, across which descents and
+    inversions add. So entry (S, T) is zero unless T is inside S, and then
+    it is the product, over the blocks of [n] cut at the complement of S,
+    of v_L(T restricted to the block). Only the nonzero entries are formed
+    (:func:`_block_cells`) and scattered into the row.
+    """
+    row = [tops[1][0] * 0] * _side(n)  # the zero of the tops' ring
+    for t, v in _block_cells(n, tops, s):
         row[t] = v
     return row
 
 
 def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
-    """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows."""
-    tops = top_rows(kind, n, q)
+    """The matrix ``kind`` (see :func:`top_rows`) expanded from its packed
+    top rows; each distinct weighted value is unpacked once."""
+    tops, w = _packed_tops(kind, n, q)
     rows = [block_row(n, tops, s) for s in range(_side(n))]
+    if q:
+        values = {x: _unpack(x, 0, w) for x in set().union(*rows)}
+        rows = [[values[x] for x in row] for row in rows]
     return SubsetMatrix(n, POLYNOMIAL if q else INTEGER, rows)
 
 

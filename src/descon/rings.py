@@ -87,8 +87,11 @@ class LaurentPolynomial:
     def __init__(self, coeffs: Iterable[int] = (), min_exp: int = 0):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            # bool is an int subclass, but True is no coefficient
+            if type(c) is not int and (isinstance(c, bool) or not isinstance(c, int)):
                 raise TypeError(f"integer coefficient required, got {type(c).__name__}")
+        if isinstance(min_exp, bool) or not isinstance(min_exp, int):
+            raise TypeError(f"integer exponent required, got {type(min_exp).__name__}")
         hi = len(cs)
         while hi and cs[hi - 1] == 0:
             hi -= 1
@@ -273,12 +276,12 @@ def q_int(j: int) -> LaurentPolynomial:
     >>> str(q_int(3))
     '1+q+q^2'
     """
-    if not isinstance(j, int) or j < 1:
+    if isinstance(j, bool) or not isinstance(j, int) or j < 1:
         raise ValueError(f"q_int requires a positive integer, got {j!r}")
     return LaurentPolynomial((1,) * j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, or True would hit the entry of 1
 def q_factorial(j: int) -> LaurentPolynomial:
     """The q-analogue of j!: the product q_int(1) * q_int(2) * ... * q_int(j).
 
@@ -287,7 +290,7 @@ def q_factorial(j: int) -> LaurentPolynomial:
     >>> q_factorial(4).evaluate(1)
     24
     """
-    if not isinstance(j, int) or j < 0:
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
         raise ValueError(f"q_factorial requires a nonnegative integer, got {j!r}")
     if j == 0:
         return LaurentPolynomial((1,))
@@ -305,7 +308,7 @@ def q_multinomial(m: int, parts: Sequence[int]) -> LaurentPolynomial:
     """
     if not parts:
         raise ValueError("q_multinomial requires at least one part")
-    if any(not isinstance(p, int) or p < 1 for p in parts):
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
         raise ValueError(f"q_multinomial parts must be positive integers, got {parts!r}")
     if sum(parts) != m:
         raise ValueError(f"q_multinomial parts {parts!r} do not sum to {m}")

@@ -38,9 +38,10 @@ class SubsetMask:
     mask: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"ambient size must be a positive integer, got {self.n!r}")
-        if not isinstance(self.mask, int) or not 0 <= self.mask < (1 << (self.n - 1)):
+        mask = self.mask
+        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << self.n - 1:
             raise ValueError(f"mask {self.mask!r} out of range for n={self.n}")
 
     @classmethod
@@ -109,7 +110,7 @@ class Composition:
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if not parts or any(not isinstance(p, int) or p < 1 for p in parts):
+        if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError(f"parts must be a nonempty tuple of positive integers, got {parts!r}")
 
     @property

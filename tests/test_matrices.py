@@ -11,6 +11,9 @@ from descon.matrices import (
     LAURENT,
     POLYNOMIAL,
     SubsetMatrix,
+    _block_cells,
+    _packed_tops,
+    _unpack,
     a_matrix_closed,
     a_q_matrix_closed,
     b_matrix_direct,
@@ -35,6 +38,12 @@ from golden_tables import GOLDEN_GAMMAS
 
 def S(n, *elements):
     return SubsetMask.from_elements(n, elements)
+
+
+def _block_lengths(n, s):
+    """The lengths of the blocks of [n] cut at the elements not in mask s."""
+    cuts = [i + 1 for i in range(n - 1) if not s >> i & 1]
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])]
 
 
 def reordered(matrix, order):
@@ -338,6 +347,31 @@ class TestTransformRoute:
                         row = block_row(n, b_tops, u)
                         total = [x + sign * y for x, y in zip(total, row)]
                 assert total == block_row(n, gamma_tops, s)
+
+    @pytest.mark.parametrize("n", (12, 13))
+    def test_packed_expansion_equals_the_laurent_products(self, n):
+        # every block product of packed top rows stays inside its slots:
+        # a carry past the n!.bit_length() + 1 bits would change a cell, and
+        # its value at q = 1, which the unpacked integer expansion pins
+        full = (1 << (n - 1)) - 1
+        rows = (0, full, 0x555 & full, full & ~(1 << 5), full & ~(1 << 2) & ~(1 << 6))
+        for kind in ("gamma", "b", "a"):
+            packed, w = _packed_tops(kind, n, True)
+            laurent, counts = top_rows(kind, n, q=True), top_rows(kind, n)
+            for s in rows:
+                want = {}
+                for t in range(full + 1):
+                    if not t & ~s:
+                        value, start = LaurentPolynomial((1,)), 0
+                        for length in _block_lengths(n, s):
+                            value *= laurent[length][t >> start & (1 << (length - 1)) - 1]
+                            start += length
+                        if value:
+                            want[t] = value
+                got = {t: _unpack(x, 0, w) for t, x in _block_cells(n, packed, s)}
+                assert got == want, (kind, n, s)
+                at_one = {t: v.evaluate(1) for t, v in got.items()}
+                assert at_one == dict(_block_cells(n, counts, s)), (kind, n, s)
 
     def test_rejects_bool_and_oversized_n(self):
         builders = (a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n))

@@ -54,7 +54,17 @@ class TestQPrimitives:
         assert q_multinomial(5, [5]) == 1
         assert q_multinomial(4, [2, 2]).evaluate(1) == 6
 
-    @pytest.mark.parametrize("m,parts", [(4, [2, 3]), (4, [2, 0, 2]), (4, [])])
+    def test_q_int_and_q_factorial_reject_bools(self):
+        q_factorial(1), q_factorial(0)  # cached entries that True and False must not hit
+        for bad in (True, False):
+            with pytest.raises(ValueError):
+                q_int(bad)
+            with pytest.raises(ValueError):
+                q_factorial(bad)
+
+    @pytest.mark.parametrize(
+        "m,parts", [(4, [2, 3]), (4, [2, 0, 2]), (4, []), (2, [True, True]), (True, [1])]
+    )
     def test_q_multinomial_rejects_bad_parts(self, m, parts):
         with pytest.raises(ValueError):
             q_multinomial(m, parts)
@@ -96,6 +106,12 @@ class TestIntPolynomial:
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
             LaurentPolynomial((1.5,))
+
+    @pytest.mark.parametrize("coeffs, min_exp", [([True, 2], 0), ((1,), False), ([1], 1.5), ((), 0.5)])
+    def test_rejects_bools_and_non_integer_exponents(self, coeffs, min_exp):
+        # a bool coefficient printed as "True+2q"; a float exponent was stored
+        with pytest.raises(TypeError):
+            LaurentPolynomial(coeffs, min_exp)
 
     def test_arithmetic(self):
         p = LaurentPolynomial((1, 1))

@@ -45,6 +45,11 @@ class TestSubsetMask:
         with pytest.raises(ValueError):
             SubsetMask.from_elements(4, [4])
 
+    @pytest.mark.parametrize("n, mask", [(True, 0), (2, True), (3, 1.0)])
+    def test_rejects_bools_and_non_integers(self, n, mask):
+        with pytest.raises(ValueError):
+            SubsetMask(n, mask)
+
     def test_elements_and_contains(self):
         s = SubsetMask.from_elements(5, [1, 3])
         assert s.elements() == (1, 3)
@@ -102,6 +107,8 @@ class TestCompositions:
             Composition(())
         with pytest.raises(ValueError):
             Composition((2, 0, 1))
+        with pytest.raises(ValueError):
+            Composition((2, True))
 
     def test_str(self):
         assert str(Composition((3, 1))) == "(3,1)"

@@ -1,8 +1,11 @@
 """`descon table` streamed row by row from top rows: the bytes against the
-dense matrices, `--out` against stdout, the top rows against the paper's
-counts beyond the enumeration cap, and the benchmark's pinned digests."""
+dense matrices, the CSV cells read back against them, `--out` against
+stdout, the top rows against the paper's counts beyond the enumeration cap,
+and the benchmark's pinned digests."""
 
+import csv
 import hashlib
+import io
 import json
 from math import factorial
 from pathlib import Path
@@ -22,6 +25,7 @@ from descon.matrices import (
 )
 from descon.rings import q_factorial
 from descon.series import connected_counts_series
+from descon.subsets import SubsetMask, cardinality_lex_order
 
 REFERENCES = {
     ("gamma", False): gamma_matrix,
@@ -51,6 +55,22 @@ def test_bytes_equal_the_dense_reference(capsys, kind, q):
                 streamed = capsys.readouterr().out
                 _emit_matrix(reference, fmt, paper, None)
                 assert streamed == capsys.readouterr().out, (n, fmt, paper)
+
+
+@pytest.mark.parametrize("paper", (False, True))
+@pytest.mark.parametrize("kind, q", sorted(REFERENCES))
+def test_csv_cells_are_the_reference_entries(capsys, kind, q, paper):
+    # read back by the csv module, independently of the writer
+    for n in range(1, 7):
+        reference = REFERENCES[kind, q](n)
+        masks = cardinality_lex_order(n) if paper else list(range(1 << (n - 1)))
+        labels = [str(SubsetMask(n, m)) for m in masks]
+        assert main(_table(kind, n, q, "csv", paper)) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["S\\T", *labels]
+        assert [row[0] for row in rows] == labels
+        for row, s in zip(rows, masks):
+            assert row[1:] == [str(reference.rows[s][t]) for t in masks], (n, s)
 
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))
