@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -29,15 +30,12 @@ from .matrices import (
     gamma_q_matrix,
     ring_zero,
 )
-from .permutations import CAP_ENV_VAR, Permutation, enumeration_cap
+from .permutations import CAP_ENV_VAR, HARD_CEILING, Permutation, enumeration_cap
 from .series import connected_counts_enumerated, connected_counts_series
 from .subsets import SubsetMask, cardinality_lex_order
 from .verify import run_checks
 
-__all__ = ["main", "HARD_CEILING"]
-
-# no CLI run may sweep more than 12! permutations, whatever the env says
-HARD_CEILING = 12
+__all__ = ["main"]
 
 # Up to this n, `table gamma|b` still sweeps the n! permutations; above
 # it every table is streamed from top rows. The benchmark's self-test
@@ -48,13 +46,6 @@ SWEEP_MAX_N = 5
 
 CANONICAL_ORDER = "ascending-bitmask"
 PAPER_ORDER = "cardinality-lex"
-
-
-def _session_cap() -> int:
-    cap = enumeration_cap()
-    if cap > HARD_CEILING:
-        raise ValueError(f"{CAP_ENV_VAR}={cap} exceeds the hard ceiling {HARD_CEILING}")
-    return cap
 
 
 @contextmanager
@@ -245,7 +236,7 @@ def _sweep_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
 
 
 def _cmd_table(args) -> int:
-    cap = _session_cap()
+    cap = enumeration_cap()
     n, kind = args.n, args.kind
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
@@ -272,7 +263,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = _session_cap()
+    cap = enumeration_cap()
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
     if args.threads < 1:
@@ -298,7 +289,7 @@ def _report_checks(results) -> int:
 
 
 def _cmd_connected(args) -> int:
-    cap = min(_session_cap(), 9)
+    cap = min(enumeration_cap(), 9)
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap} for the dual-route table, got {args.max_n}")
     start = time.perf_counter()
@@ -340,7 +331,7 @@ def _cmd_connected(args) -> int:
 
 
 def _cmd_multiset(args) -> int:
-    cap = _session_cap()
+    cap = enumeration_cap()
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
     if args.threads < 1:
@@ -388,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted but unused: tables start no sweep workers; "
-        "only the verify and multiset sweeps use them",
+        help="accepted and ignored: a table starts no sweep workers",
     )
     p_table.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     p_table.set_defaults(handler=_cmd_table)
@@ -397,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every identity check up to a bound")
     p_verify.add_argument("--max-n", type=int, default=5, help="run each check for n = 1..max-n")
     p_verify.add_argument("--q", action="store_true", help="include the inversion-weighted checks")
-    p_verify.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+    p_verify.add_argument("--threads", type=int, default=1, help="sweep workers for each n")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_conn = sub.add_parser("connected", help="connected-permutation counts by two routes")
@@ -412,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="sweep workers for the gamma matrix of the multiset-counts check; "
+        help="sweep workers for each n of the multiset-counts check; "
         "the bijection check always runs in one process",
     )
     p_multi.set_defaults(handler=_cmd_multiset)
@@ -423,9 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ValueError as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a write error is reported here, not at exit
+        return code
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # a closed pipe or a full device: put devnull under stdout, so
+            # that the interpreter's final flush does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -481,28 +481,25 @@ def _submasks(mask: int):
 
 def _tally(
     n: int,
-    threads: int,
     rows_of: Callable[[int], Iterable[int]],
     cols_of: Callable[[int], Iterable[int]],
-    sign: int,
+    q: bool,
 ) -> SubsetMatrix:
     """Scatter the shared sweep: each permutation with connectivity mask c
-    and descent mask d adds ``q**(sign * inv(w))`` to every cell (S, T)
-    whose S is the complement of a mask in ``rows_of(c)`` and whose T is in
-    ``cols_of(d)``. With :func:`_single` a statistic is taken exactly, with
-    :func:`_submasks` it is relaxed to containment.
+    and descent mask d adds 1, or ``q**inv(w)`` with ``q``, to every cell
+    (S, T) whose S is the complement of a mask in ``rows_of(c)`` and whose
+    T is in ``cols_of(d)``. With :func:`_single` a statistic is taken
+    exactly, with :func:`_submasks` it is relaxed to containment.
 
-    Sign 0 counts (integer ring), +1 weighs by ``q**inv`` (polynomial ring)
-    and -1 by ``q**-inv`` (Laurent ring). A cell is one int under q -> 2**w,
-    slot k the coefficient of q**(lo + k), unpacked once at the end.
+    A cell is one int under q -> 2**w (w = 0 for counts), unpacked once at
+    the end.
     """
     side = _side(n)
     full = side - 1
-    w = _slot_width(n, sign != 0)
-    lo = -comb(n, 2) if sign < 0 else 0
+    w = _slot_width(n, q)
     by_masks: dict[tuple[int, int], int] = {}
-    for (c, d, inv), count in joint_statistics(n, threads).items():
-        by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * (sign * inv - lo))
+    for (c, d, inv), count in joint_statistics(n).items():
+        by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
     cells = [[0] * side for _ in range(side)]
     for (c, d), value in by_masks.items():
         cols = tuple(cols_of(d))
@@ -510,67 +507,59 @@ def _tally(
             row = cells[full ^ x]
             for t in cols:
                 row[t] += value
-    if not sign:
+    if not q:
         return SubsetMatrix(n, INTEGER, cells)
-    rows = [[_unpack(x, lo, w) for x in row] for row in cells]
-    return SubsetMatrix(n, POLYNOMIAL if sign > 0 else LAURENT, rows)
+    return SubsetMatrix(n, POLYNOMIAL, [[_unpack(x, 0, w) for x in row] for row in cells])
 
 
 def _single(mask: int) -> tuple[int]:
     return (mask,)
 
 
-def gamma_matrix(n: int, threads: int = 1) -> SubsetMatrix:
+def gamma_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
-    exactly T. Built by one pass over all n! permutations."""
-    return _tally(n, threads, _single, _single, 0)
+    exactly T. Read from the shared sweep of all n! permutations."""
+    return _tally(n, _single, _single, False)
 
 
-def gamma_q_matrix(n: int, threads: int = 1) -> SubsetMatrix:
+def gamma_q_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix refined by inversions: each permutation contributes
     q**inv(w) instead of 1. Specializes to :func:`gamma_matrix` at q=1."""
-    return _tally(n, threads, _single, _single, 1)
+    return _tally(n, _single, _single, True)
 
 
-def b_matrix_direct(n: int, threads: int = 1) -> SubsetMatrix:
+def b_matrix_direct(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
     the complement of S and whose descent set is exactly T; built straight
     from the enumeration sweep, independently of any matrix product."""
-    return _tally(n, threads, _submasks, _single, 0)
+    return _tally(n, _submasks, _single, False)
 
 
-def b_q_matrix_direct(n: int, threads: int = 1) -> SubsetMatrix:
+def b_q_matrix_direct(n: int) -> SubsetMatrix:
     """Inversion-weighted version of :func:`b_matrix_direct`."""
-    return _tally(n, threads, _submasks, _single, 1)
-
-
-def _b_inverse(n: int, q: bool, threads: int) -> SubsetMatrix:
-    """Signed relaxed-descent counts: entry (S, T) is (-1)^(#S + #T) times
-    the number of permutations whose connectivity set is exactly the
-    complement of S and whose descent set contains T; with q, each one
-    weighs q**(-inv(w))."""
-    return _tally(n, threads, _single, _submasks, -1 if q else 0).checkerboard_signed()
+    return _tally(n, _submasks, _single, True)
 
 
 def inverse_closed(
     kind: str,
     n: int,
     q: bool = False,
-    threads: int = 1,
     verify: bool = True,
     base: SubsetMatrix | None = None,
 ) -> SubsetMatrix:
     """Closed-form inverse of one of the matrices ``a``, ``b``, ``gamma``.
 
-    For ``a`` and ``gamma`` the inverse is the checkerboard-signed matrix
-    itself (with q replaced by 1/q in the weighted case); for ``b`` it is
-    built by a separate signed enumeration, and ``b`` itself is only built
-    to verify. ``base`` is the matrix itself when the caller has already
-    built it; otherwise it is built here. q-inverses live in the Laurent
-    ring. With ``verify`` (the default) the product with the original is
-    checked to be the identity, exactly; failure raises ArithmeticError
-    since it can only mean a transcription bug in the formulas.
+    Every inverse is a checkerboard-signed count matrix, with q replaced by
+    1/q in the weighted case. For ``a`` and ``gamma`` that matrix is the
+    matrix itself; for ``b`` it is the relaxed-descent counts (connectivity
+    set exactly the complement of S, descent set containing T), tallied
+    from the sweep, and ``b`` itself is only built to verify. ``base`` is
+    the matrix itself when the caller has already built it; otherwise it is
+    built here. q-inverses live in the Laurent ring. With ``verify`` (the
+    default) the product with the original is checked to be the identity,
+    exactly; failure raises ArithmeticError since it can only mean a
+    transcription bug in the formulas.
     """
     if kind not in ("a", "b", "gamma"):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
@@ -578,17 +567,16 @@ def inverse_closed(
     if base is not None and (base.n, base.ring) != (n, ring):
         raise ValueError(f"base must be the {ring} matrix for n={n}, got {base!r}")
     if kind == "b":
-        inverse = _b_inverse(n, q, threads)
-        if not verify:
-            return inverse
-        if base is None:
-            base = b_q_matrix_direct(n, threads) if q else b_matrix_direct(n, threads)
+        counts = _tally(n, _single, _submasks, q)
+        if verify and base is None:
+            base = b_q_matrix_direct(n) if q else b_matrix_direct(n)
     else:
         if base is None and kind == "a":
             base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
         elif base is None:
-            base = gamma_q_matrix(n, threads) if q else gamma_matrix(n, threads)
-        inverse = (base.substitute_reciprocal() if q else base).checkerboard_signed()
+            base = gamma_q_matrix(n) if q else gamma_matrix(n)
+        counts = base
+    inverse = (counts.substitute_reciprocal() if q else counts).checkerboard_signed()
     if verify:
         product = base.lift(inverse.ring) @ inverse
         if not product.is_identity():
@@ -640,7 +628,7 @@ def multiset_count_matrix(n: int) -> SubsetMatrix:
 
     Equals the product (gamma times zeta) with both indices complemented.
     """
-    _require_within_cap(n, None)
+    _require_within_cap(n)
     side = _side(n)
     rows = [[0] * side for _ in range(side)]
     for t in range(side):

@@ -7,7 +7,7 @@ the 0-based shift. Enumeration order is always lexicographic on the word, so
 streamed computations are reproducible and range partitions deterministic.
 
 The enumeration cap guards runaway sweeps: ``DESCON_MAX_N`` overrides the
-default of 10 for a session.
+default of 10 for a session, up to the hard ceiling of 12.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .subsets import Composition, SubsetMask
 __all__ = [
     "EnumerationCapError",
     "DEFAULT_ENUMERATION_CAP",
+    "HARD_CEILING",
     "CAP_ENV_VAR",
     "enumeration_cap",
     "Permutation",
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10
+# no session may sweep more than 12! permutations, whatever the env says
+HARD_CEILING = 12
 CAP_ENV_VAR = "DESCON_MAX_N"
 
 
@@ -59,17 +62,19 @@ def enumeration_cap() -> int:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be positive, got {value}")
+    if value > HARD_CEILING:
+        raise ValueError(f"{CAP_ENV_VAR}={value} exceeds the hard ceiling {HARD_CEILING}")
     return value
 
 
-def _require_within_cap(n: int, cap: int | None) -> None:
+def _require_within_cap(n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
+    cap = enumeration_cap()
+    if n > cap:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {limit} ({n}! words would be "
-            f"enumerated); raise {CAP_ENV_VAR} or pass a larger cap explicitly"
+            f"n={n} exceeds the enumeration cap {cap} ({n}! words would be "
+            f"enumerated); raise {CAP_ENV_VAR}"
         )
 
 
@@ -218,17 +223,17 @@ class Permutation(MultisetWord):
         return Permutation(tuple(inv))
 
 
-def enumerate_permutations(n: int, cap: int | None = None) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of [n], exactly once, in lexicographic word order.
 
     >>> [str(p) for p in enumerate_permutations(3)]
     ['123', '132', '213', '231', '312', '321']
     """
-    _require_within_cap(n, cap)
+    _require_within_cap(n)
     return map(Permutation, _lex_permutations(range(1, n + 1)))
 
 
-def multiset_words(t: SubsetMask, cap: int | None = None) -> Iterator[MultisetWord]:
+def multiset_words(t: SubsetMask) -> Iterator[MultisetWord]:
     """All distinct rearrangements, in lexicographic order, of the multiset
     with letter j repeated (j-th gap length of t) times.
 
@@ -239,7 +244,7 @@ def multiset_words(t: SubsetMask, cap: int | None = None) -> Iterator[MultisetWo
     >>> [str(w) for w in multiset_words(SubsetMask.from_elements(3, [1]))]
     ['122', '212', '221']
     """
-    _require_within_cap(t.n, cap)
+    _require_within_cap(t.n)
     return (MultisetWord(tuple(word)) for word, _mask in _multiset_stream(t))
 
 
@@ -333,7 +338,7 @@ def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """(descent mask, connectivity mask, inverse word) of every permutation
     of [n], in lexicographic word order, without building Permutation
     objects. The enumeration cap is checked when called."""
-    _require_within_cap(n, None)
+    _require_within_cap(n)
     return map(_masks_and_inverse, _lex_permutations(range(1, n + 1)))
 
 
@@ -388,20 +393,19 @@ def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:
 _SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
 
 
-def joint_statistics(
-    n: int, threads: int = 1, cap: int | None = None
-) -> Mapping[tuple[int, int, int], int]:
+def joint_statistics(n: int, threads: int = 1) -> Mapping[tuple[int, int, int], int]:
     """One sweep over all n! permutations, tallying the triple
     (connectivity mask, descent mask, inversion count).
 
-    Every enumeration-backed matrix builder reads from this single pass,
-    which is made once per n and shared by every later call, whatever its
-    thread count. With threads > 1 the first call splits the lexicographic
-    stream into contiguous rank ranges, one worker process each; the merge
-    is an entrywise sum, so the result is identical for every thread count.
+    Every enumeration-backed matrix builder reads this single pass, made
+    by the first call for n and shared by every later one, so a caller
+    who wants workers makes that first call. It is the one place a pool
+    starts: with threads > 1 the lexicographic stream is split into
+    contiguous rank ranges, one worker process each; the merge is an
+    entrywise sum, so the result is identical for every thread count.
     The result is a read-only view, since every caller shares it.
     """
-    _require_within_cap(n, cap)
+    _require_within_cap(n)
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     sweep = _SWEEPS.get(n)
@@ -424,13 +428,13 @@ def joint_statistics(
     return sweep
 
 
-def connected_count(n: int, cap: int | None = None) -> int:
+def connected_count(n: int) -> int:
     """Number of permutations of [n] with empty connectivity set.
 
     A dedicated scan (no inversion counting) so the cheap statistic stays
     cheap at the largest enumerable sizes.
     """
-    _require_within_cap(n, cap)
+    _require_within_cap(n)
     if n == 1:
         return 1
     count = 0

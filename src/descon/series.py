@@ -47,10 +47,10 @@ def _require_max_n(max_n: int) -> None:
         raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
 
 
-def connected_counts_enumerated(max_n: int, cap: int | None = None) -> ConnectedCountTable:
+def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n by scanning every permutation."""
     _require_max_n(max_n)
-    counts = tuple(connected_count(n, cap) for n in range(1, max_n + 1))
+    counts = tuple(connected_count(n) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")
 
 

@@ -79,17 +79,17 @@ def _matrices_equal(n: int, got: SubsetMatrix, want: SubsetMatrix, label: str) -
 # How each shared oracle of one n is built. The lambdas read the module-level
 # builders when they run, so substituting one of them takes effect here.
 _ORACLES = {
-    "joint": lambda o: joint_statistics(o.n, o.threads),
+    "joint": lambda o: joint_statistics(o.n, threads=o.threads),
     "zeta": lambda o: zeta_matrix(o.n),
     "zeta_q": lambda o: o.zeta.lift(POLYNOMIAL),
     "identity": lambda o: SubsetMatrix.identity(o.n),
     "mobius": lambda o: mobius_matrix(o.n),
-    "gamma": lambda o: gamma_matrix(o.n, o.threads),
+    "gamma": lambda o: gamma_matrix(o.n),
     "zeta_gamma": lambda o: o.zeta @ o.gamma,
-    "b": lambda o: b_matrix_direct(o.n, o.threads),
+    "b": lambda o: b_matrix_direct(o.n),
     "a": lambda o: a_matrix_closed(o.n),
-    "gamma_q": lambda o: gamma_q_matrix(o.n, o.threads),
-    "b_q": lambda o: b_q_matrix_direct(o.n, o.threads),
+    "gamma_q": lambda o: gamma_q_matrix(o.n),
+    "b_q": lambda o: b_q_matrix_direct(o.n),
     "a_q": lambda o: a_q_matrix_closed(o.n),
     # (b, gamma) expanded from their top rows, the route of `descon table`
     "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
@@ -107,6 +107,8 @@ class _Oracles:
     def __getattr__(self, name: str):
         if name not in _ORACLES:
             raise AttributeError(name)
+        if name in ("gamma", "b", "gamma_q", "b_q"):
+            self.joint  # the first call makes the sweep they read, with self.threads
         value = self.__dict__[name] = _ORACLES[name](self)
         return value
 
@@ -244,8 +246,7 @@ def _inverse_products(o: _Oracles, q: bool) -> list:
     ring, prefix = (LAURENT, "weighted ") if q else (INTEGER, "")
     bases = (o.a_q, o.b_q, o.gamma_q) if q else (o.a, o.b, o.gamma)
     return [
-        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, threads=o.threads, verify=False,
-                                          base=base),
+        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, verify=False, base=base),
          SubsetMatrix.identity(o.n, ring), f"{prefix}{kind} inverse product")
         for kind, base in zip(("a", "b", "gamma"), bases)
     ]
@@ -317,7 +318,7 @@ def run_checks(
     """Run the identity suite for all n up to max_n and return one result
     per check, in a fixed order. A check's seconds are summed over n and
     include every shared oracle it is the first to build."""
-    _require_within_cap(max_n, None)
+    _require_within_cap(max_n)
     selected = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
     if names is not None:
         wanted = set(names)

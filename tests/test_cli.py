@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import descon
+from descon import permutations
 from descon.cli import _cell_renderer, _emit_matrix, _json, main
 from descon.matrices import b_matrix_direct, b_q_matrix_direct, gamma_matrix, gamma_q_matrix
 from descon.rings import LaurentPolynomial
@@ -178,6 +180,13 @@ class TestTable:
         code, _out, err = run_cli(capsys, "table", "gamma", "--n", "4")
         assert code == 2 and "cap 3" in err
 
+    def test_out_file_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "m.csv"
+        code, out, err = run_cli(capsys, "table", "m", "--n", "3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert len(err.splitlines()) == 1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "m.csv"
         code, out, _err = run_cli(
@@ -247,6 +256,17 @@ class TestVerify:
         assert code == 0
         assert "all 10 checks passed" in out
 
+    def test_thread_counts_give_one_report(self, capsys, monkeypatch):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setattr(permutations, "_SWEEPS", {})
+            code, out, _err = run_cli(capsys, "verify", "--max-n", "5", "--q", "--threads", threads)
+            assert code == 0
+            # each line without its timing column
+            reports.append([re.sub(r" +[0-9.]+s$", "", line) for line in out.splitlines()])
+        assert reports[0] == reports[1]
+        assert reports[0][-1] == "all 14 checks passed"
+
     def test_max_n_validation(self, capsys):
         code, _out, err = run_cli(capsys, "verify", "--max-n", "0")
         assert code == 2 and "--max-n" in err
@@ -293,15 +313,37 @@ class TestMultiset:
         assert "all 2 checks passed" in out
 
 
-def test_module_entry_point():
-    # the child imports descon from where this process found it
+def _child_env():
+    """The environment of a child that imports descon from where this
+    process found it."""
     src = os.path.dirname(os.path.dirname(descon.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "descon", "stats", "1342"],
         capture_output=True,
         text=True,
         check=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert "inversions    2" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the table is megabytes, far more than a pipe buffers, so the writer
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "descon", "table", "a", "--n", "11", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.read(10) == b"S\\T,{},{1}"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"

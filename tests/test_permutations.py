@@ -187,7 +187,15 @@ class TestEnumerators:
         assert enumeration_cap() == 3
         with pytest.raises(EnumerationCapError):
             enumerate_permutations(4)
-        enumerate_permutations(4, cap=5)  # explicit cap wins
+        monkeypatch.setenv("DESCON_MAX_N", "5")
+        assert [p.word for p in enumerate_permutations(4)][-1] == (4, 3, 2, 1)
+        monkeypatch.setenv("DESCON_MAX_N", "12")
+        assert enumeration_cap() == 12
+        monkeypatch.setenv("DESCON_MAX_N", "13")
+        with pytest.raises(ValueError, match="DESCON_MAX_N=13 exceeds the hard ceiling 12"):
+            enumeration_cap()
+        with pytest.raises(ValueError, match="ceiling"):
+            joint_statistics(3)
         monkeypatch.setenv("DESCON_MAX_N", "eleven")
         with pytest.raises(ValueError):
             enumeration_cap()

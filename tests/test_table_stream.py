@@ -114,6 +114,9 @@ class _Digest:
         self.size += len(data)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("command", TABLE_COMMANDS)
 def test_pinned_table_digest(monkeypatch, command):

@@ -45,7 +45,7 @@ def test_connected_series_scans_every_n_it_reports(monkeypatch):
     # a scan that is wrong only at n = 10 must fail a check reported as n <= 10
     scanned = []
 
-    def recording(n, cap=None):
+    def recording(n):
         scanned.append(n)
         return connected_counts_series(n).count(n) + (n == 10)
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import descon.matrices as matrices
+import descon.permutations as permutations
 import descon.verify as verify
 from descon.permutations import EnumerationCapError
 from descon.verify import run_checks
@@ -109,6 +110,27 @@ def test_each_oracle_is_built_once_per_n(monkeypatch):
     assert all(r.passed for r in run_checks(4, include_q=True))
     assert {name for name, _args, _kw in calls} == set(_ORACLE_BUILDERS)
     assert max(Counter(calls).values()) == 1
+
+
+def test_runner_threads_reach_the_one_sweep(monkeypatch):
+    # the builders take no thread count, so the runner starts the sweep of
+    # each n itself, before the first builder that reads it
+    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    calls = _record(monkeypatch, ("joint_statistics", "gamma_matrix"))
+    assert all(r.passed for r in run_checks(4, threads=2, names=("multiset-counts",)))
+    assert calls == [
+        call
+        for n in range(1, 5)
+        for call in (("joint_statistics", (n,), (("threads", 2),)), ("gamma_matrix", (n,), ()))
+    ]
+    assert sorted(permutations._SWEEPS) == [1, 2, 3, 4]
+
+
+def test_bijection_check_starts_no_sweep(monkeypatch):
+    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    calls = _record(monkeypatch, ("joint_statistics",))
+    assert all(r.passed for r in run_checks(4, threads=2, names=("multiset-bijection",)))
+    assert calls == [] and permutations._SWEEPS == {}
 
 
 def test_max_n_is_checked_before_any_check_runs(monkeypatch):
