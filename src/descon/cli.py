@@ -15,20 +15,17 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 
 from .matrices import (
     INTEGER,
     POLYNOMIAL,
     SubsetMatrix,
-    _block_cells,
-    _packed_tops,
-    _unpack,
     b_matrix_direct,
     b_q_matrix_direct,
     gamma_matrix,
     gamma_q_matrix,
     ring_zero,
+    row_stream,
 )
 from .permutations import CAP_ENV_VAR, HARD_CEILING, Permutation, enumeration_cap
 from .series import connected_counts_enumerated, connected_counts_series
@@ -125,20 +122,21 @@ class _Texts(dict):
 
 
 def _emit_rows(
-    n: int, ring: str, cells_of, fmt: str, paper: bool, out: str | None, w: int = 0
+    n: int, ring: str, cells_of, value_of, fmt: str, paper: bool, out: str | None
 ) -> None:
     """Write a matrix one row at a time: ``cells_of(S)`` lists the nonzero
-    cells ``(column mask, value)`` of row S, where a weighted value is an
-    int packed by q -> 2**w if ``w`` is nonzero. Each distinct value is
-    rendered once, and every zero gets one constant text. Text output makes
-    two passes over the rows, the first for the column widths."""
+    cells ``(column mask, key)`` of row S, and ``value_of(key)`` is the
+    value of a key (see :func:`descon.matrices.row_stream`). Each distinct
+    key is rendered once, and every zero gets one constant text. Text
+    output makes two passes over the rows, the first for the column
+    widths."""
     order_name, masks = _matrix_order(n, paper)
     labels = [str(SubsetMask(n, m)) for m in masks]
     side = len(masks)
     column = sorted(range(side), key=masks.__getitem__)  # the position of each mask
     render = _cell_renderer(fmt, ring)
     zero = render(ring_zero(ring))
-    texts = _Texts((lambda x: render(_unpack(x, 0, w))) if w else render)
+    texts = _Texts(lambda key: render(value_of(key)))
 
     def nonzero_texts(s: int) -> list[tuple[int, str]]:
         return [(column[t], texts[x]) for t, x in cells_of(s)]
@@ -184,7 +182,7 @@ def _emit_matrix(matrix: SubsetMatrix, fmt: str, paper: bool, out: str | None) -
     def cells_of(s: int) -> list:
         return [(t, v) for t, v in enumerate(matrix.rows[s]) if v]
 
-    _emit_rows(matrix.n, matrix.ring, cells_of, fmt, paper, out)
+    _emit_rows(matrix.n, matrix.ring, cells_of, lambda v: v, fmt, paper, out)
 
 
 def _cmd_stats(args) -> int:
@@ -255,20 +253,20 @@ def _cmd_table(args) -> int:
     if kind in ("gamma", "b") and n <= SWEEP_MAX_N:
         _emit_matrix(_sweep_matrix(kind, n, args.q), args.format, args.paper_order, args.out)
         return 0
-    tops, w = _packed_tops(kind, n, args.q)
     ring = POLYNOMIAL if args.q else INTEGER
-    cells_of = partial(_block_cells, n, tops)
-    _emit_rows(n, ring, cells_of, args.format, args.paper_order, args.out, w)
+    _emit_rows(n, ring, *row_stream(kind, n, args.q), args.format, args.paper_order, args.out)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_checks(args) -> int:
+    """``verify`` and ``multiset``: the checks ``args.names`` (None for
+    all) of the identity suite."""
     cap = enumeration_cap()
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
     if args.threads < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
-    results = run_checks(args.max_n, include_q=args.q, threads=args.threads)
+    results = run_checks(args.max_n, include_q=args.q, threads=args.threads, names=args.names)
     return 1 if _report_checks(results) else 0
 
 
@@ -330,20 +328,6 @@ def _cmd_connected(args) -> int:
     return 0 if agree_all else 1
 
 
-def _cmd_multiset(args) -> int:
-    cap = enumeration_cap()
-    if not 1 <= args.max_n <= cap:
-        raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be positive, got {args.threads}")
-    results = run_checks(
-        args.max_n,
-        threads=args.threads,
-        names=("multiset-counts", "multiset-bijection"),
-    )
-    return 1 if _report_checks(results) else 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descon",
@@ -387,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every identity check up to a bound")
     p_verify.add_argument("--max-n", type=int, default=5, help="run each check for n = 1..max-n")
     p_verify.add_argument("--q", action="store_true", help="include the inversion-weighted checks")
-    p_verify.add_argument("--threads", type=int, default=1, help="sweep workers for each n")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.add_argument("--threads", type=int, default=1, help="sweep workers for each n >= 8")
+    p_verify.set_defaults(handler=_cmd_checks, names=None)
 
     p_conn = sub.add_parser("connected", help="connected-permutation counts by two routes")
     p_conn.add_argument("--max-n", type=int, default=9, help="table rows n = 1..max-n (at most 9)")
@@ -402,10 +386,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="sweep workers for each n of the multiset-counts check; "
+        help="sweep workers for each n >= 8 of the multiset-counts check; "
         "the bijection check always runs in one process",
     )
-    p_multi.set_defaults(handler=_cmd_multiset)
+    p_multi.set_defaults(
+        handler=_cmd_checks, q=False, names=("multiset-counts", "multiset-bijection")
+    )
 
     return parser
 

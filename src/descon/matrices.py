@@ -19,13 +19,13 @@ is the product, over the blocks of [n] cut at the complement of S, of one
 *top-row* value v_L(T restricted to the block). :func:`top_rows` builds
 v_1, ..., v_n of ``a``, ``b``, ``gamma`` and the containment matrix, plain
 or q-weighted, with no enumeration, and :func:`block_row` expands any row
-from them. That is the route of the closed-form builders and of
-``descon table``, which writes the rows one at a time. Closed-form
-builders are capped only by matrix side.
+from them. That is the route of the closed-form builders, the signed
+inverses and ``descon table``, which writes the rows one at a time.
+Closed-form builders are capped only by matrix side.
 
 The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
-their q-versions) are the oracle that ``verify`` checks the top rows
-against; they all read one shared sweep of the n! permutations. The dense
+their q-versions) are the oracle that ``verify`` checks the top rows and
+the inverses against; they all read one shared sweep of the n! permutations. The dense
 products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together.
 
@@ -41,6 +41,7 @@ value once, and ``descon table`` renders each distinct value once.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -63,6 +64,7 @@ __all__ = [
     "top_rows",
     "block_row",
     "block_matrix",
+    "row_stream",
     "b_matrix_direct",
     "b_q_matrix_direct",
     "inverse_closed",
@@ -335,18 +337,23 @@ def _a_tops(n: int, w: int) -> list[list[int]]:
     return tops
 
 
-def _b_tops(n: int, w: int) -> list[list[int]]:
-    """beta_L(T), the permutations of [L] with descent set exactly T: the
-    superset Moebius transform of the top row of ``a``, one pass per bit."""
-    tops = _a_tops(n, w)
+def _superset_pass(tops: list[list[int]], sign: int) -> list[list[int]]:
+    """The superset sum (sign +1) or its Moebius inverse (sign -1) of each
+    top row, in place, one pass per bit."""
     for row in tops:
         bit = 1
         while bit < len(row):
             for t in range(len(row)):
                 if not t & bit:
-                    row[t] = row[t] - row[t | bit]
+                    row[t] += sign * row[t | bit]
             bit <<= 1
     return tops
+
+
+def _b_tops(n: int, w: int) -> list[list[int]]:
+    """beta_L(T), the permutations of [L] with descent set exactly T: the
+    superset Moebius transform of the top row of ``a``."""
+    return _superset_pass(_a_tops(n, w), -1)
 
 
 def _gamma_tops(n: int, w: int) -> list[list[int]]:
@@ -366,6 +373,12 @@ def _gamma_tops(n: int, w: int) -> list[list[int]]:
             row[t] = acc
         tops.append(row)
     return tops
+
+
+def _h_tops(n: int, w: int) -> list[list[int]]:
+    """h_L(T), the connected permutations of [L] whose descent set contains
+    T, for the inverse of ``b``: the superset sum of the top row of ``gamma``."""
+    return _superset_pass(_gamma_tops(n, w), 1)
 
 
 def _m_tops(n: int, w: int) -> list[list[int]]:
@@ -438,15 +451,33 @@ def block_row(n: int, tops: list[list], s: int) -> list:
     return row
 
 
-def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
-    """The matrix ``kind`` (see :func:`top_rows`) expanded from its packed
-    top rows; each distinct weighted value is unpacked once."""
-    tops, w = _packed_tops(kind, n, q)
+def _expand(n: int, tops: list[list[int]], w: int) -> SubsetMatrix:
+    """The matrix whose top rows ``tops`` are packed at slot width ``w``
+    (0 for counts); each distinct weighted value is unpacked once."""
     rows = [block_row(n, tops, s) for s in range(_side(n))]
-    if q:
+    if w:
         values = {x: _unpack(x, 0, w) for x in set().union(*rows)}
         rows = [[values[x] for x in row] for row in rows]
-    return SubsetMatrix(n, POLYNOMIAL if q else INTEGER, rows)
+    return SubsetMatrix(n, POLYNOMIAL if w else INTEGER, rows)
+
+
+def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
+    """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows."""
+    return _expand(n, *_packed_tops(kind, n, q))
+
+
+def row_stream(kind: str, n: int, q: bool = False) -> tuple[Callable, Callable]:
+    """``(cells_of, value_of)``: ``cells_of(s)`` lists the nonzero cells
+    ``(column mask, key)`` of row S (mask ``s``) of the matrix ``kind`` (see
+    :func:`top_rows`), and ``value_of(key)`` is its value; equal values share a key.
+
+    >>> cells_of, value_of = row_stream("b", 3, q=True)
+    >>> [(t, str(value_of(key))) for t, key in cells_of(0b11)]
+    [(0, '1'), (1, 'q+q^2'), (2, 'q+q^2'), (3, 'q^3')]
+    """
+    tops, w = _packed_tops(kind, n, q)
+    value_of = partial(_unpack, lo=0, width=w) if w else int
+    return partial(_block_cells, n, tops), value_of
 
 
 def a_matrix_closed(n: int) -> SubsetMatrix:
@@ -479,17 +510,12 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _tally(
-    n: int,
-    rows_of: Callable[[int], Iterable[int]],
-    cols_of: Callable[[int], Iterable[int]],
-    q: bool,
-) -> SubsetMatrix:
+def _tally(n: int, rows_of: Callable[[int], Iterable[int]], q: bool) -> SubsetMatrix:
     """Scatter the shared sweep: each permutation with connectivity mask c
-    and descent mask d adds 1, or ``q**inv(w)`` with ``q``, to every cell
-    (S, T) whose S is the complement of a mask in ``rows_of(c)`` and whose
-    T is in ``cols_of(d)``. With :func:`_single` a statistic is taken
-    exactly, with :func:`_submasks` it is relaxed to containment.
+    and descent mask d adds 1, or ``q**inv(w)`` with ``q``, to the cell
+    (S, d) of every S that is the complement of a mask in ``rows_of(c)``.
+    With :func:`_single` the connectivity set is taken exactly, with
+    :func:`_submasks` it is relaxed to containment.
 
     A cell is one int under q -> 2**w (w = 0 for counts), unpacked once at
     the end.
@@ -502,11 +528,8 @@ def _tally(
         by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
     cells = [[0] * side for _ in range(side)]
     for (c, d), value in by_masks.items():
-        cols = tuple(cols_of(d))
         for x in rows_of(c):
-            row = cells[full ^ x]
-            for t in cols:
-                row[t] += value
+            cells[full ^ x][d] += value
     if not q:
         return SubsetMatrix(n, INTEGER, cells)
     return SubsetMatrix(n, POLYNOMIAL, [[_unpack(x, 0, w) for x in row] for row in cells])
@@ -520,65 +543,49 @@ def gamma_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
     exactly T. Read from the shared sweep of all n! permutations."""
-    return _tally(n, _single, _single, False)
+    return _tally(n, _single, False)
 
 
 def gamma_q_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix refined by inversions: each permutation contributes
     q**inv(w) instead of 1. Specializes to :func:`gamma_matrix` at q=1."""
-    return _tally(n, _single, _single, True)
+    return _tally(n, _single, True)
 
 
 def b_matrix_direct(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
     the complement of S and whose descent set is exactly T; built straight
     from the enumeration sweep, independently of any matrix product."""
-    return _tally(n, _submasks, _single, False)
+    return _tally(n, _submasks, False)
 
 
 def b_q_matrix_direct(n: int) -> SubsetMatrix:
     """Inversion-weighted version of :func:`b_matrix_direct`."""
-    return _tally(n, _submasks, _single, True)
+    return _tally(n, _submasks, True)
 
 
-def inverse_closed(
-    kind: str,
-    n: int,
-    q: bool = False,
-    verify: bool = True,
-    base: SubsetMatrix | None = None,
-) -> SubsetMatrix:
+def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> SubsetMatrix:
     """Closed-form inverse of one of the matrices ``a``, ``b``, ``gamma``.
 
     Every inverse is a checkerboard-signed count matrix, with q replaced by
-    1/q in the weighted case. For ``a`` and ``gamma`` that matrix is the
-    matrix itself; for ``b`` it is the relaxed-descent counts (connectivity
-    set exactly the complement of S, descent set containing T), tallied
-    from the sweep, and ``b`` itself is only built to verify. ``base`` is
-    the matrix itself when the caller has already built it; otherwise it is
-    built here. q-inverses live in the Laurent ring. With ``verify`` (the
-    default) the product with the original is checked to be the identity,
-    exactly; failure raises ArithmeticError since it can only mean a
-    transcription bug in the formulas.
+    1/q in the weighted case, expanded from top rows with no enumeration,
+    so it is capped only by the closed-form cap. For ``a`` and ``gamma``
+    the counts are the matrix itself; for ``b`` they are the relaxed-descent
+    counts (connectivity set exactly the complement of S, descent set
+    containing T), whose top row is the superset sum of the top row of
+    ``gamma``. q-inverses live in the Laurent ring. With ``verify`` (the
+    default) the product with the original, from its own top rows, is
+    checked to be the identity, exactly; failure raises ArithmeticError
+    since it can only mean a transcription bug in the formulas.
     """
     if kind not in ("a", "b", "gamma"):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
-    ring = POLYNOMIAL if q else INTEGER
-    if base is not None and (base.n, base.ring) != (n, ring):
-        raise ValueError(f"base must be the {ring} matrix for n={n}, got {base!r}")
-    if kind == "b":
-        counts = _tally(n, _single, _submasks, q)
-        if verify and base is None:
-            base = b_q_matrix_direct(n) if q else b_matrix_direct(n)
-    else:
-        if base is None and kind == "a":
-            base = a_q_matrix_closed(n) if q else a_matrix_closed(n)
-        elif base is None:
-            base = gamma_q_matrix(n) if q else gamma_matrix(n)
-        counts = base
+    _require_closed_form_size(n)
+    w = _slot_width(n, q)
+    counts = _expand(n, (_h_tops if kind == "b" else _TOP_ROWS[kind])(n, w), w)
     inverse = (counts.substitute_reciprocal() if q else counts).checkerboard_signed()
     if verify:
-        product = base.lift(inverse.ring) @ inverse
+        product = block_matrix(kind, n, q).lift(inverse.ring) @ inverse
         if not product.is_identity():
             raise ArithmeticError(
                 f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"

@@ -242,11 +242,11 @@ def _complemented(m: SubsetMatrix) -> SubsetMatrix:
 
 
 def _inverse_products(o: _Oracles, q: bool) -> list:
-    """Each closed-form inverse times its matrix, against the identity."""
+    """Each top-row inverse times its matrix (swept for b, gamma) vs the identity."""
     ring, prefix = (LAURENT, "weighted ") if q else (INTEGER, "")
     bases = (o.a_q, o.b_q, o.gamma_q) if q else (o.a, o.b, o.gamma)
     return [
-        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, verify=False, base=base),
+        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, verify=False),
          SubsetMatrix.identity(o.n, ring), f"{prefix}{kind} inverse product")
         for kind, base in zip(("a", "b", "gamma"), bases)
     ]

@@ -11,9 +11,6 @@ from descon.matrices import (
     LAURENT,
     POLYNOMIAL,
     SubsetMatrix,
-    _block_cells,
-    _packed_tops,
-    _unpack,
     a_matrix_closed,
     a_q_matrix_closed,
     b_matrix_direct,
@@ -26,10 +23,12 @@ from descon.matrices import (
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
+    row_stream,
     top_rows,
     zeta_matrix,
 )
-from descon.permutations import enumerate_permutations
+import descon.permutations as permutations
+from descon.permutations import enumerate_permutations, joint_statistics
 from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
@@ -356,8 +355,8 @@ class TestTransformRoute:
         full = (1 << (n - 1)) - 1
         rows = (0, full, 0x555 & full, full & ~(1 << 5), full & ~(1 << 2) & ~(1 << 6))
         for kind in ("gamma", "b", "a"):
-            packed, w = _packed_tops(kind, n, True)
-            laurent, counts = top_rows(kind, n, q=True), top_rows(kind, n)
+            packed, value_of = row_stream(kind, n, q=True)
+            laurent, counts = top_rows(kind, n, q=True), row_stream(kind, n)[0]
             for s in rows:
                 want = {}
                 for t in range(full + 1):
@@ -368,10 +367,10 @@ class TestTransformRoute:
                             start += length
                         if value:
                             want[t] = value
-                got = {t: _unpack(x, 0, w) for t, x in _block_cells(n, packed, s)}
+                got = {t: value_of(x) for t, x in packed(s)}
                 assert got == want, (kind, n, s)
                 at_one = {t: v.evaluate(1) for t, v in got.items()}
-                assert at_one == dict(_block_cells(n, counts, s)), (kind, n, s)
+                assert at_one == dict(counts(s)), (kind, n, s)
 
     def test_rejects_bool_and_oversized_n(self):
         builders = (a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n))
@@ -406,6 +405,36 @@ class TestInverses:
         inv = inverse_closed(kind, n, q=True)
         assert inv.ring == LAURENT
         assert (base.lift(LAURENT) @ inv).is_identity()
+
+    @pytest.mark.parametrize("q", (False, True))
+    def test_b_inverse_counts_are_a_relaxed_descent_tally(self, q):
+        # the counts of b's inverse, tallied from the sweep: connectivity set
+        # exactly the complement of S, descent set containing T, by inversions
+        for n in range(1, 8):
+            side = 1 << (n - 1)
+            by_inv = [[{} for _t in range(side)] for _s in range(side)]
+            for (c, d, inv), count in joint_statistics(n).items():
+                row = by_inv[(side - 1) ^ c]
+                for t in range(side):
+                    if not t & ~d:
+                        row[t][inv] = row[t].get(inv, 0) + count
+            if q:
+                counts = SubsetMatrix(n, POLYNOMIAL, [
+                    [LaurentPolynomial([cell.get(k, 0) for k in range(max(cell, default=-1) + 1)])
+                     for cell in row] for row in by_inv
+                ]).substitute_reciprocal()
+            else:
+                sums = [[sum(cell.values()) for cell in row] for row in by_inv]
+                counts = SubsetMatrix(n, INTEGER, sums)
+            assert inverse_closed("b", n, q=q, verify=False) == counts.checkerboard_signed(), n
+
+    @pytest.mark.parametrize("q", (False, True))
+    def test_inverses_read_no_sweep(self, monkeypatch, q):
+        monkeypatch.setenv("DESCON_MAX_N", "4")
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        for kind in ("a", "b", "gamma"):
+            assert inverse_closed(kind, 6, q=q).n == 6
+        assert permutations._SWEEPS == {}
 
     def test_b_inverse_spot_value(self):
         # (-1)^(2+0) times the number of connected permutations of [3]

@@ -1,5 +1,6 @@
 """Permutation and multiset-word statistics and enumerators."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 from math import factorial
@@ -269,10 +270,12 @@ class TestJointStatistics:
     def test_worker_partition_matches_single_sweep(self, monkeypatch):
         for threads in (2, 3, 7):
             monkeypatch.setattr(permutations, "_SWEEPS", {})
-            assert dict(joint_statistics(5, threads=threads)) == _sweep_chunk(5, 0, 120)
+            assert dict(joint_statistics(8, threads=threads)) == _sweep_chunk(8, 0, 40320)
 
     def test_one_sweep_per_n_for_every_thread_count(self, monkeypatch):
         monkeypatch.setattr(permutations, "_SWEEPS", {})
+        # below n = 8 the sweep runs inline, whatever the thread count
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         first = joint_statistics(5, threads=2)
         assert joint_statistics(5) is first
         assert joint_statistics(5, threads=3) is first
@@ -289,12 +292,14 @@ class TestJointStatistics:
             joint_statistics(4, threads=True)
 
     @pytest.mark.parametrize("threads", (1, 2))
-    def test_result_is_read_only(self, threads):
-        joint = joint_statistics(3, threads=threads)
+    def test_result_is_read_only(self, monkeypatch, threads):
+        n = 3 if threads == 1 else 8  # a pool starts only from n = 8
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        joint = joint_statistics(n, threads=threads)
         key = next(iter(joint))
         with pytest.raises(TypeError):
             joint[key] += 100
-        assert sum(sum(row) for row in gamma_matrix(3).rows) == 6
+        assert sum(sum(row) for row in gamma_matrix(n).rows) == factorial(n)
 
 
 def test_connected_count_small_values():

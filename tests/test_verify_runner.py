@@ -163,5 +163,3 @@ def test_signed_inverses_reuse_the_oracles(monkeypatch):
         monkeypatch.setattr(matrices, name, refuse)
     results = run_checks(4, include_q=True, names=("signed-inverses", "q-signed-inverses"))
     assert all(r.passed for r in results)
-    with pytest.raises(ValueError, match="polynomial matrix for n=4, got SubsetMatrix"):
-        matrices.inverse_closed("a", 4, q=True, base=verify.a_matrix_closed(4))
