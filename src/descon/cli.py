@@ -2,7 +2,7 @@
 formats, the connected-count table, and the exact verification suite.
 
 All emitted tables are deterministic: fixed orders, no timestamps, and
-output that is byte-identical across runs and across --threads settings.
+output that is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -264,9 +264,7 @@ def _cmd_checks(args) -> int:
     cap = enumeration_cap()
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be positive, got {args.threads}")
-    results = run_checks(args.max_n, include_q=args.q, threads=args.threads, names=args.names)
+    results = run_checks(args.max_n, include_q=args.q, names=args.names)
     return 1 if _report_checks(results) else 0
 
 
@@ -363,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted and ignored: a table starts no sweep workers",
+        help="accepted and ignored; every table is made in one process",
     )
     p_table.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     p_table.set_defaults(handler=_cmd_table)
@@ -371,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run every identity check up to a bound")
     p_verify.add_argument("--max-n", type=int, default=5, help="run each check for n = 1..max-n")
     p_verify.add_argument("--q", action="store_true", help="include the inversion-weighted checks")
-    p_verify.add_argument("--threads", type=int, default=1, help="sweep workers for each n >= 8")
     p_verify.set_defaults(handler=_cmd_checks, names=None)
 
     p_conn = sub.add_parser("connected", help="connected-permutation counts by two routes")
@@ -382,13 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_multi = sub.add_parser("multiset", help="check the multiset-word correspondence")
     p_multi.add_argument("--max-n", type=int, default=6, help="check n = 1..max-n")
-    p_multi.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="sweep workers for each n >= 8 of the multiset-counts check; "
-        "the bijection check always runs in one process",
-    )
     p_multi.set_defaults(
         handler=_cmd_checks, q=False, names=("multiset-counts", "multiset-bijection")
     )

@@ -574,9 +574,10 @@ def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> S
     counts (connectivity set exactly the complement of S, descent set
     containing T), whose top row is the superset sum of the top row of
     ``gamma``. q-inverses live in the Laurent ring. With ``verify`` (the
-    default) the product with the original, from its own top rows, is
-    checked to be the identity, exactly; failure raises ArithmeticError
-    since it can only mean a transcription bug in the formulas.
+    default) the product with the original (the counts themselves, but for
+    ``b`` its own top rows) is checked to be the identity, exactly; failure
+    raises ArithmeticError since it can only mean a transcription bug in
+    the formulas.
     """
     if kind not in ("a", "b", "gamma"):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
@@ -585,7 +586,8 @@ def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> S
     counts = _expand(n, (_h_tops if kind == "b" else _TOP_ROWS[kind])(n, w), w)
     inverse = (counts.substitute_reciprocal() if q else counts).checkerboard_signed()
     if verify:
-        product = block_matrix(kind, n, q).lift(inverse.ring) @ inverse
+        original = block_matrix("b", n, q) if kind == "b" else counts
+        product = original.lift(inverse.ring) @ inverse
         if not product.is_identity():
             raise ArithmeticError(
                 f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"

@@ -4,7 +4,7 @@ deterministic enumerators every counting routine in this package is built on.
 Statistics use 1-based positions, matching the usual one-line notation
 ``w = a_1 a_2 ... a_n``; the bitmask encoding in :mod:`descon.subsets` owns
 the 0-based shift. Enumeration order is always lexicographic on the word, so
-streamed computations are reproducible and range partitions deterministic.
+streamed computations are reproducible.
 
 The enumeration cap guards runaway sweeps: ``DESCON_MAX_N`` overrides the
 default of 10 for a session, up to the hard ceiling of 12.
@@ -17,7 +17,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
-from math import factorial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -343,7 +342,8 @@ def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
 
 
 def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """Both masks in one pass by :func:`_sweep_chunk`'s rule; the inverse by position."""
+    """Both masks in one pass, by the rule of :func:`_prefix_walk`; the
+    inverse by position."""
     inverse = [0] * len(word)
     d_mask = c_mask = high = 0
     for i, v in enumerate(word[:-1]):
@@ -358,77 +358,64 @@ def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]
     return d_mask, c_mask, tuple(inverse)
 
 
-def _sweep_chunk(n: int, lo: int, hi: int) -> Counter:
-    """Joint (connectivity mask, descent mask, inversions) counts over the
-    lexicographic ranks [lo, hi) of the permutations of [n]."""
+def _prefix_walk(n: int) -> Counter:
+    """Joint (connectivity mask, descent mask, inversions) counts of the
+    permutations of [n], by a depth-first walk over their prefix tree.
+
+    Depth i places one unused value, smallest first, so the leaves come in
+    lexicographic word order. Going down, the walk carries the unused
+    values as an ascending tuple, the prefix maximum, the partial masks and
+    the running inversion count. Placing the k-th smallest unused value
+    adds k inversions: the k unused values below it come later. Position i
+    is a cut exactly when the prefix maximum is i+1, and a descent when the
+    value before it is larger. The last two values x < y are placed
+    together: x y is cut before y only if y = n, and y x descends there.
+    """
     counts: Counter = Counter()
-    stream = _lex_permutations(range(1, n + 1))
-    for _ in range(lo):
-        next(stream)
-    for _ in range(hi - lo):
-        word = next(stream)
-        c_mask = 0
-        d_mask = 0
-        high = 0
-        for i in range(n - 1):
-            v = word[i]
-            if v > high:
-                high = v
-            if high == i + 1:
-                # prefix of length i+1 holds exactly {1..i+1}
-                c_mask |= 1 << i
-            if v > word[i + 1]:
-                d_mask |= 1 << i
-        inv = 0
-        for i in range(n - 1):
-            v = word[i]
-            for j in range(i + 1, n):
-                if v > word[j]:
-                    inv += 1
-        counts[(c_mask, d_mask, inv)] += 1
+
+    def place(depth, rest, high, prev, c_mask, d_mask, inv):
+        cut = 1 << depth
+        step = cut >> 1  # the bit of the position before depth
+        if depth == n - 2:
+            x, y = rest
+            d_x = d_mask | step if prev > x else d_mask
+            d_y = d_mask | step if prev > y else d_mask
+            counts[c_mask | cut if y == n else c_mask, d_x, inv] += 1
+            counts[c_mask, d_y | cut, inv + 1] += 1
+            return
+        for k, v in enumerate(rest):
+            top = v if v > high else high
+            place(depth + 1, rest[:k] + rest[k + 1:], top, v,
+                  c_mask | cut if top == depth + 1 else c_mask,
+                  d_mask | step if prev > v else d_mask, inv + k)
+
+    if n == 1:
+        counts[0, 0, 0] = 1
+    else:
+        place(0, tuple(range(1, n + 1)), 0, 0, 0, 0, 0)
     return counts
 
-
-# Below this n a pool costs more than it saves: 1 worker vs 2 took 0.031 vs
-# 0.033 s at n = 7, 0.25 vs 0.16 s at n = 8 (2-core machine).
-_POOL_MIN_N = 8
 
 # The sweep of each n, made by whichever call asks for it first.
 _SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
 
 
-def joint_statistics(n: int, threads: int = 1) -> Mapping[tuple[int, int, int], int]:
-    """One sweep over all n! permutations, tallying the triple
-    (connectivity mask, descent mask, inversion count).
+def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
+    """All n! permutations tallied by the triple (connectivity mask,
+    descent mask, inversion count), in one walk over their prefix tree.
 
-    Every enumeration-backed matrix builder reads this single pass, made
-    by the first call for n and shared by every later one, so a caller
-    who wants workers makes that first call. It is the one place a pool
-    starts: with threads > 1 and n >= 8 the lexicographic stream is split
-    into contiguous rank ranges, one worker process each; the merge is an
-    entrywise sum, so the result is identical for every thread count.
-    The result is a read-only view, since every caller shares it.
+    Every enumeration-backed matrix builder reads this single walk, made
+    by the first call for n and shared by every later one. The result is a
+    read-only view, since every caller shares it.
+
+    >>> sorted(joint_statistics(3).items())  # doctest: +NORMALIZE_WHITESPACE
+    [((0, 1, 2), 1), ((0, 2, 2), 1), ((0, 3, 3), 1),
+     ((1, 2, 1), 1), ((2, 1, 1), 1), ((3, 0, 0), 1)]
     """
     _require_within_cap(n)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     sweep = _SWEEPS.get(n)
-    if sweep is not None:
-        return sweep
-    total = factorial(n)
-    if threads == 1 or n < _POOL_MIN_N:
-        merged = _sweep_chunk(n, 0, total)
-    else:
-        # imported here: the pool costs every CLI start about 30 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(threads, total)
-        bounds = [k * total // workers for k in range(workers + 1)]
-        merged = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sweep_chunk, [n] * workers, bounds[:-1], bounds[1:]):
-                merged.update(part)
-    sweep = _SWEEPS[n] = MappingProxyType(merged)
+    if sweep is None:
+        sweep = _SWEEPS[n] = MappingProxyType(_prefix_walk(n))
     return sweep
 
 

@@ -79,7 +79,7 @@ def _matrices_equal(n: int, got: SubsetMatrix, want: SubsetMatrix, label: str) -
 # How each shared oracle of one n is built. The lambdas read the module-level
 # builders when they run, so substituting one of them takes effect here.
 _ORACLES = {
-    "joint": lambda o: joint_statistics(o.n, threads=o.threads),
+    "joint": lambda o: joint_statistics(o.n),
     "zeta": lambda o: zeta_matrix(o.n),
     "zeta_q": lambda o: o.zeta.lift(POLYNOMIAL),
     "identity": lambda o: SubsetMatrix.identity(o.n),
@@ -100,15 +100,12 @@ _ORACLES = {
 class _Oracles:
     """The oracles of one n, each built on first access and then kept."""
 
-    def __init__(self, n: int, threads: int):
+    def __init__(self, n: int):
         self.n = n
-        self.threads = threads
 
     def __getattr__(self, name: str):
         if name not in _ORACLES:
             raise AttributeError(name)
-        if name in ("gamma", "b", "gamma_q", "b_q"):
-            self.joint  # the first call makes the sweep they read, with self.threads
         value = self.__dict__[name] = _ORACLES[name](self)
         return value
 
@@ -312,7 +309,6 @@ def available_checks(include_q: bool = False) -> tuple[str, ...]:
 def run_checks(
     max_n: int,
     include_q: bool = False,
-    threads: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
     """Run the identity suite for all n up to max_n and return one result
@@ -328,7 +324,7 @@ def run_checks(
         selected = tuple((name, fn) for name, fn in selected if name in wanted)
     results = [CheckResult(name, max_n, True, 0.0) for name, _fn in selected]
     for n in range(1, max_n + 1):
-        oracles = _Oracles(n, threads)
+        oracles = _Oracles(n)
         for result, (_name, check) in zip(results, selected):
             if not result.passed:
                 continue

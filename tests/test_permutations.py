@@ -1,8 +1,8 @@
 """Permutation and multiset-word statistics and enumerators."""
 
-import concurrent.futures
 import dataclasses
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -13,7 +13,6 @@ from descon import permutations
 from descon.matrices import gamma_matrix, multiset_count_matrix
 from descon.permutations import (
     _multiset_stream,
-    _sweep_chunk,
     EnumerationCapError,
     MultisetWord,
     Permutation,
@@ -267,39 +266,33 @@ class TestJointStatistics:
         for n in range(1, 7):
             assert sum(joint_statistics(n).values()) == factorial(n)
 
-    def test_worker_partition_matches_single_sweep(self, monkeypatch):
-        for threads in (2, 3, 7):
-            monkeypatch.setattr(permutations, "_SWEEPS", {})
-            assert dict(joint_statistics(8, threads=threads)) == _sweep_chunk(8, 0, 40320)
+    def test_walk_matches_every_permutation_tallied(self, monkeypatch):
+        # the statistics of each word by the public one-word functions
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        for n in range(1, 8):
+            want = Counter(
+                (connectivity_mask(word), descent_mask(word), inversion_count(word))
+                for word in itertools.permutations(range(1, n + 1))
+            )
+            assert dict(joint_statistics(n)) == want, n
 
     def test_one_sweep_per_n_for_every_thread_count(self, monkeypatch):
         monkeypatch.setattr(permutations, "_SWEEPS", {})
-        # below n = 8 the sweep runs inline, whatever the thread count
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        first = joint_statistics(5, threads=2)
+        first = joint_statistics(5)
         assert joint_statistics(5) is first
-        assert joint_statistics(5, threads=3) is first
         assert list(permutations._SWEEPS) == [5]
-
-    def test_invalid_threads(self):
-        with pytest.raises(ValueError):
-            joint_statistics(4, threads=0)
 
     def test_rejects_bool_sizes(self):
         with pytest.raises(ValueError):
             joint_statistics(True)
-        with pytest.raises(ValueError):
-            joint_statistics(4, threads=True)
 
-    @pytest.mark.parametrize("threads", (1, 2))
-    def test_result_is_read_only(self, monkeypatch, threads):
-        n = 3 if threads == 1 else 8  # a pool starts only from n = 8
+    def test_result_is_read_only(self, monkeypatch):
         monkeypatch.setattr(permutations, "_SWEEPS", {})
-        joint = joint_statistics(n, threads=threads)
+        joint = joint_statistics(3)
         key = next(iter(joint))
         with pytest.raises(TypeError):
             joint[key] += 100
-        assert sum(sum(row) for row in gamma_matrix(n).rows) == factorial(n)
+        assert sum(sum(row) for row in gamma_matrix(3).rows) == factorial(3)
 
 
 def test_connected_count_small_values():

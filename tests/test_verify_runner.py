@@ -112,24 +112,10 @@ def test_each_oracle_is_built_once_per_n(monkeypatch):
     assert max(Counter(calls).values()) == 1
 
 
-def test_runner_threads_reach_the_one_sweep(monkeypatch):
-    # the builders take no thread count, so the runner starts the sweep of
-    # each n itself, before the first builder that reads it
-    monkeypatch.setattr(permutations, "_SWEEPS", {})
-    calls = _record(monkeypatch, ("joint_statistics", "gamma_matrix"))
-    assert all(r.passed for r in run_checks(4, threads=2, names=("multiset-counts",)))
-    assert calls == [
-        call
-        for n in range(1, 5)
-        for call in (("joint_statistics", (n,), (("threads", 2),)), ("gamma_matrix", (n,), ()))
-    ]
-    assert sorted(permutations._SWEEPS) == [1, 2, 3, 4]
-
-
 def test_bijection_check_starts_no_sweep(monkeypatch):
     monkeypatch.setattr(permutations, "_SWEEPS", {})
     calls = _record(monkeypatch, ("joint_statistics",))
-    assert all(r.passed for r in run_checks(4, threads=2, names=("multiset-bijection",)))
+    assert all(r.passed for r in run_checks(4, names=("multiset-bijection",)))
     assert calls == [] and permutations._SWEEPS == {}
 
 
@@ -145,14 +131,24 @@ def test_max_n_is_checked_before_any_check_runs(monkeypatch):
 
 
 def test_b_inverse_without_verify_builds_no_b(monkeypatch):
-    want = [matrices.inverse_closed("b", 4, q=q) for q in (False, True)]
+    # the counts of a and gamma are the matrix itself, so with verify only
+    # b expands a second matrix, and no inverse reads the sweep
+    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    calls = []
+    original = matrices.block_matrix
 
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("b built without verify")
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(matrices, "b_matrix_direct", refuse)
-    monkeypatch.setattr(matrices, "b_q_matrix_direct", refuse)
-    assert [matrices.inverse_closed("b", 4, q=q, verify=False) for q in (False, True)] == want
+    monkeypatch.setattr(matrices, "block_matrix", recorded)
+    for check, want in ((False, []), (True, [(("b", 5, q), {}) for q in (False, True)])):
+        calls.clear()
+        for q in (False, True):
+            for kind in ("a", "b", "gamma"):
+                matrices.inverse_closed(kind, 5, q, verify=check)
+        assert calls == want, check
+        assert permutations._SWEEPS == {}
 
 
 def test_signed_inverses_reuse_the_oracles(monkeypatch):
