@@ -286,9 +286,12 @@ class TestJointStatistics:
         with pytest.raises(ValueError):
             joint_statistics(True)
 
-    def test_result_is_read_only(self, monkeypatch):
+    @pytest.mark.parametrize("calls", (1, 2))
+    def test_result_is_read_only(self, monkeypatch, calls):
+        # the fresh walk and the cached result alike
         monkeypatch.setattr(permutations, "_SWEEPS", {})
-        joint = joint_statistics(3)
+        for _ in range(calls):
+            joint = joint_statistics(3)
         key = next(iter(joint))
         with pytest.raises(TypeError):
             joint[key] += 100
