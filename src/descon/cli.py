@@ -97,15 +97,7 @@ def _cell_renderer(fmt: str, ring: str):
         return str
     if ring == INTEGER:
         return lambda v: f'"{v}"'  # the JSON string of the decimal digits
-    return _laurent_json
-
-
-def _laurent_json(v) -> str:
-    """The text of ``_json(v.to_json_dict())`` in one string format: every
-    coefficient is a decimal string, so nothing needs escaping."""
-    low = min(v.min_exp, 0)
-    texts = ["0"] * (v.min_exp - low) + [str(c) for c in v.coeffs]
-    return '{"min":%d,"coeffs":[%s]}' % (low, ",".join(f'"{t}"' for t in texts))
+    return lambda v: _json(v.to_json_dict())
 
 
 class _Texts(dict):

@@ -425,6 +425,10 @@ def _block_cells(n: int, tops: list[list], s: int) -> list[tuple[int, object]]:
     blocks of [n] cut at the complement of S. On tops packed at the width
     n fixes, the products are the packed products too: every slot of a
     cell counts permutations of [n], so none reaches its sign bit."""
+    if not 0 <= s < _side(n):
+        raise ValueError(f"row mask {s} out of range for n={n}")
+    if len(tops) <= n:
+        raise ValueError(f"top rows stop at L={len(tops) - 1}, below n={n}")
     parts = _cut_parts(n, s)
     cells = [(u, v) for u, v in enumerate(tops[parts[0]]) if v]
     lo = parts[0]
@@ -443,10 +447,11 @@ def block_row(n: int, tops: list[list], s: int) -> list:
     inversions add. So entry (S, T) is zero unless T is inside S, and then
     it is the product, over the blocks of [n] cut at the complement of S,
     of v_L(T restricted to the block). Only the nonzero entries are formed
-    (:func:`_block_cells`) and scattered into the row.
+    (:func:`_block_cells`, which checks ``s`` and ``tops``) and scattered.
     """
+    cells = _block_cells(n, tops, s)
     row = [tops[1][0] * 0] * _side(n)  # the zero of the tops' ring
-    for t, v in _block_cells(n, tops, s):
+    for t, v in cells:
         row[t] = v
     return row
 

@@ -6,7 +6,7 @@ Every weighted value of the package is a :class:`LaurentPolynomial`: the
 substitute ``q -> 1/q``, so one type with a signed lowest exponent covers
 both; a plain polynomial is the case of no negative power. Coefficients are
 plain Python ints, so every operation is exact. Values are immutable after
-construction and safe to share between workers.
+construction, so caches and tables may share them.
 
 JSON wire format (used by the CLI emitters): ``{"min": <int>, "coeffs":
 ["<int>", ...]}`` with coefficients as decimal strings in ascending

@@ -14,8 +14,7 @@ published tables (by size, then lexicographic element lists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .rings import InexactDivisionError, LaurentPolynomial, q_factorial
 
@@ -130,14 +129,6 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@lru_cache(maxsize=None)
-def _eta_from_parts(parts: tuple[int, ...]) -> int:
-    out = 1
-    for p in parts:
-        out *= factorial(p)
-    return out
-
-
 def eta(s: SubsetMask) -> int:
     """Product of factorials of the gap lengths the subset cuts in [n].
 
@@ -148,7 +139,7 @@ def eta(s: SubsetMask) -> int:
     >>> eta(SubsetMask.from_elements(4, [1]))
     6
     """
-    return _eta_from_parts(s.to_composition().parts)
+    return prod(map(factorial, s.to_composition().parts))
 
 
 def eta_q(s: SubsetMask) -> LaurentPolynomial:

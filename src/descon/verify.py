@@ -226,10 +226,10 @@ def _multiset_bijection(o: _Oracles) -> str | None:
 
 
 def _connected_series(o: _Oracles) -> str | None:
-    """Connected counts by scan and by the series route agree."""
-    scanned, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
-    if scanned != series:
-        return f"connected counts at n={o.n}: scan {scanned} != series {series}"
+    """Connected counts read off the sweep and by the series route agree."""
+    swept, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
+    if swept != series:
+        return f"connected counts at n={o.n}: scan {swept} != series {series}"
     return None
 
 

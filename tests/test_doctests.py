@@ -1,19 +1,17 @@
 import doctest
+import importlib
+from pathlib import Path
 
 import pytest
 
-import descon.matrices
-import descon.permutations
-import descon.rings
-import descon.series
-import descon.subsets
+import descon
+
+_MODULES = [
+    f"descon.{path.stem}" for path in sorted(Path(descon.__file__).parent.glob("[!_]*.py"))
+]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [descon.rings, descon.subsets, descon.permutations, descon.series, descon.matrices],
-    ids=lambda m: m.__name__,
-)
-def test_module_doctests(module):
-    failures, _total = doctest.testmod(module)
+@pytest.mark.parametrize("name", _MODULES)
+def test_module_doctests(name):
+    failures, _total = doctest.testmod(importlib.import_module(name))
     assert failures == 0

@@ -372,6 +372,20 @@ class TestTransformRoute:
                 at_one = {t: v.evaluate(1) for t, v in got.items()}
                 assert at_one == dict(counts(s)), (kind, n, s)
 
+    def test_row_mask_and_top_rows_are_checked(self):
+        tops = top_rows("b", 3)
+        for s in (4, 7, -1):
+            with pytest.raises(ValueError, match=f"^row mask {s} out of range for n=3$"):
+                block_row(3, tops, s)
+        cells_of, _value_of = row_stream("b", 4)
+        with pytest.raises(ValueError, match="^row mask 9 out of range for n=4$"):
+            cells_of(9)
+        # top rows that stop at L=3 cannot fill a row at n=5
+        with pytest.raises(ValueError, match="^top rows stop at L=3, below n=5$"):
+            block_row(5, tops, 0)
+        assert block_row(3, tops, 3) == [1, 2, 2, 1]
+        assert [t for t, _key in cells_of(7)] == list(range(8))
+
     def test_rejects_bool_and_oversized_n(self):
         builders = (a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n))
         for builder in builders:

@@ -27,6 +27,7 @@ from descon.permutations import (
     reduce_to_multiset,
 )
 from descon.subsets import SubsetMask, eta
+from descon.verify import run_checks
 
 
 def connectivity_quadratic(word):
@@ -129,6 +130,22 @@ class TestPermutationType:
             Permutation.from_text("10,x,3")
         with pytest.raises(ValueError):
             Permutation.from_text("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            # a superscript and fullwidth digits pass str.isdigit()
+            ("1\u00b2", "character '\u00b2' at position 2 is not a digit 1-9"),
+            ("\uff11\uff12\uff13", "character '\uff11' at position 1 is not a digit 1-9"),
+            ("2,\u00b9", "entry '\u00b9' at position 2 is not a number"),
+            ("1,\uff12", "entry '\uff12' at position 2 is not a number"),
+        ),
+        ids=("superscript", "fullwidth", "superscript-entry", "fullwidth-entry"),
+    )
+    def test_only_ascii_digits_parse(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            Permutation.from_text(text)
+        assert str(caught.value) == message
 
     def test_inverse(self):
         assert Permutation((2, 3, 1)).inverse().word == (3, 1, 2)
@@ -276,7 +293,7 @@ class TestJointStatistics:
             )
             assert dict(joint_statistics(n)) == want, n
 
-    def test_one_sweep_per_n_for_every_thread_count(self, monkeypatch):
+    def test_one_sweep_per_n(self, monkeypatch):
         monkeypatch.setattr(permutations, "_SWEEPS", {})
         first = joint_statistics(5)
         assert joint_statistics(5) is first
@@ -300,6 +317,23 @@ class TestJointStatistics:
 
 def test_connected_count_small_values():
     assert [connected_count(n) for n in range(1, 7)] == [1, 1, 3, 13, 71, 461]
+
+
+def test_connected_counts_read_the_shared_sweep(monkeypatch):
+    # no second pass over the permutations: the counts, and the check that
+    # compares them with the series, read the cached sweep of each n
+    def refuse(*_args):
+        raise AssertionError("connected counts must not enumerate permutations")
+
+    monkeypatch.delenv("DESCON_MAX_N", raising=False)
+    monkeypatch.setattr(permutations, "_lex_permutations", refuse)
+    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    assert [connected_count(n) for n in range(1, 8)] == [1, 1, 3, 13, 71, 461, 3447]
+    results = run_checks(7, names=("containment-counts", "connected-series"))
+    assert [(r.name, r.passed) for r in results] == [
+        ("containment-counts", True), ("connected-series", True),
+    ]
+    assert list(permutations._SWEEPS) == list(range(1, 8))
 
 
 def test_reduction_bijection_through_n7():
