@@ -27,7 +27,9 @@ The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
 their q-versions) are the oracle that ``verify`` checks the top rows and
 the inverses against; they all read one shared sweep of the n! permutations. The dense
 products with the containment matrix ``M`` check the identity
-``a = M gamma M`` that ties the family together.
+``a = M gamma M`` that ties the family together. The multiset count matrix
+is a walk over the prefix contents of multiset words, with no word listed;
+``verify`` takes its entries as the class sizes of the reduction bijection.
 
 Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots, and unpacked once at the end; a count is
@@ -42,10 +44,12 @@ value once, and ``descon table`` renders each distinct value once.
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate, product
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Iterable
 
-from .permutations import _multiset_stream, _require_within_cap, joint_statistics
+from .permutations import _require_within_cap, joint_statistics
 from .rings import LaurentPolynomial
 from .subsets import SubsetMask, eta, eta_q, min_inversions
 
@@ -637,15 +641,43 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
 
 def multiset_count_matrix(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the words of the multiset of T whose connectivity
-    set is exactly S, by streaming the connectivity mask of every
-    rearrangement. The cap is checked before the matrix is allocated.
+    set is exactly S, by a walk over prefix contents (:func:`_cut_paths`)
+    with no word listed. The cap is checked before the matrix is allocated.
 
     Equals the product (gamma times zeta) with both indices complemented.
+    Column T = {1} counts 212 and 221 in row {} and 122 in row {1}:
+
+    >>> multiset_count_matrix(3).rows
+    ((1, 2, 2, 3), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))
     """
     _require_within_cap(n)
     side = _side(n)
+    w = factorial(n).bit_length()
     rows = [[0] * side for _ in range(side)]
     for t in range(side):
-        for _word, mask in _multiset_stream(SubsetMask(n, t)):
-            rows[mask][t] += 1
+        packed = _cut_paths(SubsetMask(n, t), w)
+        for s in _submasks(t):
+            rows[s][t] = packed >> s * w & (1 << w) - 1
     return SubsetMatrix(n, INTEGER, rows)
+
+
+def _cut_paths(t: SubsetMask, w: int) -> int:
+    """The words of the multiset of t counted by connectivity mask, in w-bit
+    slots: slot S (from bit S*w) counts those with mask S. A word is a path,
+    one letter a step, through its prefix contents (how many of each letter
+    a prefix uses), here mixed-radix indices that every step raises. Position
+    i is a cut exactly when i is in t and the path passes the content with
+    every letter up to the one of value i used up and none above."""
+    parts = t.to_composition().parts
+    strides = list(accumulate((part + 1 for part in parts), mul, initial=1))
+    # strides[j] - 1 is the content with the first j letters used up; no path
+    # into it has the bit of its cut yet, so the cut moves every slot up by it
+    shifts = {stride - 1: w << (i - 1) for stride, i in zip(strides[1:], t.elements())}
+    paths = [0] * strides[-1]
+    paths[0] = 1
+    for index, used in enumerate(product(*(range(part + 1) for part in reversed(parts)))):
+        packed = paths[index] << shifts.get(index, 0)
+        for digit, part, stride in zip(reversed(used), parts, strides):
+            if digit < part:
+                paths[index + stride] += packed
+    return packed

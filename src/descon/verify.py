@@ -10,8 +10,8 @@ only equality.
 
 from __future__ import annotations
 
+import re
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from math import factorial
 
@@ -36,7 +36,6 @@ from .matrices import (
 from .permutations import (
     _inverse_sweep,
     _letter_table,
-    _multiset_stream,
     _require_within_cap,
     connected_count,
     joint_statistics,
@@ -91,6 +90,7 @@ _ORACLES = {
     "gamma_q": lambda o: gamma_q_matrix(o.n),
     "b_q": lambda o: b_q_matrix_direct(o.n),
     "a_q": lambda o: a_q_matrix_closed(o.n),
+    "multiset": lambda o: multiset_count_matrix(o.n),
     # (b, gamma) expanded from their top rows, the route of `descon table`
     "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
     "tops_q": lambda o: (block_matrix("b", o.n, q=True), block_matrix("gamma", o.n, q=True)),
@@ -154,72 +154,89 @@ def _least_inversions(o: _Oracles) -> str | None:
     return None
 
 
-def _group_inverses(n: int) -> dict[tuple[int, int], list[bytes]]:
-    """One lexicographic pass over the permutations of [n]: the inverse of
-    each as bytes (one letter a byte, so a collapse is one ``translate``),
-    grouped by (descent mask, connectivity mask). Groups keep the order of
-    their lexicographically first permutation."""
-    groups: dict[tuple[int, int], list[bytes]] = {}
+def _group_inverses(n: int) -> dict[tuple[int, int], bytearray]:
+    """One lexicographic pass over the permutations of [n]: the inverses,
+    one letter a byte, grouped by (descent mask, connectivity mask) and
+    joined into one blob per group, so that collapsing a group is one
+    ``translate``. Groups keep the order of their lexicographically first
+    permutation."""
+    groups: dict[tuple[int, int], bytearray] = {}
     for d_mask, c_mask, inverse in _inverse_sweep(n):
-        groups.setdefault((d_mask, c_mask), []).append(bytes(inverse))
+        groups.setdefault((d_mask, c_mask), bytearray()).extend(inverse)
     return groups
 
 
-def _reduce_classes(
-    groups: dict[tuple[int, int], list[bytes]], t: SubsetMask
-) -> tuple[dict[int, set], dict[int, int]]:
+def _reduce_classes(groups: dict[tuple[int, int], bytearray], t: SubsetMask) -> dict[int, bytes]:
     """Reduce the inverses of the permutations whose descent set contains
-    the complement of t, skipping the groups that do not qualify.
-
-    Returns the reduced words, as bytes, and the number of permutations per
-    connectivity class. Since the groups come in the order of their first
-    permutation, so do the classes, and a failure names the same class as
-    a loop over the permutations in lexicographic order would.
+    the complement of t, skipping the groups that do not qualify, and join
+    them per connectivity class: the class's reduced words, n bytes each.
+    Since the groups come in the order of their first permutation, so do
+    the classes, and a failure names the same class as a loop over the
+    permutations in lexicographic order would.
     """
     t_bar = ((1 << (t.n - 1)) - 1) ^ t.mask
     table = bytes(_letter_table(t)).ljust(256, b"\0")
-    reduced: dict[int, set] = {}
-    class_size: dict[int, int] = {}
-    for (d_mask, c_mask), inverses in groups.items():
+    reduced: dict[int, list[bytes]] = {}
+    for (d_mask, c_mask), blob in groups.items():
         if d_mask & t_bar == t_bar:
-            reduced.setdefault(c_mask, set()).update([u.translate(table) for u in inverses])
-            class_size[c_mask] = class_size.get(c_mask, 0) + len(inverses)
-    return reduced, class_size
+            reduced.setdefault(c_mask, []).append(blob.translate(table))
+    return {c_mask: b"".join(blobs) for c_mask, blobs in reduced.items()}
 
 
-def _bijection_detail(
-    n: int,
-    t_mask: int,
-    reduced: dict[int, set],
-    class_size: dict[int, int],
-    target: dict[int, set],
-) -> str | None:
+def _late_marks(blob: bytes, n: int, t: SubsetMask) -> dict[int, bytes]:
+    """For each element i of t, one byte per word of the blob (n letters
+    each): 0 where the first i letters are all at most the letter of value
+    i, so that a word of the multiset of t is cut at i, else 1. No other
+    position can be a cut. Per column a ``translate`` marks the letters
+    above that one with 1, and the first i columns, read as ints, are ORed."""
+    marks = {}
+    for letter, i in enumerate(t.elements(), start=1):
+        above = bytes(letter + 1).ljust(256, b"\1")
+        late = 0
+        for column in range(i):
+            late |= int.from_bytes(blob[column::n].translate(above), "big")
+        marks[i] = late.to_bytes(len(blob) // n, "big")
+    return marks
+
+
+def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: list[int]) -> str | None:
     """The first fault of the reduction at (n, T): a class whose reduced
-    words repeat, else the smallest connectivity mask whose reduced words
-    differ from the multiset words with that connectivity set."""
-    for s_mask, words in reduced.items():
-        if len(words) != class_size[s_mask]:
-            return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
-    if reduced != target:
-        keys = sorted(set(reduced) | set(target))
-        bad = next(k for k in keys if reduced.get(k) != target.get(k))
-        return f"reduction misses a class at {_fmt(n, bad, t_mask)}"
-    return None
+    words repeat, else the smallest connectivity mask S whose class holds a
+    word with another connectivity set or has a size other than entry S of
+    ``column``, the count of the multiset words of T with connectivity set
+    S. A word in two classes has the wrong connectivity set in one."""
+    words = re.compile(b"(?s).{%d}" % n).findall
+    blob = b"".join(classes.values())
+    if len(set(words(blob))) * n != len(blob):
+        for s_mask, reduced in classes.items():
+            if len(set(words(reduced))) * n != len(reduced):
+                return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
+    sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
+    counts = {s_mask: count for s_mask, count in enumerate(column) if count}
+    bad = {s for s in sizes.keys() | counts.keys() if sizes.get(s) != counts.get(s) or s & ~t_mask}
+    for i, late in _late_marks(blob, n, SubsetMask(n, t_mask)).items():
+        # the marks of a class whose words all have connectivity set S
+        want = b"".join((b"\0" if s >> (i - 1) & 1 else b"\1") * size for s, size in sizes.items())
+        if late != want:
+            start = 0
+            for s_mask, size in sizes.items():
+                if late[start:start + size] != want[start:start + size]:
+                    bad.add(s_mask)
+                start += size
+    return f"reduction misses a class at {_fmt(n, min(bad), t_mask)}" if bad else None
 
 
 def _multiset_bijection(o: _Oracles) -> str | None:
     """Letterwise reduction of inverses maps each connectivity class of
     permutations with prescribed descents bijectively onto the matching
-    connectivity class of multiset words. The permutations are swept once;
-    the multiset words are streamed on their own, one T at a time."""
+    connectivity class of multiset words. The permutations are swept once
+    and no multiset word is listed: per T, each class must be injective,
+    inside its connectivity set, and as large as the multiset count matrix says."""
     groups = _group_inverses(o.n)
     for t_mask in range(1 << (o.n - 1)):
-        t = SubsetMask(o.n, t_mask)
-        reduced, class_size = _reduce_classes(groups, t)
-        target: dict[int, set] = defaultdict(set)
-        for word, mask in _multiset_stream(t):
-            target[mask].add(bytes(word))
-        detail = _bijection_detail(o.n, t_mask, reduced, class_size, target)
+        classes = _reduce_classes(groups, SubsetMask(o.n, t_mask))
+        column = [row[t_mask] for row in o.multiset.rows]
+        detail = _bijection_detail(o.n, t_mask, classes, column)
         if detail:
             return detail
     return None
@@ -229,7 +246,7 @@ def _connected_series(o: _Oracles) -> str | None:
     """Connected counts read off the sweep and by the series route agree."""
     swept, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
     if swept != series:
-        return f"connected counts at n={o.n}: scan {swept} != series {series}"
+        return f"connected counts at n={o.n}: sweep {swept} != series {series}"
     return None
 
 
@@ -274,7 +291,7 @@ _INTEGER_CHECKS = (
     # connectivity-class sizes over multiset words against gamma * zeta,
     # with both indices complemented
     ("multiset-counts", lambda o: [
-        (multiset_count_matrix(o.n), _complemented(o.gamma @ o.zeta), "multiset counts"),
+        (o.multiset, _complemented(o.gamma @ o.zeta), "multiset counts"),
     ]),
     ("multiset-bijection", _multiset_bijection),
     ("connected-series", _connected_series),

@@ -1,5 +1,6 @@
 """Subset-indexed matrices: builders, closed forms, identities, inverses."""
 
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -28,7 +29,7 @@ from descon.matrices import (
     zeta_matrix,
 )
 import descon.permutations as permutations
-from descon.permutations import enumerate_permutations, joint_statistics
+from descon.permutations import _multiset_stream, enumerate_permutations, joint_statistics
 from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
@@ -471,6 +472,20 @@ class TestMultisetCounts:
         mc = multiset_count_matrix(3)
         assert mc.entry(S(3, 1), S(3, 1)) == 1  # the word 122
         assert mc.entry(SubsetMask.empty(3), S(3, 1)) == 2  # 212 and 221
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_paths_count_the_streamed_words(self, n):
+        # the walk over prefix contents against a tally over every word
+        mc = multiset_count_matrix(n)
+        for t in range(mc.side):
+            streamed = Counter(mask for _word, mask in _multiset_stream(SubsetMask(n, t)))
+            assert {s: row[t] for s, row in enumerate(mc.rows) if row[t]} == streamed, (n, t)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_columns_sum_to_the_rearrangement_count(self, n):
+        mc = multiset_count_matrix(n)
+        for t in range(mc.side):
+            assert sum(row[t] for row in mc.rows) == factorial(n) // eta(SubsetMask(n, t)), (n, t)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_complemented_product(self, n):
