@@ -32,13 +32,16 @@ is a walk over the prefix contents of multiset words, with no word listed;
 ``verify`` takes its entries as the class sizes of the reduction bijection.
 
 Weighted values are computed on plain ints by Kronecker substitution
-q -> 2**w, in signed w-bit slots, and unpacked once at the end; a count is
-the same code at w = 0, where q -> 1. The top-row builders and the sweep
-tally take w from n; a product (``@``), one int loop for every ring, picks
-it from both operands so that no slot of a result cell can overflow. The
-row expansion multiplies the packed top rows too, into sparse cells
-(column mask, packed int): :func:`block_matrix` unpacks each distinct
-value once, and ``descon table`` renders each distinct value once.
+q -> 2**w, in signed w-bit slots; a count is the same code at w = 0, where
+q -> 1. The packed builders (:func:`_tally`, :func:`_expand`,
+:func:`_signed_inverse`, :func:`_conjugation`) return int grids at a given
+w, and the public builders unpack them, each distinct value once, at the w
+that n fixes. ``verify`` keeps the grids packed at :func:`_family_width`,
+which holds every product of two of them, and multiplies and compares ints.
+A product (``@``) of Laurent matrices packs its operands at the width that
+the same rule picks from them. The row expansion multiplies packed top rows
+into sparse cells (column mask, packed int), and ``descon table`` renders
+each distinct value once.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Callable, Iterable
 
 from .permutations import _require_within_cap, joint_statistics
 from .rings import LaurentPolynomial
-from .subsets import SubsetMask, eta, eta_q, min_inversions
+from .subsets import SubsetMask, eta_q, min_inversions
 
 __all__ = [
     "INTEGER",
@@ -101,11 +104,6 @@ def ring_zero(ring: str):
     return 0 if ring == INTEGER else LaurentPolynomial()
 
 
-def ring_one(ring: str):
-    _require_ring(ring)
-    return 1 if ring == INTEGER else LaurentPolynomial((1,))
-
-
 def _int_product(left, right) -> list[list[int]]:
     """The product of two square int matrices, summed against the nonzero
     cells of each row of ``right``."""
@@ -119,6 +117,19 @@ def _int_product(left, right) -> list[list[int]]:
                     acc[j] += a * b
         out.append(acc)
     return out
+
+
+def _product_width(big_x: int, big_y: int, span: int, side: int) -> int:
+    # a slot of a product cell sums at most side * span products of two
+    # coefficients, of sizes up to big_x and big_y; two more bits hold its sign
+    return (big_x * big_y * span * side).bit_length() + 2
+
+
+def _family_width(n: int) -> int:
+    """One slot width for the weighted matrices at n, their signed inverses
+    and every product of two of them: a coefficient counts permutations of
+    [n], so is at most n!, and a cell spans at most C(n,2) + 1 powers of q."""
+    return _product_width(factorial(n), factorial(n), comb(n, 2) + 1, _side(n))
 
 
 def _extent(rows) -> tuple[int, int, int]:
@@ -135,16 +146,7 @@ def _extent(rows) -> tuple[int, int, int]:
 def _pack(rows, lo: int, width: int) -> list[list[int]]:
     """Kronecker substitution q -> 2**width: each entry becomes one int whose
     ``width``-bit signed slot k holds the coefficient of q**(lo + k)."""
-    out = []
-    for row in rows:
-        packed = []
-        for v in row:
-            x = 0
-            for c in reversed(v.coeffs):
-                x = (x << width) + c
-            packed.append(x << (width * (v.min_exp - lo)) if x else 0)
-        out.append(packed)
-    return out
+    return [[v.shifted(-lo).evaluate(1 << width) for v in row] for row in rows]
 
 
 _ZERO = LaurentPolynomial()
@@ -169,6 +171,15 @@ def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs, lo)
 
 
+def _unpacked(n: int, grid: list[list[int]], w: int, ring: str = POLYNOMIAL, lo: int = 0) -> SubsetMatrix:
+    """The matrix of a grid packed at slot width ``w`` (0 for counts), slot k
+    the coefficient of q**(lo + k); each distinct value is unpacked once."""
+    if not w:
+        return SubsetMatrix(n, INTEGER, grid)
+    values = {x: _unpack(x, lo, w) for x in set().union(*grid)}
+    return SubsetMatrix(n, ring, [[values[x] for x in row] for row in grid])
+
+
 class SubsetMatrix:
     """Square matrix over one of the exact rings, indexed by subset masks."""
 
@@ -189,7 +200,8 @@ class SubsetMatrix:
 
     @classmethod
     def identity(cls, n: int, ring: str = INTEGER) -> "SubsetMatrix":
-        one, zero = ring_one(ring), ring_zero(ring)
+        zero = ring_zero(ring)
+        one = zero + 1
         side = _side(n)
         return cls(n, ring, [[one if i == j else zero for j in range(side)] for i in range(side)])
 
@@ -220,9 +232,7 @@ class SubsetMatrix:
         if self.ring == INTEGER:
             return SubsetMatrix(self.n, INTEGER, _int_product(self.rows, other.rows))
         (lo_x, span_x, big_x), (lo_y, span_y, big_y) = _extent(self.rows), _extent(other.rows)
-        # a slot of a result cell sums at most side * min(span_x, span_y)
-        # products of two coefficients; two more bits hold its sign
-        width = (big_x * big_y * min(span_x, span_y) * self.side).bit_length() + 2
+        width = _product_width(big_x, big_y, min(span_x, span_y), self.side)
         out = _int_product(_pack(self.rows, lo_x, width), _pack(other.rows, lo_y, width))
         rows = [[_unpack(v, lo_x + lo_y, width) for v in row] for row in out]
         return SubsetMatrix(self.n, self.ring, rows)
@@ -460,19 +470,17 @@ def block_row(n: int, tops: list[list], s: int) -> list:
     return row
 
 
-def _expand(n: int, tops: list[list[int]], w: int) -> SubsetMatrix:
-    """The matrix whose top rows ``tops`` are packed at slot width ``w``
-    (0 for counts); each distinct weighted value is unpacked once."""
-    rows = [block_row(n, tops, s) for s in range(_side(n))]
-    if w:
-        values = {x: _unpack(x, 0, w) for x in set().union(*rows)}
-        rows = [[values[x] for x in row] for row in rows]
-    return SubsetMatrix(n, POLYNOMIAL if w else INTEGER, rows)
+def _expand(kind: str, n: int, w: int) -> list[list[int]]:
+    """The rows of the matrix ``kind`` expanded from its top rows packed at
+    slot width ``w`` (0 for counts)."""
+    tops = _TOP_ROWS[kind](n, w)
+    return [block_row(n, tops, s) for s in range(_side(n))]
 
 
 def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows."""
-    return _expand(n, *_packed_tops(kind, n, q))
+    tops, w = _packed_tops(kind, n, q)
+    return _unpacked(n, [block_row(n, tops, s) for s in range(_side(n))], w)
 
 
 def row_stream(kind: str, n: int, q: bool = False) -> tuple[Callable, Callable]:
@@ -519,19 +527,14 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _tally(n: int, rows_of: Callable[[int], Iterable[int]], q: bool) -> SubsetMatrix:
-    """Scatter the shared sweep: each permutation with connectivity mask c
-    and descent mask d adds 1, or ``q**inv(w)`` with ``q``, to the cell
-    (S, d) of every S that is the complement of a mask in ``rows_of(c)``.
-    With :func:`_single` the connectivity set is taken exactly, with
-    :func:`_submasks` it is relaxed to containment.
-
-    A cell is one int under q -> 2**w (w = 0 for counts), unpacked once at
-    the end.
-    """
+def _tally(kind: str, n: int, w: int) -> list[list[int]]:
+    """Scatter the shared sweep into the rows of ``gamma`` or ``b`` packed at
+    slot width ``w`` (0 for counts): each permutation with connectivity mask
+    c, descent mask d and inv inversions adds q**inv to the cell (S, d) of
+    every S whose complement is c (``gamma``) or inside c (``b``)."""
     side = _side(n)
     full = side - 1
-    w = _slot_width(n, q)
+    rows_of = _single if kind == "gamma" else _submasks
     by_masks: dict[tuple[int, int], int] = {}
     for (c, d, inv), count in joint_statistics(n).items():
         by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
@@ -539,38 +542,41 @@ def _tally(n: int, rows_of: Callable[[int], Iterable[int]], q: bool) -> SubsetMa
     for (c, d), value in by_masks.items():
         for x in rows_of(c):
             cells[full ^ x][d] += value
-    if not q:
-        return SubsetMatrix(n, INTEGER, cells)
-    return SubsetMatrix(n, POLYNOMIAL, [[_unpack(x, 0, w) for x in row] for row in cells])
+    return cells
 
 
 def _single(mask: int) -> tuple[int]:
     return (mask,)
 
 
+def _swept(kind: str, n: int, q: bool) -> SubsetMatrix:
+    w = _slot_width(n, q)
+    return _unpacked(n, _tally(kind, n, w), w)
+
+
 def gamma_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
     exactly T. Read from the shared sweep of all n! permutations."""
-    return _tally(n, _single, False)
+    return _swept("gamma", n, False)
 
 
 def gamma_q_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix refined by inversions: each permutation contributes
     q**inv(w) instead of 1. Specializes to :func:`gamma_matrix` at q=1."""
-    return _tally(n, _single, True)
+    return _swept("gamma", n, True)
 
 
 def b_matrix_direct(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
     the complement of S and whose descent set is exactly T; built straight
     from the enumeration sweep, independently of any matrix product."""
-    return _tally(n, _submasks, False)
+    return _swept("b", n, False)
 
 
 def b_q_matrix_direct(n: int) -> SubsetMatrix:
     """Inversion-weighted version of :func:`b_matrix_direct`."""
-    return _tally(n, _submasks, True)
+    return _swept("b", n, True)
 
 
 def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> SubsetMatrix:
@@ -583,25 +589,44 @@ def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> S
     counts (connectivity set exactly the complement of S, descent set
     containing T), whose top row is the superset sum of the top row of
     ``gamma``. q-inverses live in the Laurent ring. With ``verify`` (the
-    default) the product with the original (the counts themselves, but for
-    ``b`` its own top rows) is checked to be the identity, exactly; failure
-    raises ArithmeticError since it can only mean a transcription bug in
-    the formulas.
+    default) the product with the original is checked to be the identity,
+    exactly; failure raises ArithmeticError since it can only mean a
+    transcription bug in the formulas.
     """
     if kind not in ("a", "b", "gamma"):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
     _require_closed_form_size(n)
-    w = _slot_width(n, q)
-    counts = _expand(n, (_h_tops if kind == "b" else _TOP_ROWS[kind])(n, w), w)
-    inverse = (counts.substitute_reciprocal() if q else counts).checkerboard_signed()
-    if verify:
-        original = block_matrix("b", n, q) if kind == "b" else counts
-        product = original.lift(inverse.ring) @ inverse
-        if not product.is_identity():
-            raise ArithmeticError(
-                f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"
-            )
-    return inverse
+    w = _family_width(n) if q else 0
+    inverse = _signed_inverse(kind, n, w)
+    if verify and _int_product(_expand(kind, n, w), inverse) != _identity_rows(n, 1 << w * comb(n, 2)):
+        raise ArithmeticError(
+            f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"
+        )
+    return _unpacked(n, inverse, w, LAURENT, -comb(n, 2))
+
+
+def _identity_rows(n: int, one: int) -> list[list[int]]:
+    side = _side(n)
+    return [[one if s == t else 0 for t in range(side)] for s in range(side)]
+
+
+def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
+    """The rows of :func:`inverse_closed` packed at slot width ``w`` (0 for
+    counts), slot k of a cell the coefficient of q**(k - C(n,2)). Each top
+    value v_L, with no negative slot, is reversed over C(L,2) + 1 slots into
+    q**C(L,2) v_L(1/q); row S then shifts by the C(n,2) - sum C(L_i,2) its
+    blocks L_i leave, and the checkerboard sign negates an int."""
+    tops = (_h_tops if kind == "b" else _TOP_ROWS[kind])(n, w)
+    mask = (1 << w) - 1
+    for length, row in enumerate(tops if w else ()):
+        top = comb(length, 2)
+        row[:] = [sum((x >> w * k & mask) << w * (top - k) for k in range(top + 1)) for x in row]
+    rows = []
+    for s in range(_side(n)):
+        shift = w * (comb(n, 2) - sum(comb(p, 2) for p in _cut_parts(n, s)))
+        row = block_row(n, tops, s)
+        rows.append([(-x if (s ^ t).bit_count() & 1 else x) << shift for t, x in enumerate(row)])
+    return rows
 
 
 def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
@@ -613,30 +638,30 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
     Every division is checked exact; a remainder raises, since it would
     contradict the closed form for the superset counts.
     """
+    w = _slot_width(n, q)
+    return _unpacked(n, _conjugation(n, w), w)
+
+
+def _conjugation(n: int, w: int) -> list[list[int]]:
+    """The rows of :func:`diagonal_conjugation_matrix` packed at slot width
+    ``w`` (0 for counts); no slot of a weight or a ratio is negative."""
     _require_closed_form_size(n)
     side = _side(n)
     full = side - 1
-    zero = ring_zero(POLYNOMIAL if q else INTEGER)
     # weight[m] is the weight of the complement of the subset with mask m
-    weight = [(eta_q if q else eta)(SubsetMask(n, full ^ m)) for m in range(side)]
-    shift = [min_inversions(SubsetMask(n, t)) for t in range(side)] if q else None
+    weight = [eta_q(SubsetMask(n, full ^ m)).evaluate(1 << w) for m in range(side)]
+    shift = [w * min_inversions(SubsetMask(n, t)) for t in range(side)]
     rows = []
     for s in range(side):
-        row = []
-        for t in range(side):
-            if t & ~s:
-                row.append(zero)
-            elif q:
-                row.append(weight[s].shifted(shift[t]).exact_div(weight[t]))
-            else:
-                ratio, rem = divmod(weight[s], weight[t])
-                if rem:
-                    raise ArithmeticError(
-                        f"eta ratio not exact at n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
-                    )
-                row.append(ratio)
+        row = [0] * side
+        for t in _submasks(s):
+            row[t], rem = divmod(weight[s] << shift[t], weight[t])
+            if rem:
+                raise ArithmeticError(
+                    f"eta ratio not exact at n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
+                )
         rows.append(row)
-    return SubsetMatrix(n, POLYNOMIAL if q else INTEGER, rows)
+    return rows
 
 
 def multiset_count_matrix(n: int) -> SubsetMatrix:

@@ -6,6 +6,11 @@ n is the outer loop. The matrices of one n are built on first use, shared
 by all its checks and dropped before the next n. A check that fails is not
 run for larger n. The exact arithmetic means there is no tolerance anywhere,
 only equality.
+
+The ``q``-checks keep every weighted matrix as an int grid packed by
+q -> 2**w, at the one width w of :func:`~descon.matrices._family_width`
+that holds every product they form, and compare grids of ints; only the
+cells a failure names are unpacked into polynomials.
 """
 
 from __future__ import annotations
@@ -13,21 +18,25 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from math import factorial
+from functools import partial
+from math import comb, factorial
 
 from .matrices import (
     INTEGER,
-    LAURENT,
-    POLYNOMIAL,
     SubsetMatrix,
+    _conjugation,
+    _expand,
+    _family_width,
+    _identity_rows,
+    _int_product,
+    _signed_inverse,
+    _tally,
+    _unpack,
     a_matrix_closed,
-    a_q_matrix_closed,
     b_matrix_direct,
-    b_q_matrix_direct,
     block_matrix,
     diagonal_conjugation_matrix,
     gamma_matrix,
-    gamma_q_matrix,
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
@@ -59,20 +68,22 @@ def _fmt(n: int, s: int, t: int) -> str:
     return f"n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
 
 
-def _first_mismatch(got: SubsetMatrix, want: SubsetMatrix) -> tuple[int, int] | None:
-    for s, (grow, wrow) in enumerate(zip(got.rows, want.rows)):
+def _first_mismatch(got, want) -> tuple[int, int] | None:
+    for s, (grow, wrow) in enumerate(zip(getattr(got, "rows", got), getattr(want, "rows", want))):
         for t, (g, w) in enumerate(zip(grow, wrow)):
             if g != w:
                 return s, t
     return None
 
 
-def _matrices_equal(n: int, got: SubsetMatrix, want: SubsetMatrix, label: str) -> str | None:
-    mm = _first_mismatch(got, want)
-    if mm is None:
+def _matrices_equal(n: int, got, want, label: str, show=str) -> str | None:
+    """The first cell where two matrices (or int grids) differ, each side
+    written by ``show``; the cells are walked only if the whole differs."""
+    if got == want or (mm := _first_mismatch(got, want)) is None:
         return None
     s, t = mm
-    return f"{label} at {_fmt(n, s, t)}: {got.rows[s][t]} != {want.rows[s][t]}"
+    g, w = (getattr(m, "rows", m)[s][t] for m in (got, want))
+    return f"{label} at {_fmt(n, s, t)}: {show(g)} != {show(w)}"
 
 
 # How each shared oracle of one n is built. The lambdas read the module-level
@@ -80,20 +91,21 @@ def _matrices_equal(n: int, got: SubsetMatrix, want: SubsetMatrix, label: str) -
 _ORACLES = {
     "joint": lambda o: joint_statistics(o.n),
     "zeta": lambda o: zeta_matrix(o.n),
-    "zeta_q": lambda o: o.zeta.lift(POLYNOMIAL),
     "identity": lambda o: SubsetMatrix.identity(o.n),
     "mobius": lambda o: mobius_matrix(o.n),
     "gamma": lambda o: gamma_matrix(o.n),
     "zeta_gamma": lambda o: o.zeta @ o.gamma,
     "b": lambda o: b_matrix_direct(o.n),
     "a": lambda o: a_matrix_closed(o.n),
-    "gamma_q": lambda o: gamma_q_matrix(o.n),
-    "b_q": lambda o: b_q_matrix_direct(o.n),
-    "a_q": lambda o: a_q_matrix_closed(o.n),
     "multiset": lambda o: multiset_count_matrix(o.n),
     # (b, gamma) expanded from their top rows, the route of `descon table`
     "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
-    "tops_q": lambda o: (block_matrix("b", o.n, q=True), block_matrix("gamma", o.n, q=True)),
+    # the weighted matrices as int grids packed at the width w
+    "w": lambda o: _family_width(o.n),
+    "gamma_q": lambda o: _tally("gamma", o.n, o.w),
+    "b_q": lambda o: _tally("b", o.n, o.w),
+    "a_q": lambda o: _expand("a", o.n, o.w),
+    "tops_q": lambda o: (_expand("b", o.n, o.w), _expand("gamma", o.n, o.w)),
 }
 
 
@@ -255,14 +267,36 @@ def _complemented(m: SubsetMatrix) -> SubsetMatrix:
     return SubsetMatrix(m.n, m.ring, [row[::-1] for row in reversed(m.rows)])
 
 
-def _inverse_products(o: _Oracles, q: bool) -> list:
+def _inverse_products(o: _Oracles) -> list:
     """Each top-row inverse times its matrix (swept for b, gamma) vs the identity."""
-    ring, prefix = (LAURENT, "weighted ") if q else (INTEGER, "")
-    bases = (o.a_q, o.b_q, o.gamma_q) if q else (o.a, o.b, o.gamma)
     return [
-        (base.lift(ring) @ inverse_closed(kind, o.n, q=q, verify=False),
-         SubsetMatrix.identity(o.n, ring), f"{prefix}{kind} inverse product")
-        for kind, base in zip(("a", "b", "gamma"), bases)
+        (base @ inverse_closed(kind, o.n, verify=False), o.identity, f"{kind} inverse product")
+        for kind, base in zip(("a", "b", "gamma"), (o.a, o.b, o.gamma))
+    ]
+
+
+def _weighted(o: _Oracles, got, want, label: str, lo: int = 0) -> tuple:
+    """A comparison of two grids packed at the width w, slot k of a cell the
+    coefficient of q**(lo + k), unpacked only to name a failure."""
+    return got, want, label, partial(_unpack, lo=lo, width=o.w)
+
+
+def _at_q1(o: _Oracles, grid) -> SubsetMatrix:
+    """q = 1 in a grid packed at the width w: modulo 2**w - 1 a cell is the
+    sum of its slots, which are nonnegative counts summing below that."""
+    modulus = (1 << o.w) - 1
+    return SubsetMatrix(o.n, INTEGER, [[x % modulus for x in row] for row in grid])
+
+
+def _weighted_inverse_products(o: _Oracles) -> list:
+    """The same with q: an inverse cell, and so a product cell, sits at
+    offset -C(n,2), where the identity holds q**0 in slot C(n,2)."""
+    lo = -comb(o.n, 2)
+    identity = _identity_rows(o.n, 1 << -lo * o.w)
+    return [
+        _weighted(o, _int_product(base, _signed_inverse(kind, o.n, o.w)), identity,
+                  f"weighted {kind} inverse product", lo)
+        for kind, base in zip(("a", "b", "gamma"), (o.a_q, o.b_q, o.gamma_q))
     ]
 
 
@@ -287,7 +321,7 @@ _INTEGER_CHECKS = (
         (o.tops[0], o.b, "b top rows vs enumeration"),
         (o.tops[1], o.gamma, "gamma top rows vs enumeration"),
     ]),
-    ("signed-inverses", lambda o: _inverse_products(o, q=False)),
+    ("signed-inverses", _inverse_products),
     # connectivity-class sizes over multiset words against gamma * zeta,
     # with both indices complemented
     ("multiset-counts", lambda o: [
@@ -300,21 +334,22 @@ _INTEGER_CHECKS = (
 _Q_CHECKS = (
     # substituting q = 1 into each weighted matrix recovers the plain one
     ("q-specialization", lambda o: [
-        (o.gamma_q.specialize_q1(), o.gamma, "gamma at q=1"),
-        (o.a_q.specialize_q1(), o.a, "a at q=1"),
-        (o.b_q.specialize_q1(), o.b, "b at q=1"),
+        (_at_q1(o, o.gamma_q), o.gamma, "gamma at q=1"),
+        (_at_q1(o, o.a_q), o.a, "a at q=1"),
+        (_at_q1(o, o.b_q), o.b, "b at q=1"),
     ]),
     # the weighted closed form and top-row routes against the sweep
     ("q-superset-closed-form", lambda o: [
-        (o.a_q, o.zeta_q @ o.gamma_q @ o.zeta_q, "weighted superset counts"),
-        (o.tops_q[0], o.b_q, "weighted b top rows vs enumeration"),
-        (o.tops_q[1], o.gamma_q, "weighted gamma top rows vs enumeration"),
+        _weighted(o, o.a_q, _int_product(_int_product(o.zeta.rows, o.gamma_q), o.zeta.rows),
+                  "weighted superset counts"),
+        _weighted(o, o.tops_q[0], o.b_q, "weighted b top rows vs enumeration"),
+        _weighted(o, o.tops_q[1], o.gamma_q, "weighted gamma top rows vs enumeration"),
     ]),
     # the least-inversion power of q is an extra column factor
     ("q-diagonal-conjugation", lambda o: [
-        (diagonal_conjugation_matrix(o.n, q=True), o.a_q, "weighted diagonal conjugation"),
+        _weighted(o, _conjugation(o.n, o.w), o.a_q, "weighted diagonal conjugation"),
     ]),
-    ("q-signed-inverses", lambda o: _inverse_products(o, q=True)),
+    ("q-signed-inverses", _weighted_inverse_products),
 )
 
 

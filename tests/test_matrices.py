@@ -421,6 +421,22 @@ class TestInverses:
         assert inv.ring == LAURENT
         assert (base.lift(LAURENT) @ inv).is_identity()
 
+    @pytest.mark.parametrize("kind", ("a", "b", "gamma"))
+    def test_packed_reciprocal_equals_the_laurent_one(self, kind):
+        # the counts multiplied out from Laurent top rows (for b the superset
+        # sums of those of gamma), then q -> 1/q and the sign cell by cell
+        for n in range(1, 7):
+            tops = top_rows("gamma" if kind == "b" else kind, n, q=True)
+            if kind == "b":
+                tops = [
+                    [sum((row[u] for u in range(len(row)) if not t & ~u), LaurentPolynomial())
+                     for t in range(len(row))]
+                    for row in tops
+                ]
+            counts = SubsetMatrix(n, POLYNOMIAL, [block_row(n, tops, s) for s in range(1 << (n - 1))])
+            want = counts.substitute_reciprocal().checkerboard_signed()
+            assert inverse_closed(kind, n, q=True, verify=False) == want, n
+
     @pytest.mark.parametrize("q", (False, True))
     def test_b_inverse_counts_are_a_relaxed_descent_tally(self, q):
         # the counts of b's inverse, tallied from the sweep: connectivity set

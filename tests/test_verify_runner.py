@@ -10,33 +10,53 @@ import descon.matrices as matrices
 import descon.permutations as permutations
 import descon.verify as verify
 from descon.permutations import EnumerationCapError
+from descon.rings import LaurentPolynomial
 from descon.verify import run_checks
 
 _ORACLE_BUILDERS = (
     "joint_statistics", "zeta_matrix", "mobius_matrix", "gamma_matrix", "b_matrix_direct",
-    "a_matrix_closed", "gamma_q_matrix", "b_q_matrix_direct", "a_q_matrix_closed",
-    "block_matrix", "multiset_count_matrix",
+    "a_matrix_closed", "block_matrix", "multiset_count_matrix", "_tally", "_expand",
 )
 _AT = "at n=3, S={1,2}, T={1}"
+_Q_CHECKS = ("q-specialization", "q-superset-closed-form", "q-diagonal-conjugation", "q-signed-inverses")
+
+# The q-checks build each weighted matrix that a row names by its builder
+# through the packed builder behind it: (name in verify, matrix kind, or
+# None where the row gives the kind).
+_PACKED = {
+    "gamma_q_matrix": ("_tally", "gamma"),
+    "b_q_matrix_direct": ("_tally", "b"),
+    "a_q_matrix_closed": ("_expand", "a"),
+    "block_matrix": ("_expand", None),
+    "diagonal_conjugation_matrix": ("_conjugation", None),
+    "inverse_closed": ("_signed_inverse", None),
+}
 
 
-def _bump(m):
-    rows = [list(row) for row in m.rows]
-    rows[3][1] = rows[3][1] + 1
-    return matrices.SubsetMatrix(m.n, m.ring, rows)
+def _bump(m, unit=1):
+    """m with ``unit`` added to entry ({1,2}, {1}); m is a matrix or an int grid."""
+    rows = [list(row) for row in getattr(m, "rows", m)]
+    rows[3][1] = rows[3][1] + unit
+    return matrices.SubsetMatrix(m.n, m.ring, rows) if hasattr(m, "rows") else rows
 
 
-def _alter(monkeypatch, name, part=None, sizes=(3,)):
+def _alter(monkeypatch, name, part=None, sizes=(3,), packed=False):
     """Substitute verify.<name> by a copy whose entry (S, T) = ({1,2}, {1})
-    is one more at the given sizes. ``part`` picks one matrix kind of a
-    builder that takes the kind first (``block_matrix``, ``inverse_closed``)."""
+    is one more in its constant term at the given sizes. ``part`` picks one
+    matrix kind of a builder that takes the kind first (``block_matrix``,
+    ``inverse_closed``). With ``packed`` the packed builder behind ``name``
+    is substituted; a packed inverse holds q**0 in slot C(3,2) = 3."""
+    if packed:
+        name, kind = _PACKED[name]
+        part = part or kind
     original = getattr(verify, name)
 
     def altered(*args, **kwargs):
         out = original(*args, **kwargs)
-        if part is not None:
-            return _bump(out) if args[:2] == (part, 3) else out
-        return _bump(out) if args[0] in sizes else out
+        picked = args[:2] == (part, 3) if part is not None else args[0] in sizes
+        if not picked:
+            return out
+        return _bump(out, 1 << 3 * args[2] if name == "_signed_inverse" else 1)
 
     monkeypatch.setattr(verify, name, altered)
 
@@ -89,8 +109,9 @@ def _record(monkeypatch, names):
     ],
 )
 def test_each_comparison_names_its_counterexample(monkeypatch, check, name, part, detail):
-    _alter(monkeypatch, name, part)
-    (result,) = run_checks(3, include_q=check.startswith("q-"), names=(check,))
+    weighted = check.startswith("q-")
+    _alter(monkeypatch, name, part, packed=weighted)
+    (result,) = run_checks(3, include_q=weighted, names=(check,))
     assert (result.passed, result.detail) == (False, detail)
 
 
@@ -102,7 +123,7 @@ def test_first_failing_n_is_reported_and_other_checks_pass(monkeypatch):
 
 
 def test_multiset_checks_build_no_closed_form(monkeypatch):
-    calls = _record(monkeypatch, ("a_q_matrix_closed", "a_matrix_closed", "block_matrix"))
+    calls = _record(monkeypatch, ("_expand", "a_matrix_closed", "block_matrix"))
     assert all(r.passed for r in run_checks(5, names=("multiset-counts", "multiset-bijection")))
     assert calls == []
 
@@ -133,18 +154,20 @@ def test_max_n_is_checked_before_any_check_runs(monkeypatch):
 
 
 def test_b_inverse_without_verify_builds_no_b(monkeypatch):
-    # the counts of a and gamma are the matrix itself, so with verify only
-    # b expands a second matrix, and no inverse reads the sweep
+    # an inverse is expanded from top rows reversed in q, so without verify
+    # no inverse expands its matrix, with verify each expands it once, at
+    # the width of its products, and no inverse reads the sweep
     monkeypatch.setattr(permutations, "_SWEEPS", {})
     calls = []
-    original = matrices.block_matrix
+    original = matrices._expand
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(matrices, "block_matrix", recorded)
-    for check, want in ((False, []), (True, [(("b", 5, q), {}) for q in (False, True)])):
+    monkeypatch.setattr(matrices, "_expand", recorded)
+    widths = (0, matrices._family_width(5))
+    for check, want in ((False, []), (True, [((k, 5, w), {}) for w in widths for k in ("a", "b", "gamma")])):
         calls.clear()
         for q in (False, True):
             for kind in ("a", "b", "gamma"):
@@ -161,3 +184,38 @@ def test_signed_inverses_reuse_the_oracles(monkeypatch):
         monkeypatch.setattr(matrices, name, refuse)
     results = run_checks(4, include_q=True, names=("signed-inverses", "q-signed-inverses"))
     assert all(r.passed for r in results)
+
+
+def test_passing_q_checks_unpack_no_cell(monkeypatch):
+    calls = []
+    original = matrices._unpack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_unpack", counted)
+    monkeypatch.setattr(verify, "_unpack", counted)
+    assert all(r.passed for r in run_checks(5, include_q=True, names=_Q_CHECKS))
+    assert calls == []
+
+
+@pytest.mark.parametrize("power, detail", [(0, "q^3 != 0"), (-3, "1 != 0")])
+def test_inverse_fault_at_an_end_of_the_packed_range(monkeypatch, power, detail):
+    # a's inverse at ({1,2}, {}) is 1 + 2/q + 2/q^2 + 1/q^3, which fills every
+    # slot from q^-3 = q^-C(3,2) to q^0; a fault at either end reaches the
+    # product cell ({1,2}, {}) times a({1,2}, {1,2}) = q^3
+    assert matrices.inverse_closed("a", 3, q=True).rows[3][0] == LaurentPolynomial((1, 2, 2, 1), -3)
+    original = verify._signed_inverse
+
+    def faulty(kind, n, w):
+        rows = original(kind, n, w)
+        if (kind, n) == ("a", 3):
+            rows[3][0] += 1 << w * (power + 3)
+        return rows
+
+    monkeypatch.setattr(verify, "_signed_inverse", faulty)
+    (result,) = run_checks(3, include_q=True, names=("q-signed-inverses",))
+    assert (result.passed, result.detail) == (
+        False, f"weighted a inverse product at n=3, S={{1,2}}, T={{}}: {detail}",
+    )
