@@ -33,15 +33,12 @@ is a walk over the prefix contents of multiset words, with no word listed;
 
 Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots; a count is the same code at w = 0, where
-q -> 1. The packed builders (:func:`_tally`, :func:`_expand`,
-:func:`_signed_inverse`, :func:`_conjugation`) return int grids at a given
-w, and the public builders unpack them, each distinct value once, at the w
-that n fixes. ``verify`` keeps the grids packed at :func:`_family_width`,
-which holds every product of two of them, and multiplies and compares ints.
-A product (``@``) of Laurent matrices packs its operands at the width that
-the same rule picks from them. The row expansion multiplies packed top rows
-into sparse cells (column mask, packed int), and ``descon table`` renders
-each distinct value once.
+q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
+``_conjugation``) return int grids at a given w, which the public builders
+unpack, each distinct value once; ``verify`` multiplies and compares them
+packed, at a width that holds every product (:func:`_family_width`), as
+``@`` does for Laurent matrices. ``descon table`` expands packed top rows
+into sparse cells (column mask, packed int) and renders each value once.
 """
 
 from __future__ import annotations
@@ -638,6 +635,7 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
     Every division is checked exact; a remainder raises, since it would
     contradict the closed form for the superset counts.
     """
+    _require_closed_form_size(n)
     w = _slot_width(n, q)
     return _unpacked(n, _conjugation(n, w), w)
 
@@ -645,7 +643,6 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
 def _conjugation(n: int, w: int) -> list[list[int]]:
     """The rows of :func:`diagonal_conjugation_matrix` packed at slot width
     ``w`` (0 for counts); no slot of a weight or a ratio is negative."""
-    _require_closed_form_size(n)
     side = _side(n)
     full = side - 1
     # weight[m] is the weight of the complement of the subset with mask m

@@ -7,10 +7,9 @@ by all its checks and dropped before the next n. A check that fails is not
 run for larger n. The exact arithmetic means there is no tolerance anywhere,
 only equality.
 
-The ``q``-checks keep every weighted matrix as an int grid packed by
-q -> 2**w, at the one width w of :func:`~descon.matrices._family_width`
-that holds every product they form, and compare grids of ints; only the
-cells a failure names are unpacked into polynomials.
+The ``q``-checks keep every weighted matrix packed by q -> 2**w, one int a
+cell at one width per n, and compare ints; only a cell that a failure
+names is unpacked into a polynomial.
 """
 
 from __future__ import annotations

@@ -388,7 +388,10 @@ class TestTransformRoute:
         assert [t for t, _key in cells_of(7)] == list(range(8))
 
     def test_rejects_bool_and_oversized_n(self):
-        builders = (a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n))
+        builders = (
+            a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n),
+            lambda n: diagonal_conjugation_matrix(n, q=True), lambda n: inverse_closed("a", n, q=True),
+        )
         for builder in builders:
             with pytest.raises(ValueError):
                 builder(True)
