@@ -120,8 +120,8 @@ def _emit_rows(
     cells ``(column mask, key)`` of row S, and ``value_of(key)`` is the
     value of a key (see :func:`descon.matrices.row_stream`). Each distinct
     key is rendered once, and every zero gets one constant text. Text
-    output makes two passes over the rows, the first for the column
-    widths."""
+    output needs every column's width before its first row, so it holds
+    each row's nonzero texts from the width pass to the write pass."""
     order_name, masks = _matrix_order(n, paper)
     labels = [str(SubsetMask(n, m)) for m in masks]
     side = len(masks)
@@ -129,9 +129,6 @@ def _emit_rows(
     render = _cell_renderer(fmt, ring)
     zero = render(ring_zero(ring))
     texts = _Texts(lambda key: render(value_of(key)))
-
-    def nonzero_texts(s: int) -> list[tuple[int, str]]:
-        return [(column[t], texts[x]) for t, x in cells_of(s)]
 
     def row_texts(s: int) -> list[str]:
         row = [zero] * side
@@ -156,16 +153,20 @@ def _emit_rows(
         else:
             # every label is at least "{}", wider than any zero text
             widths = [len(label) for label in labels]
+            rows = []  # each row's nonzero cells as two flat lists, positions and texts
             for s in masks:
-                for pos, text in nonzero_texts(s):
+                nonzero = cells_of(s)
+                row = [column[t] for t, _x in nonzero], [texts[x] for _t, x in nonzero]
+                for pos, text in zip(*row):
                     widths[pos] = max(widths[pos], len(text))
+                rows.append(row)
             first = max(len("S\\T"), *map(len, labels))
             cells = [label.rjust(width) for label, width in zip(labels, widths)]
             stream.write("S\\T".ljust(first) + "  " + "  ".join(cells) + "\n")
             blank = [zero.rjust(width) for width in widths]
-            for label, s in zip(labels, masks):
+            for label, row in zip(labels, rows):
                 cells = blank.copy()
-                for pos, text in nonzero_texts(s):
+                for pos, text in zip(*row):
                     cells[pos] = text.rjust(widths[pos])
                 stream.write(label.ljust(first) + "  " + "  ".join(cells) + "\n")
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations as _lex_permutations
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .subsets import Composition, SubsetMask
+from .subsets import Composition, SubsetMask, _Frozen
 
 __all__ = [
     "EnumerationCapError",
@@ -126,10 +125,10 @@ def inversion_count(word: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
-@dataclass(frozen=True)
-class MultisetWord:
+class MultisetWord(_Frozen):
     """A word of n positive integers, repeats allowed."""
 
+    __slots__ = __match_args__ = ("word",)
     word: tuple[int, ...]
 
     def __post_init__(self):
@@ -161,11 +160,12 @@ class MultisetWord:
         return ",".join(str(v) for v in self.word)
 
 
-@dataclass(frozen=True)
 class Permutation(MultisetWord):
     """A permutation of [n] in one-line notation: a multiset word whose
     letters are 1..n, each once. It inherits ``n``, the statistics and
     ``str`` (which is :meth:`to_text`, since the largest letter is n)."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         word = tuple(self.word)

@@ -17,9 +17,11 @@ coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InexactDivisionError",
@@ -216,7 +218,10 @@ class LaurentPolynomial:
             return acc * value**self._min_exp
         den = value ** -self._min_exp
         whole, rem = divmod(acc, den)
-        return Fraction(acc, den) if rem else whole
+        if not rem:
+            return whole
+        from fractions import Fraction  # imported here, off every command's start-up
+        return Fraction(acc, den)
 
     def exact_div(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
         """Divide exactly; raise InexactDivisionError if any remainder appears.

@@ -13,19 +13,19 @@ exact integers, and the two routes must agree coefficient for coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .permutations import connected_count
+from .subsets import _Frozen
 
 __all__ = ["ConnectedCountTable", "connected_counts_enumerated", "connected_counts_series"]
 
 
-@dataclass(frozen=True)
-class ConnectedCountTable:
+class ConnectedCountTable(_Frozen):
     """Counts f(1..max_n) of connected permutations, tagged with how they
     were obtained ("enumeration" or "series")."""
 
+    __slots__ = __match_args__ = ("max_n", "counts", "source")
     max_n: int
     counts: tuple[int, ...]
     source: str

@@ -13,7 +13,6 @@ published tables (by size, then lexicographic element lists).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
 
 from .rings import InexactDivisionError, LaurentPolynomial, q_factorial
@@ -29,10 +28,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class _Record:
+    """Fields named, in order, by ``__match_args__``. Equal only to an
+    instance of its own class with equal fields; printed, pickled and
+    copied by them, as a dataclass is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuild through the constructor, since a frozen value refuses the
+        # setattr that restoring slots would use
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """An immutable value, as ``dataclass(frozen=True)`` makes one but
+    without importing it: built from its fields by position or keyword,
+    checked by ``__post_init__``, hashed by its fields, and refusing
+    assignment and deletion with ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields) - given.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}, each once")
+            args = [{**given, **kwargs}[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SubsetMask(_Frozen):
     """A subset of [n-1] in ambient size n, encoded as a bitmask."""
 
+    __slots__ = __match_args__ = ("n", "mask")
     n: int
     mask: int
 
@@ -100,10 +155,10 @@ class SubsetMask:
         return "{" + ",".join(str(i) for i in self.elements()) + "}"
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Frozen):
     """An ordered tuple of positive parts; sums to the ambient n."""
 
+    __slots__ = __match_args__ = ("parts",)
     parts: tuple[int, ...]
 
     def __post_init__(self):

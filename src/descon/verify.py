@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
 
@@ -49,18 +48,19 @@ from .permutations import (
     joint_statistics,
 )
 from .series import connected_counts_series
-from .subsets import SubsetMask, count_descent_subset, eta, min_inversions
+from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    max_n: int
-    passed: bool
-    seconds: float
-    detail: str = ""
+class CheckResult(_Record):
+    """The outcome of one check up to ``max_n``; ``detail`` names the
+    counterexample of a failure. Mutable, so not hashable."""
+
+    __slots__ = __match_args__ = ("name", "max_n", "passed", "seconds", "detail")
+
+    def __init__(self, name: str, max_n: int, passed: bool, seconds: float, detail: str = ""):
+        self.name, self.max_n, self.passed, self.seconds, self.detail = name, max_n, passed, seconds, detail
 
 
 def _fmt(n: int, s: int, t: int) -> str:

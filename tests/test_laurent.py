@@ -34,6 +34,13 @@ class TestShiftedValues:
         assert LaurentPolynomial((2, 0, 4), -1).evaluate(2) == 9
         assert isinstance(LaurentPolynomial((2, 0, 4), -1).evaluate(2), int)
 
+    def test_evaluate_returns_a_fraction_where_one_is_proper(self):
+        for value, want in ((2, Fraction(3, 4)), (-3, Fraction(-1, 3) + Fraction(1, 9)), (5, Fraction(6, 25))):
+            got = LaurentPolynomial((1, 1), -2).evaluate(value)
+            assert type(got) is Fraction and got == want
+        assert LaurentPolynomial((1, 1), -2).evaluate(-1) == 0
+        assert type(LaurentPolynomial((3,), -1).evaluate(1)) is int
+
 
 class TestHash:
     @given(

@@ -1,12 +1,26 @@
-"""The package surface: the README's library example runs as written, and
-the names ``descon`` re-exports match the ``__all__`` of their modules."""
+"""The package surface: the README's library example runs as written, the
+names ``descon`` re-exports match the ``__all__`` of their modules, the value
+classes build, compare, hash, print, pickle and copy by their fields as
+frozen dataclasses do, and importing the CLI leaves dataclasses and
+fractions unloaded."""
 
 import ast
+import copy
+import dataclasses
 import importlib
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import descon
+from descon.permutations import MultisetWord, Permutation
+from descon.series import ConnectedCountTable
+from descon.subsets import Composition, SubsetMask
+from descon.verify import CheckResult
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +44,100 @@ def test_reexports_match_module_all():
         module = importlib.import_module(f"descon.{path.stem}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_fractions():
+    # a fresh interpreter, so that no other test's imports count
+    code = "import sys, descon.cli; print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))"
+    src = str(Path(descon.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src
+    )
+    assert proc.stdout == "[]\n"
+
+
+# each value class: an instance, its repr, its fields in order, and one
+# field set to a value its validation refuses
+VALUES = [
+    (SubsetMask(3, 1), "SubsetMask(n=3, mask=1)", {"n": 3, "mask": 1}, {"mask": 4}),
+    (Composition((1, 2)), "Composition(parts=(1, 2))", {"parts": (1, 2)}, {"parts": (0, 3)}),
+    (MultisetWord((2, 1, 2)), "MultisetWord(word=(2, 1, 2))", {"word": (2, 1, 2)}, {"word": (0, 1)}),
+    (Permutation((2, 3, 1)), "Permutation(word=(2, 3, 1))", {"word": (2, 3, 1)}, {"word": (1, 1)}),
+    (
+        ConnectedCountTable(3, (1, 1, 3), "series"),
+        "ConnectedCountTable(max_n=3, counts=(1, 1, 3), source='series')",
+        {"max_n": 3, "counts": (1, 1, 3), "source": "series"},
+        {"counts": (1, 1)},
+    ),
+]
+
+
+def _round_trips(value):
+    """Copies of a value by every pickle protocol, copy and deepcopy."""
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [*pickled, copy.copy(value), copy.deepcopy(value)]
+
+
+def test_values_print_compare_and_hash_by_fields():
+    for value, text, fields, _invalid in VALUES:
+        cls = type(value)
+        assert repr(value) == text
+        assert value == cls(*fields.values()) == cls(**fields), text
+        assert hash(value) == hash(cls(**fields)) == hash(tuple(fields.values())), text
+        assert value != tuple(fields.values()), text
+        assert value.__eq__(tuple(fields.values())) is NotImplemented, text
+    assert Permutation((1, 2)) != MultisetWord((1, 2))
+    assert MultisetWord((1, 2)) != Permutation((1, 2))
+    assert len({Permutation((1, 2)), MultisetWord((1, 2))}) == 2
+
+
+def test_values_build_by_position_or_keyword_and_validate():
+    for value, text, fields, invalid in VALUES:
+        cls = type(value)
+        first = next(iter(fields))
+        with pytest.raises(ValueError):
+            cls(**dict(fields, **invalid))
+        for args, kwargs in (
+            ((*fields.values(),), {first: fields[first]}),  # a field given twice
+            ((*fields.values(),)[1:], {}),  # one missing
+            ((*fields.values(), None), {}),  # one too many
+            ((), dict(fields, extra=1)),  # an unknown keyword
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+    assert Composition(parts=[1, 2]) == Composition((1, 2))
+    assert Permutation(word=[2, 1]).word == (2, 1)
+
+
+def test_values_are_frozen():
+    for value, text, fields, _invalid in VALUES:
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.unknown = 1
+        assert repr(value) == text
+
+
+def test_values_pickle_and_copy():
+    for value, text, _fields, _invalid in VALUES:
+        for back in _round_trips(value):
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value) and repr(back) == text
+
+
+def test_check_result_is_a_mutable_record():
+    result = CheckResult("demo", 3, True, 0.5)
+    assert result.detail == ""
+    assert repr(result) == "CheckResult(name='demo', max_n=3, passed=True, seconds=0.5, detail='')"
+    assert result == CheckResult(name="demo", max_n=3, passed=True, seconds=0.5, detail="")
+    assert result != CheckResult("demo", 3, True, 0.5, "n=3")
+    assert result != ("demo", 3, True, 0.5, "")
+    result.passed, result.detail = False, "n=2"
+    assert result == CheckResult("demo", 3, False, 0.5, "n=2")
+    with pytest.raises(TypeError):
+        hash(result)
+    for back in _round_trips(result):
+        assert back == result and back is not result
