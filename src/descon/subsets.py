@@ -65,8 +65,9 @@ class _Frozen(_Record):
         fields = self.__match_args__
         if kwargs or len(args) != len(fields):
             given = dict(zip(fields, args))
-            if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields) - given.keys():
-                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}, each once")
+            stray = (kwargs.keys() - set(fields)) | (kwargs.keys() & given.keys())
+            if stray or len(args) + len(kwargs) != len(fields):
+                raise TypeError(f"{type(self).__name__}() takes each of {', '.join(fields)} once")
             args = [{**given, **kwargs}[name] for name in fields]
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)

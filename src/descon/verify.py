@@ -60,7 +60,8 @@ class CheckResult(_Record):
     __slots__ = __match_args__ = ("name", "max_n", "passed", "seconds", "detail")
 
     def __init__(self, name: str, max_n: int, passed: bool, seconds: float, detail: str = ""):
-        self.name, self.max_n, self.passed, self.seconds, self.detail = name, max_n, passed, seconds, detail
+        self.name, self.max_n, self.passed = name, max_n, passed
+        self.seconds, self.detail = seconds, detail
 
 
 def _fmt(n: int, s: int, t: int) -> str:
