@@ -68,7 +68,8 @@ class _Frozen(_Record):
             stray = (kwargs.keys() - set(fields)) | (kwargs.keys() & given.keys())
             if stray or len(args) + len(kwargs) != len(fields):
                 raise TypeError(f"{type(self).__name__}() takes each of {', '.join(fields)} once")
-            args = [{**given, **kwargs}[name] for name in fields]
+            given.update(kwargs)
+            args = [given[name] for name in fields]
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()

@@ -47,14 +47,15 @@ def test_reexports_match_module_all():
 
 
 def test_cli_import_leaves_out_dataclasses_and_fractions():
-    # a fresh interpreter, so that no other test's imports count
+    # a fresh interpreter, so that no other test's imports count, and
+    # without site, so that no .pth file's imports count either
     code = (
         "import sys, descon.cli\n"
         "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))"
     )
     src = str(Path(descon.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, cwd=src
     )
     assert proc.stdout == "[]\n"
 
