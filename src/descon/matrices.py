@@ -24,9 +24,9 @@ inverses and ``descon table``, which writes the rows one at a time.
 Closed-form builders are capped only by matrix side.
 
 The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
-their q-versions) are the oracle that ``verify`` checks the top rows and
-the inverses against; they all read one shared sweep of the n! permutations. The dense
-products with the containment matrix ``M`` check the identity
+their q-versions) read one shared sweep of the n! permutations through
+``_tally``, the oracle of ``verify`` for the top rows and the inverses. The
+dense products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together. The multiset count matrix
 is a walk over the prefix contents of multiset words, with no word listed;
 ``verify`` takes its entries as the class sizes of the reduction bijection.
@@ -35,10 +35,11 @@ Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots; a count is the same code at w = 0, where
 q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
 ``_conjugation``) return int grids at a given w, which the public builders
-unpack, each distinct value once; ``verify`` multiplies and compares them
-packed, at a width that holds every product (:func:`_family_width`), as
-``@`` does for Laurent matrices. ``descon table`` expands packed top rows
-into sparse cells (column mask, packed int) and renders each value once.
+unpack, each distinct value once. ``verify`` reads the family only through
+them, and multiplies and compares grids at w = 0 for counts and, with q, at
+a width that holds every product (:func:`_family_width`), as ``@`` does for
+Laurent matrices. ``descon table`` expands packed top rows into sparse cells
+(column mask, packed int) and renders each value once.
 """
 
 from __future__ import annotations

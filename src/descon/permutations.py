@@ -389,7 +389,8 @@ def _prefix_walk(n: int) -> Counter:
     return counts
 
 
-# The sweep of each n, made by whichever call asks for it first.
+# The sweep of the latest n, made by whichever call asks for it first; its
+# readers ask for one n at a time, so no older sweep is kept.
 _SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
 
 
@@ -398,8 +399,9 @@ def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
     descent mask, inversion count), in one walk over their prefix tree.
 
     Every enumeration-backed matrix builder reads this single walk, made
-    by the first call for n and shared by every later one. The result is a
-    read-only view, since every caller shares it.
+    by the first call for n and shared by every later one until a call for
+    another n replaces it. The result is a read-only view, since every
+    caller shares it.
 
     >>> sorted(joint_statistics(3).items())  # doctest: +NORMALIZE_WHITESPACE
     [((0, 1, 2), 1), ((0, 2, 2), 1), ((0, 3, 3), 1),
@@ -408,6 +410,7 @@ def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
     _require_within_cap(n)
     sweep = _SWEEPS.get(n)
     if sweep is None:
+        _SWEEPS.clear()
         sweep = _SWEEPS[n] = MappingProxyType(_prefix_walk(n))
     return sweep
 

@@ -7,8 +7,9 @@ by all its checks and dropped before the next n. A check that fails is not
 run for larger n. The exact arithmetic means there is no tolerance anywhere,
 only equality.
 
-The ``q``-checks keep every weighted matrix packed by q -> 2**w, one int a
-cell at one width per n, and compare ints; only a cell that a failure
+Every matrix compared is a list of int lists packed by q -> 2**w, w = 0 for
+counts and one width per n for the ``q``-checks, so each identity is one
+function of w and each comparison one ``==``; only a cell that a failure
 names is unpacked into a polynomial.
 """
 
@@ -20,8 +21,6 @@ from functools import partial
 from math import comb, factorial
 
 from .matrices import (
-    INTEGER,
-    SubsetMatrix,
     _conjugation,
     _expand,
     _family_width,
@@ -30,12 +29,6 @@ from .matrices import (
     _signed_inverse,
     _tally,
     _unpack,
-    a_matrix_closed,
-    b_matrix_direct,
-    block_matrix,
-    diagonal_conjugation_matrix,
-    gamma_matrix,
-    inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
     zeta_matrix,
@@ -68,58 +61,57 @@ def _fmt(n: int, s: int, t: int) -> str:
     return f"n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
 
 
-def _first_mismatch(got, want) -> tuple[int, int] | None:
-    for s, (grow, wrow) in enumerate(zip(getattr(got, "rows", got), getattr(want, "rows", want))):
+def _first_mismatch(got: list[list[int]], want: list[list[int]]) -> tuple[int, int] | None:
+    for s, (grow, wrow) in enumerate(zip(got, want)):
         for t, (g, w) in enumerate(zip(grow, wrow)):
             if g != w:
                 return s, t
     return None
 
 
-def _matrices_equal(n: int, got, want, label: str, show=str) -> str | None:
-    """The first cell where two matrices (or int grids) differ, each side
-    written by ``show``; the cells are walked only if the whole differs."""
-    if got == want or (mm := _first_mismatch(got, want)) is None:
+def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> str | None:
+    """The first cell where two grids packed at the width w differ, slot k
+    of a cell the coefficient of q**(lo + k); the cells are walked, and
+    the two named are unpacked, only if the whole differs."""
+    if got == want:
         return None
-    s, t = mm
-    g, w = (getattr(m, "rows", m)[s][t] for m in (got, want))
-    return f"{label} at {_fmt(n, s, t)}: {show(g)} != {show(w)}"
+    s, t = _first_mismatch(got, want)
+    show = partial(_unpack, lo=lo, width=w) if w else str
+    label = f"weighted {label}" if w else label
+    return f"{label} at {_fmt(n, s, t)}: {show(got[s][t])} != {show(want[s][t])}"
 
 
-# How each shared oracle of one n is built. The lambdas read the module-level
-# builders when they run, so substituting one of them takes effect here.
+# How each shared oracle of one n is built, at a width w for the members of
+# the family (0 for counts). The lambdas read the module-level builders when
+# they run, so substituting one of them takes effect here.
 _ORACLES = {
-    "joint": lambda o: joint_statistics(o.n),
-    "zeta": lambda o: zeta_matrix(o.n),
-    "identity": lambda o: SubsetMatrix.identity(o.n),
-    "mobius": lambda o: mobius_matrix(o.n),
-    "gamma": lambda o: gamma_matrix(o.n),
-    "zeta_gamma": lambda o: o.zeta @ o.gamma,
-    "b": lambda o: b_matrix_direct(o.n),
-    "a": lambda o: a_matrix_closed(o.n),
-    "multiset": lambda o: multiset_count_matrix(o.n),
-    # (b, gamma) expanded from their top rows, the route of `descon table`
-    "tops": lambda o: (block_matrix("b", o.n), block_matrix("gamma", o.n)),
-    # the weighted matrices as int grids packed at the width w
-    "w": lambda o: _family_width(o.n),
-    "gamma_q": lambda o: _tally("gamma", o.n, o.w),
-    "b_q": lambda o: _tally("b", o.n, o.w),
-    "a_q": lambda o: _expand("a", o.n, o.w),
-    "tops_q": lambda o: (_expand("b", o.n, o.w), _expand("gamma", o.n, o.w)),
+    "joint": lambda o, w: joint_statistics(o.n),
+    # the definitional matrices, by their public builders; zeta and mobius
+    # keep their tuple rows, since they are only factors of products
+    "zeta": lambda o, w: zeta_matrix(o.n).rows,
+    "mobius": lambda o, w: mobius_matrix(o.n).rows,
+    "multiset": lambda o, w: [list(row) for row in multiset_count_matrix(o.n).rows],
+    # the family at w: gamma and b swept, a expanded from its top rows
+    "gamma": lambda o, w: _tally("gamma", o.n, w),
+    "b": lambda o, w: _tally("b", o.n, w),
+    "a": lambda o, w: _expand("a", o.n, w),
+    "zeta*gamma": lambda o, w: _int_product(o("zeta"), o("gamma", w)),
 }
 
 
 class _Oracles:
-    """The oracles of one n, each built on first access and then kept."""
+    """The oracles of one n, each built on first use of its (name, width)
+    and then kept; ``w`` is the width of the ``q``-checks."""
 
     def __init__(self, n: int):
-        self.n = n
+        self.n, self.w = n, _family_width(n)
+        self.built: dict[tuple[str, int], object] = {}
 
-    def __getattr__(self, name: str):
-        if name not in _ORACLES:
-            raise AttributeError(name)
-        value = self.__dict__[name] = _ORACLES[name](self)
-        return value
+    def __call__(self, name: str, w: int = 0):
+        key = name, w
+        if key not in self.built:
+            self.built[key] = _ORACLES[name](self, w)
+        return self.built[key]
 
 
 def _containment_counts(o: _Oracles) -> str | None:
@@ -128,7 +120,7 @@ def _containment_counts(o: _Oracles) -> str | None:
     n = o.n
     by_c: dict[int, int] = {}
     by_d: dict[int, int] = {}
-    for (c, d, _inv), count in o.joint.items():
+    for (c, d, _inv), count in o("joint").items():
         by_c[c] = by_c.get(c, 0) + count
         by_d[d] = by_d.get(d, 0) + count
     for s in range(1 << (n - 1)):
@@ -152,7 +144,7 @@ def _least_inversions(o: _Oracles) -> str | None:
     permutations whose descent set contains T."""
     n = o.n
     least_by_d: dict[int, int] = {}
-    for (_c, d, inv), _count in o.joint.items():
+    for (_c, d, inv), _count in o("joint").items():
         if inv < least_by_d.get(d, inv + 1):
             least_by_d[d] = inv
     for t in range(1 << (n - 1)):
@@ -247,7 +239,7 @@ def _multiset_bijection(o: _Oracles) -> str | None:
     groups = _group_inverses(o.n)
     for t_mask in range(1 << (o.n - 1)):
         classes = _reduce_classes(groups, SubsetMask(o.n, t_mask))
-        column = [row[t_mask] for row in o.multiset.rows]
+        column = [row[t_mask] for row in o("multiset")]
         detail = _bijection_detail(o.n, t_mask, classes, column)
         if detail:
             return detail
@@ -262,70 +254,76 @@ def _connected_series(o: _Oracles) -> str | None:
     return None
 
 
-def _complemented(m: SubsetMatrix) -> SubsetMatrix:
-    """Entry (S, T) is entry (complement of S, complement of T) of m."""
-    return SubsetMatrix(m.n, m.ring, [row[::-1] for row in reversed(m.rows)])
+def _complemented(grid: list[list[int]]) -> list[list[int]]:
+    """Entry (S, T) is entry (complement of S, complement of T) of grid."""
+    return [row[::-1] for row in reversed(grid)]
 
 
-def _inverse_products(o: _Oracles) -> list:
-    """Each top-row inverse times its matrix (swept for b, gamma) vs the identity."""
-    return [
-        (base @ inverse_closed(kind, o.n, verify=False), o.identity, f"{kind} inverse product")
-        for kind, base in zip(("a", "b", "gamma"), (o.a, o.b, o.gamma))
-    ]
-
-
-def _weighted(o: _Oracles, got, want, label: str, lo: int = 0) -> tuple:
-    """A comparison of two grids packed at the width w, slot k of a cell the
-    coefficient of q**(lo + k), unpacked only to name a failure."""
-    return got, want, label, partial(_unpack, lo=lo, width=o.w)
-
-
-def _at_q1(o: _Oracles, grid) -> SubsetMatrix:
+def _at_q1(o: _Oracles, grid: list[list[int]]) -> list[list[int]]:
     """q = 1 in a grid packed at the width w: modulo 2**w - 1 a cell is the
     sum of its slots, which are nonnegative counts summing below that."""
     modulus = (1 << o.w) - 1
-    return SubsetMatrix(o.n, INTEGER, [[x % modulus for x in row] for row in grid])
+    return [[x % modulus for x in row] for row in grid]
 
 
-def _weighted_inverse_products(o: _Oracles) -> list:
-    """The same with q: an inverse cell, and so a product cell, sits at
-    offset -C(n,2), where the identity holds q**0 in slot C(n,2)."""
-    lo = -comb(o.n, 2)
-    identity = _identity_rows(o.n, 1 << -lo * o.w)
+# Each identity that holds for counts and with q, as a list of comparisons
+# (got, want, label, w[, lo]) of grids packed at the width w, 0 for counts.
+def _superset_closed_form(o: _Oracles, w: int) -> list:
+    """Closed-form superset counts against the swept joint counts relaxed twice."""
+    return [(o("a", w), _int_product(o("zeta*gamma", w), o("zeta")), "superset counts", w)]
+
+
+def _top_rows(o: _Oracles, w: int) -> list:
+    """b and gamma expanded from their top rows, the route of ``descon table``,
+    against the sweep."""
     return [
-        _weighted(o, _int_product(base, _signed_inverse(kind, o.n, o.w)), identity,
-                  f"weighted {kind} inverse product", lo)
-        for kind, base in zip(("a", "b", "gamma"), (o.a_q, o.b_q, o.gamma_q))
+        (_expand(kind, o.n, w), o(kind, w), f"{kind} top rows vs enumeration", w)
+        for kind in ("b", "gamma")
+    ]
+
+
+def _diagonal_conjugation(o: _Oracles, w: int) -> list:
+    """a as a diagonal conjugation of zeta, with exact entrywise division;
+    with q the least-inversion power of q is an extra column factor."""
+    return [(_conjugation(o.n, w), o("a", w), "diagonal conjugation", w)]
+
+
+def _signed_inverses(o: _Oracles, w: int) -> list:
+    """Each top-row inverse times its matrix (swept for b, gamma) vs the
+    identity. With q an inverse cell, and so a product cell, sits at offset
+    -C(n,2), where the identity holds q**0 in slot C(n,2)."""
+    lo = -comb(o.n, 2)
+    identity = _identity_rows(o.n, 1 << -lo * w)
+    return [
+        (_int_product(o(kind, w), _signed_inverse(kind, o.n, w)), identity,
+         f"{kind} inverse product", w, lo)
+        for kind in ("a", "b", "gamma")
     ]
 
 
 # A check maps the oracles of one n to its first fault (or None), or to a
-# list of (got, want, label) comparisons that the runner makes in order.
+# list of comparisons that the runner makes in order.
 _INTEGER_CHECKS = (
     ("containment-counts", _containment_counts),
     ("least-inversions", _least_inversions),
     # the signed containment matrix inverts the containment matrix
-    ("zeta-signed-inverse", lambda o: [(o.zeta @ o.mobius, o.identity, "zeta inverse")]),
-    # closed-form superset counts against the enumerated joint counts relaxed twice
-    ("superset-closed-form", lambda o: [(o.a, o.zeta_gamma @ o.zeta, "superset counts")]),
-    # the same as a diagonal conjugation of zeta, with exact entrywise division
-    ("diagonal-conjugation", lambda o: [
-        (diagonal_conjugation_matrix(o.n), o.a, "diagonal conjugation"),
+    ("zeta-signed-inverse", lambda o: [
+        (_int_product(o("zeta"), o("mobius")), _identity_rows(o.n, 1), "zeta inverse"),
     ]),
+    ("superset-closed-form", lambda o: _superset_closed_form(o, 0)),
+    ("diagonal-conjugation", lambda o: _diagonal_conjugation(o, 0)),
     # b three ways (direct enumeration, zeta * gamma, a * mobius), then the
     # top-row routes to b and gamma against the sweep
     ("b-factorization", lambda o: [
-        (o.b, o.zeta_gamma, "b enumeration vs zeta*gamma"),
-        (o.b, o.a @ o.mobius, "b enumeration vs a*mobius"),
-        (o.tops[0], o.b, "b top rows vs enumeration"),
-        (o.tops[1], o.gamma, "gamma top rows vs enumeration"),
+        (o("b", 0), o("zeta*gamma", 0), "b enumeration vs zeta*gamma"),
+        (o("b", 0), _int_product(o("a", 0), o("mobius")), "b enumeration vs a*mobius"),
+        *_top_rows(o, 0),
     ]),
-    ("signed-inverses", _inverse_products),
+    ("signed-inverses", lambda o: _signed_inverses(o, 0)),
     # connectivity-class sizes over multiset words against gamma * zeta,
     # with both indices complemented
     ("multiset-counts", lambda o: [
-        (o.multiset, _complemented(o.gamma @ o.zeta), "multiset counts"),
+        (o("multiset"), _complemented(_int_product(o("gamma", 0), o("zeta"))), "multiset counts"),
     ]),
     ("multiset-bijection", _multiset_bijection),
     ("connected-series", _connected_series),
@@ -334,22 +332,11 @@ _INTEGER_CHECKS = (
 _Q_CHECKS = (
     # substituting q = 1 into each weighted matrix recovers the plain one
     ("q-specialization", lambda o: [
-        (_at_q1(o, o.gamma_q), o.gamma, "gamma at q=1"),
-        (_at_q1(o, o.a_q), o.a, "a at q=1"),
-        (_at_q1(o, o.b_q), o.b, "b at q=1"),
+        (_at_q1(o, o(kind, o.w)), o(kind, 0), f"{kind} at q=1") for kind in ("gamma", "a", "b")
     ]),
-    # the weighted closed form and top-row routes against the sweep
-    ("q-superset-closed-form", lambda o: [
-        _weighted(o, o.a_q, _int_product(_int_product(o.zeta.rows, o.gamma_q), o.zeta.rows),
-                  "weighted superset counts"),
-        _weighted(o, o.tops_q[0], o.b_q, "weighted b top rows vs enumeration"),
-        _weighted(o, o.tops_q[1], o.gamma_q, "weighted gamma top rows vs enumeration"),
-    ]),
-    # the least-inversion power of q is an extra column factor
-    ("q-diagonal-conjugation", lambda o: [
-        _weighted(o, _conjugation(o.n, o.w), o.a_q, "weighted diagonal conjugation"),
-    ]),
-    ("q-signed-inverses", _weighted_inverse_products),
+    ("q-superset-closed-form", lambda o: _superset_closed_form(o, o.w) + _top_rows(o, o.w)),
+    ("q-diagonal-conjugation", lambda o: _diagonal_conjugation(o, o.w)),
+    ("q-signed-inverses", lambda o: _signed_inverses(o, o.w)),
 )
 
 

@@ -299,6 +299,13 @@ class TestJointStatistics:
         assert joint_statistics(5) is first
         assert list(permutations._SWEEPS) == [5]
 
+    def test_only_the_latest_sweep_is_kept(self, monkeypatch):
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        joint_statistics(4)
+        latest = joint_statistics(5)
+        assert list(permutations._SWEEPS) == [5]
+        assert joint_statistics(5) is latest
+
     def test_rejects_bool_sizes(self):
         with pytest.raises(ValueError):
             joint_statistics(True)
@@ -333,7 +340,7 @@ def test_connected_counts_read_the_shared_sweep(monkeypatch):
     assert [(r.name, r.passed) for r in results] == [
         ("containment-counts", True), ("connected-series", True),
     ]
-    assert list(permutations._SWEEPS) == list(range(1, 8))
+    assert list(permutations._SWEEPS) == [7]
 
 
 def test_reduction_bijection_through_n7():

@@ -3,7 +3,7 @@
 import pytest
 
 from descon import verify
-from descon.matrices import SubsetMatrix, zeta_matrix
+from descon.matrices import zeta_matrix
 from descon.permutations import Permutation, enumerate_permutations, reduce_to_multiset
 from descon.series import connected_counts_series
 from descon.subsets import SubsetMask
@@ -59,10 +59,9 @@ def test_connected_series_scans_every_n_it_reports(monkeypatch):
 
 
 def test_first_mismatch_locates_entry():
-    z = zeta_matrix(3)
-    rows = [list(row) for row in z.rows]
-    rows[2][1] = 5
-    tweaked = SubsetMatrix(3, z.ring, rows)
+    z = [list(row) for row in zeta_matrix(3).rows]
+    tweaked = [list(row) for row in z]
+    tweaked[2][1] = 5
     assert _first_mismatch(z, tweaked) == (2, 1)
     assert _first_mismatch(z, z) is None
 

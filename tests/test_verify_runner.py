@@ -14,18 +14,21 @@ from descon.rings import LaurentPolynomial
 from descon.verify import run_checks
 
 _ORACLE_BUILDERS = (
-    "joint_statistics", "zeta_matrix", "mobius_matrix", "gamma_matrix", "b_matrix_direct",
-    "a_matrix_closed", "block_matrix", "multiset_count_matrix", "_tally", "_expand",
+    "joint_statistics", "zeta_matrix", "mobius_matrix", "multiset_count_matrix", "_tally", "_expand",
 )
 _AT = "at n=3, S={1,2}, T={1}"
 _Q_CHECKS = ("q-specialization", "q-superset-closed-form", "q-diagonal-conjugation", "q-signed-inverses")
 
-# The q-checks build each weighted matrix that a row names by its builder
-# through the packed builder behind it: (name in verify, matrix kind, or
-# None where the row gives the kind).
+# Each matrix that a row names by its public builder is built in verify by
+# the builder here: (name in verify, matrix kind, or None where the row
+# gives the kind). The packed builders take the slot width last.
 _PACKED = {
+    "mobius_matrix": ("mobius_matrix", None),
+    "multiset_count_matrix": ("multiset_count_matrix", None),
+    "b_matrix_direct": ("_tally", "b"),
     "gamma_q_matrix": ("_tally", "gamma"),
     "b_q_matrix_direct": ("_tally", "b"),
+    "a_matrix_closed": ("_expand", "a"),
     "a_q_matrix_closed": ("_expand", "a"),
     "block_matrix": ("_expand", None),
     "diagonal_conjugation_matrix": ("_conjugation", None),
@@ -40,25 +43,25 @@ def _bump(m, unit=1):
     return matrices.SubsetMatrix(m.n, m.ring, rows) if hasattr(m, "rows") else rows
 
 
-def _alter(monkeypatch, name, part=None, sizes=(3,), packed=False):
-    """Substitute verify.<name> by a copy whose entry (S, T) = ({1,2}, {1})
-    is one more in its constant term at the given sizes. ``part`` picks one
-    matrix kind of a builder that takes the kind first (``block_matrix``,
-    ``inverse_closed``). With ``packed`` the packed builder behind ``name``
-    is substituted; a packed inverse holds q**0 in slot C(3,2) = 3."""
-    if packed:
-        name, kind = _PACKED[name]
-        part = part or kind
-    original = getattr(verify, name)
+def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
+    """Substitute the builder behind verify's matrix ``name`` (see _PACKED)
+    by a copy whose entry (S, T) = ({1,2}, {1}) is one more in its constant
+    term at the given sizes and, for a packed builder, at slot width
+    ``width``. ``part`` picks one matrix kind of a builder that takes the
+    kind first. A packed inverse holds q**0 in slot C(3,2) = 3."""
+    builder, kind = _PACKED[name]
+    kind = part or kind
+    tail = (width,) if builder.startswith("_") else ()
+    picked = {(kind, n, *tail) if kind else (n, *tail) for n in sizes}
+    original = getattr(verify, builder)
 
-    def altered(*args, **kwargs):
-        out = original(*args, **kwargs)
-        picked = args[:2] == (part, 3) if part is not None else args[0] in sizes
-        if not picked:
+    def altered(*args):
+        out = original(*args)
+        if args not in picked:
             return out
-        return _bump(out, 1 << 3 * args[2] if name == "_signed_inverse" else 1)
+        return _bump(out, 1 << 3 * width if builder == "_signed_inverse" else 1)
 
-    monkeypatch.setattr(verify, name, altered)
+    monkeypatch.setattr(verify, builder, altered)
 
 
 def _record(monkeypatch, names):
@@ -109,8 +112,10 @@ def _record(monkeypatch, names):
     ],
 )
 def test_each_comparison_names_its_counterexample(monkeypatch, check, name, part, detail):
+    # a q-check faults its matrices at the width of the q-checks only, since
+    # q-specialization compares each with the same builder at width 0
     weighted = check.startswith("q-")
-    _alter(monkeypatch, name, part, packed=weighted)
+    _alter(monkeypatch, name, part, width=matrices._family_width(3) if weighted else 0)
     (result,) = run_checks(3, include_q=weighted, names=(check,))
     assert (result.passed, result.detail) == (False, detail)
 
@@ -123,7 +128,7 @@ def test_first_failing_n_is_reported_and_other_checks_pass(monkeypatch):
 
 
 def test_multiset_checks_build_no_closed_form(monkeypatch):
-    calls = _record(monkeypatch, ("_expand", "a_matrix_closed", "block_matrix"))
+    calls = _record(monkeypatch, ("_expand", "_conjugation", "_signed_inverse"))
     assert all(r.passed for r in run_checks(5, names=("multiset-counts", "multiset-bijection")))
     assert calls == []
 
@@ -198,6 +203,16 @@ def test_passing_q_checks_unpack_no_cell(monkeypatch):
     monkeypatch.setattr(verify, "_unpack", counted)
     assert all(r.passed for r in run_checks(5, include_q=True, names=_Q_CHECKS))
     assert calls == []
+
+
+def test_passing_checks_walk_no_cell(monkeypatch):
+    # every side of every comparison is a list of int lists, so a passing
+    # comparison is one ==; a tuple grid against a list grid walks every cell
+    def refuse(*_args):
+        raise AssertionError("a passing comparison walked its cells")
+
+    monkeypatch.setattr(verify, "_first_mismatch", refuse)
+    assert all(r.passed for r in run_checks(6, include_q=True))
 
 
 @pytest.mark.parametrize("power, detail", [(0, "q^3 != 0"), (-3, "1 != 0")])
