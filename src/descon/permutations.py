@@ -6,16 +6,17 @@ Statistics use 1-based positions, matching the usual one-line notation
 the 0-based shift. Enumeration order is always lexicographic on the word, so
 streamed computations are reproducible.
 
-The enumeration cap guards runaway sweeps: ``DESCON_MAX_N`` overrides the
-default of 10 for a session, up to the hard ceiling of 12.
+The enumeration cap bounds every listing of permutations and the memory of
+the statistics recurrence: ``DESCON_MAX_N`` sets it (default 10, ceiling 12).
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from collections import Counter
+from functools import cache
 from itertools import permutations as _lex_permutations
+from math import factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -335,8 +336,8 @@ def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
 
 
 def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """Both masks in one pass, by the rule of :func:`_prefix_walk`; the
-    inverse by position."""
+    """Both masks in one pass, the inverse by position: i is a cut when the
+    prefix maximum is i, and a descent when the next value is smaller."""
     inverse = [0] * len(word)
     d_mask = c_mask = high = 0
     for i, v in enumerate(word[:-1]):
@@ -351,42 +352,37 @@ def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]
     return d_mask, c_mask, tuple(inverse)
 
 
-def _prefix_walk(n: int) -> Counter:
+def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:
     """Joint (connectivity mask, descent mask, inversions) counts of the
-    permutations of [n], by a depth-first walk over their prefix tree.
+    permutations of [n], by the relative-rank recurrence (Niven 1968; de
+    Bruijn 1970) with a hole count. With u values left, m of them below the
+    prefix maximum and r below the last value, placing the k-th smallest
+    adds k inversions and a descent iff k < r, and goes to (u-1, m-1, k) if
+    k < m, else to (u-1, k, k); the position before it is a cut iff m = 0.
+    A state maps ``c << n | d`` to its inversions packed by q -> 2**w."""
+    w = factorial(n).bit_length()  # a slot holds any count, at most n!
 
-    Depth i places one unused value, smallest first, so the leaves come in
-    lexicographic word order. Going down, the walk carries the unused
-    values as an ascending tuple, the prefix maximum, the partial masks and
-    the running inversion count. Placing the k-th smallest unused value
-    adds k inversions: the k unused values below it come later. Position i
-    is a cut exactly when the prefix maximum is i+1, and a descent when the
-    value before it is larger. The last two values x < y are placed
-    together: x y is cut before y only if y = n, and y x descends there.
-    """
-    counts: Counter = Counter()
+    @cache
+    def tally(u: int, m: int, r: int) -> dict[int, int]:
+        if not u:
+            return {0: 1}
+        bit = 1 << (n - u - 1) if u < n else 0  # no position before the first value
+        cut = 0 if m else bit << n
+        out: dict[int, int] = {}
+        for k in range(u):
+            flag = cut | bit if k < r else cut
+            for key, x in tally(u - 1, *((m - 1, k) if k < m else (k, k))).items():
+                key |= flag
+                out[key] = out.get(key, 0) + (x << w * k)
+        return out
 
-    def place(depth, rest, high, prev, c_mask, d_mask, inv):
-        cut = 1 << depth
-        step = cut >> 1  # the bit of the position before depth
-        if depth == n - 2:
-            x, y = rest
-            d_x = d_mask | step if prev > x else d_mask
-            d_y = d_mask | step if prev > y else d_mask
-            counts[c_mask | cut if y == n else c_mask, d_x, inv] += 1
-            counts[c_mask, d_y | cut, inv + 1] += 1
-            return
-        for k, v in enumerate(rest):
-            top = v if v > high else high
-            place(depth + 1, rest[:k] + rest[k + 1:], top, v,
-                  c_mask | cut if top == depth + 1 else c_mask,
-                  d_mask | step if prev > v else d_mask, inv + k)
-
-    if n == 1:
-        counts[0, 0, 0] = 1
-    else:
-        place(0, tuple(range(1, n + 1)), 0, 0, 0, 0, 0)
-    return counts
+    top = tally(n, 0, 0)
+    tally.cache_clear()  # the cache and tally hold each other: free it now
+    slot, low = (1 << w) - 1, (1 << n) - 1
+    return {(key >> n, key & low, inv): count
+            for key, x in top.items()
+            for inv in range(x.bit_length() // w + 1)
+            if (count := x >> w * inv & slot)}
 
 
 # The sweep of the latest n, made by whichever call asks for it first; its
@@ -396,9 +392,10 @@ _SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
 
 def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
     """All n! permutations tallied by the triple (connectivity mask,
-    descent mask, inversion count), in one walk over their prefix tree.
+    descent mask, inversion count), by a relative-rank recurrence that
+    lists none of them; the enumeration cap bounds its memory.
 
-    Every enumeration-backed matrix builder reads this single walk, made
+    Every enumeration-backed matrix builder reads this single tally, made
     by the first call for n and shared by every later one until a call for
     another n replaces it. The result is a read-only view, since every
     caller shares it.
@@ -411,7 +408,7 @@ def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
     sweep = _SWEEPS.get(n)
     if sweep is None:
         _SWEEPS.clear()
-        sweep = _SWEEPS[n] = MappingProxyType(_prefix_walk(n))
+        sweep = _SWEEPS[n] = MappingProxyType(_rank_tally(n))
     return sweep
 
 

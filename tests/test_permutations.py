@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descon import permutations
-from descon.matrices import gamma_matrix, multiset_count_matrix
+from descon.matrices import gamma_matrix, multiset_count_matrix, top_rows
 from descon.permutations import (
     _multiset_stream,
     EnumerationCapError,
@@ -26,6 +26,8 @@ from descon.permutations import (
     multiset_words,
     reduce_to_multiset,
 )
+from descon.rings import q_factorial
+from descon.series import connected_counts_series
 from descon.subsets import SubsetMask, eta
 from descon.verify import run_checks
 
@@ -279,9 +281,38 @@ class TestEnumerators:
 
 
 class TestJointStatistics:
-    def test_total_is_factorial(self):
-        for n in range(1, 7):
+    def test_total_is_factorial(self, monkeypatch):
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        for n in range(1, 11):
             assert sum(joint_statistics(n).values()) == factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_marginals_match_independent_routes(self, monkeypatch, n):
+        # past the per-word oracle's reach: the inversion, connected and
+        # descent marginals by routes that share no code with the tally
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        by_inv = [0] * (n * (n - 1) // 2 + 1)
+        by_d = [0] * (1 << (n - 1))
+        connected = 0
+        for (c, d, inv), count in joint_statistics(n).items():
+            assert c & d == 0, (c, d)
+            by_inv[inv] += count
+            by_d[d] += count
+            connected += 0 if c else count
+        assert by_inv == list(q_factorial(n).coeffs)
+        assert connected == connected_counts_series(n).count(n)
+        assert by_d == top_rows("b", n)[n]
+
+    def test_lists_no_permutation(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the tally must not list permutations")
+
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        monkeypatch.setattr(permutations, "_lex_permutations", refuse)
+        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        assert sum(joint_statistics(9).values()) == factorial(9)
 
     def test_walk_matches_every_permutation_tallied(self, monkeypatch):
         # the statistics of each word by the public one-word functions
@@ -312,7 +343,7 @@ class TestJointStatistics:
 
     @pytest.mark.parametrize("calls", (1, 2))
     def test_result_is_read_only(self, monkeypatch, calls):
-        # the fresh walk and the cached result alike
+        # the fresh tally and the cached result alike
         monkeypatch.setattr(permutations, "_SWEEPS", {})
         for _ in range(calls):
             joint = joint_statistics(3)
