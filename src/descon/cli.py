@@ -278,7 +278,7 @@ def _report_checks(results) -> int:
 
 
 def _cmd_connected(args) -> int:
-    cap = min(enumeration_cap(), 9)
+    cap = enumeration_cap()
     if not 1 <= args.max_n <= cap:
         raise ValueError(f"--max-n must be in 1..{cap} for the dual-route table, got {args.max_n}")
     start = time.perf_counter()
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_checks, names=None)
 
     p_conn = sub.add_parser("connected", help="connected-permutation counts by two routes")
-    p_conn.add_argument("--max-n", type=int, default=9, help="table rows n = 1..max-n (at most 9)")
+    p_conn.add_argument("--max-n", type=int, default=9, help="rows n = 1..max-n (at most the cap)")
     p_conn.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_conn.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     p_conn.set_defaults(handler=_cmd_connected)

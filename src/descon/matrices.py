@@ -24,11 +24,12 @@ inverses and ``descon table``, which writes the rows one at a time.
 Closed-form builders are capped only by matrix side.
 
 The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
-their q-versions) read one shared sweep of the n! permutations through
-``_tally``, the oracle of ``verify`` for the top rows and the inverses. The
-dense products with the containment matrix ``M`` check the identity
-``a = M gamma M`` that ties the family together. The multiset count matrix
-is a walk over the prefix contents of multiset words, with no word listed;
+their q-versions) scatter a tally of S_n by statistics through ``_tally``,
+the oracle of ``verify`` for the top rows and the inverses; ``verify``
+hands it the one tally it keeps per n. The dense products with the
+containment matrix ``M`` check the identity ``a = M gamma M`` that ties
+the family together. The multiset count matrix is a walk over the prefix
+contents of multiset words, with no word listed;
 ``verify`` takes its entries as the class sizes of the reduction bijection.
 
 Weighted values are computed on plain ints by Kronecker substitution
@@ -525,16 +526,17 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _tally(kind: str, n: int, w: int) -> list[list[int]]:
-    """Scatter the shared sweep into the rows of ``gamma`` or ``b`` packed at
-    slot width ``w`` (0 for counts): each permutation with connectivity mask
-    c, descent mask d and inv inversions adds q**inv to the cell (S, d) of
-    every S whose complement is c (``gamma``) or inside c (``b``)."""
+def _tally(joint: dict[tuple[int, int, int], int], kind: str, n: int, w: int) -> list[list[int]]:
+    """Scatter ``joint``, the tally ``joint_statistics(n)``, into the rows of
+    ``gamma`` or ``b`` packed at slot width ``w`` (0 for counts): each
+    permutation with connectivity mask c, descent mask d and inv inversions
+    adds q**inv to the cell (S, d) of every S whose complement is c
+    (``gamma``) or inside c (``b``)."""
     side = _side(n)
     full = side - 1
     rows_of = _single if kind == "gamma" else _submasks
     by_masks: dict[tuple[int, int], int] = {}
-    for (c, d, inv), count in joint_statistics(n).items():
+    for (c, d, inv), count in joint.items():
         by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
     cells = [[0] * side for _ in range(side)]
     for (c, d), value in by_masks.items():
@@ -549,13 +551,13 @@ def _single(mask: int) -> tuple[int]:
 
 def _swept(kind: str, n: int, q: bool) -> SubsetMatrix:
     w = _slot_width(n, q)
-    return _unpacked(n, _tally(kind, n, w), w)
+    return _unpacked(n, _tally(joint_statistics(n), kind, n, w), w)
 
 
 def gamma_matrix(n: int) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
-    exactly T. Read from the shared sweep of all n! permutations."""
+    exactly T. Read from the tally of all n! permutations."""
     return _swept("gamma", n, False)
 
 
@@ -568,7 +570,8 @@ def gamma_q_matrix(n: int) -> SubsetMatrix:
 def b_matrix_direct(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
     the complement of S and whose descent set is exactly T; built straight
-    from the enumeration sweep, independently of any matrix product."""
+    from the tally of all n! permutations, independently of any matrix
+    product."""
     return _swept("b", n, False)
 
 

@@ -17,8 +17,7 @@ from bisect import bisect_left
 from functools import cache
 from itertools import permutations as _lex_permutations
 from math import factorial
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .subsets import Composition, SubsetMask, _Frozen
 
@@ -41,13 +40,13 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10
-# no session may sweep more than 12! permutations, whatever the env says
+# no env setting lets a listing pass 12! words or the recurrence pass n = 12
 HARD_CEILING = 12
 CAP_ENV_VAR = "DESCON_MAX_N"
 
 
 class EnumerationCapError(ValueError):
-    """Requested n exceeds the enumeration cap (n! permutations would be swept)."""
+    """Requested n exceeds the cap on n!-word listings and recurrence memory."""
 
 
 def enumeration_cap() -> int:
@@ -72,8 +71,8 @@ def _require_within_cap(n: int) -> None:
     cap = enumeration_cap()
     if n > cap:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap} ({n}! words would be "
-            f"enumerated); raise {CAP_ENV_VAR}"
+            f"n={n} exceeds the enumeration cap {cap}, which bounds the {n}!-word "
+            f"listings and the statistics recurrence; raise {CAP_ENV_VAR}"
         )
 
 
@@ -245,45 +244,17 @@ def multiset_words(t: SubsetMask) -> Iterator[MultisetWord]:
     ['122', '212', '221']
     """
     _require_within_cap(t.n)
-    return (MultisetWord(tuple(word)) for word, _mask in _multiset_stream(t))
+    return _next_permutations(list(_letter_table(t)[1:]))  # the sorted word
 
 
-def _multiset_stream(t: SubsetMask) -> Iterator[tuple[list[int], int]]:
-    """The words of :func:`multiset_words`, each with its connectivity mask,
-    by repeated next-permutation steps from the sorted multiset; no cap check.
-
-    The word is one list, changed in place by the next step: a caller that
-    keeps it takes a copy. Position i is a cut exactly when i is in t (the
-    sorted letters rise there) and the prefix maximum at i equals the sorted
-    letter at i (the prefix is the i smallest letters). A step keeps the
-    word before its pivot, so the prefix maxima and the mask bits are
-    recomputed only from the pivot on.
-    """
-    letters = [
-        letter
-        for letter, part in enumerate(t.to_composition().parts, start=1)
-        for _ in range(part)
-    ]
-    rises = [bool(t.mask >> i & 1) for i in range(len(letters))]
-    word = list(letters)
-    high = list(letters)  # high[i] is the largest of word[0..i]
-    mask = t.mask  # the sorted word is cut at every rise
+def _next_permutations(word: list[int]) -> Iterator[MultisetWord]:
+    """The words from the sorted ``word`` on, by repeated next-permutation
+    steps: swap the last rise's left letter with the last letter above it,
+    then reverse what follows."""
     last = len(word) - 1
-    if not last:
-        yield word, mask
-        return
-    no_last_cut = ~(1 << (last - 1))
     while True:
-        yield word, mask
-        if word[-2] < word[-1]:
-            # The pivot is the next-to-last position: the step swaps the last
-            # two letters. The last letter is then not the largest, so no cut
-            # precedes it. high[last - 1] is left stale: the next step pivots
-            # further left and recomputes it.
-            word[-2], word[-1] = word[-1], word[-2]
-            mask &= no_last_cut
-            yield word, mask
-        i = last - 2
+        yield MultisetWord(tuple(word))
+        i = last - 1
         while i >= 0 and word[i] >= word[i + 1]:
             i -= 1
         if i < 0:
@@ -293,14 +264,6 @@ def _multiset_stream(t: SubsetMask) -> Iterator[tuple[list[int], int]]:
             j -= 1
         word[i], word[j] = word[j], word[i]
         word[i + 1:] = word[:i:-1]
-        top = high[i - 1] if i else 0
-        mask &= (1 << i) - 1
-        for k in range(i, last):
-            if word[k] > top:
-                top = word[k]
-            high[k] = top
-            if rises[k] and top == letters[k]:
-                mask |= 1 << k
 
 
 def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
@@ -385,36 +348,25 @@ def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:
             if (count := x >> w * inv & slot)}
 
 
-# The sweep of the latest n, made by whichever call asks for it first; its
-# readers ask for one n at a time, so no older sweep is kept.
-_SWEEPS: dict[int, Mapping[tuple[int, int, int], int]] = {}
-
-
-def joint_statistics(n: int) -> Mapping[tuple[int, int, int], int]:
+def joint_statistics(n: int) -> dict[tuple[int, int, int], int]:
     """All n! permutations tallied by the triple (connectivity mask,
     descent mask, inversion count), by a relative-rank recurrence that
     lists none of them; the enumeration cap bounds its memory.
 
-    Every enumeration-backed matrix builder reads this single tally, made
-    by the first call for n and shared by every later one until a call for
-    another n replaces it. The result is a read-only view, since every
-    caller shares it.
+    Each call runs the recurrence and returns a fresh dict that the caller
+    owns; a caller that reads the tally more than once keeps it.
 
     >>> sorted(joint_statistics(3).items())  # doctest: +NORMALIZE_WHITESPACE
     [((0, 1, 2), 1), ((0, 2, 2), 1), ((0, 3, 3), 1),
      ((1, 2, 1), 1), ((2, 1, 1), 1), ((3, 0, 0), 1)]
     """
     _require_within_cap(n)
-    sweep = _SWEEPS.get(n)
-    if sweep is None:
-        _SWEEPS.clear()
-        sweep = _SWEEPS[n] = MappingProxyType(_rank_tally(n))
-    return sweep
+    return _rank_tally(n)
 
 
 def connected_count(n: int) -> int:
     """Number of permutations of [n] with empty connectivity set, summed
-    off the shared sweep of :func:`joint_statistics`.
+    off the tally of :func:`joint_statistics`.
 
     >>> [connected_count(n) for n in range(1, 6)]
     [1, 1, 3, 13, 71]

@@ -1,8 +1,8 @@
 """Connected-permutation counts by two independent routes.
 
 A permutation is connected (indecomposable) when its connectivity set is
-empty. The count f(n) is read either off the shared sweep of all n!
-permutations or off the coefficients of the generating-function identity
+empty. The count f(n) is read either off the tally of S_n by statistics
+or off the coefficients of the generating-function identity
 
     sum_{n>=1} f(n) x^n  =  1 - 1 / (sum_{n>=0} n! x^n).
 
@@ -48,7 +48,7 @@ def _require_max_n(max_n: int) -> None:
 
 
 def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
-    """f(n) for n = 1..max_n read off the shared sweep of every permutation."""
+    """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a time."""
     _require_max_n(max_n)
     counts = tuple(connected_count(n) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")

@@ -2,10 +2,10 @@
 package implements, each checked exactly against an independent route, with
 the first counterexample (n, S, T) reported on failure.
 
-n is the outer loop. The matrices of one n are built on first use, shared
-by all its checks and dropped before the next n. A check that fails is not
-run for larger n. The exact arithmetic means there is no tolerance anywhere,
-only equality.
+n is the outer loop. The tally of S_n and the matrices of one n are built
+on first use, shared by all its checks and dropped before the next n. A
+check that fails is not run for larger n. The exact arithmetic means there
+is no tolerance anywhere, only equality.
 
 Every matrix compared is a list of int lists packed by q -> 2**w, w = 0 for
 counts and one width per n for the ``q``-checks, so each identity is one
@@ -37,7 +37,6 @@ from .permutations import (
     _inverse_sweep,
     _letter_table,
     _require_within_cap,
-    connected_count,
     joint_statistics,
 )
 from .series import connected_counts_series
@@ -92,8 +91,8 @@ _ORACLES = {
     "mobius": lambda o, w: mobius_matrix(o.n).rows,
     "multiset": lambda o, w: [list(row) for row in multiset_count_matrix(o.n).rows],
     # the family at w: gamma and b swept, a expanded from its top rows
-    "gamma": lambda o, w: _tally("gamma", o.n, w),
-    "b": lambda o, w: _tally("b", o.n, w),
+    "gamma": lambda o, w: _tally(o("joint"), "gamma", o.n, w),
+    "b": lambda o, w: _tally(o("joint"), "b", o.n, w),
     "a": lambda o, w: _expand("a", o.n, w),
     "zeta*gamma": lambda o, w: _int_product(o("zeta"), o("gamma", w)),
 }
@@ -247,8 +246,9 @@ def _multiset_bijection(o: _Oracles) -> str | None:
 
 
 def _connected_series(o: _Oracles) -> str | None:
-    """Connected counts read off the sweep and by the series route agree."""
-    swept, series = connected_count(o.n), connected_counts_series(o.n).count(o.n)
+    """Connected counts read off the tally and by the series route agree."""
+    swept = sum(count for (c, _d, _inv), count in o("joint").items() if not c)
+    series = connected_counts_series(o.n).count(o.n)
     if swept != series:
         return f"connected counts at n={o.n}: sweep {swept} != series {series}"
     return None

@@ -294,9 +294,16 @@ class TestConnected:
         payload = json.loads(out)
         assert payload["rows"][2] == {"n": 3, "enumerated": "3", "series": "3", "agree": True}
 
-    def test_rejects_past_dual_route_cap(self, capsys):
-        code, _out, err = run_cli(capsys, "connected", "--max-n", "10")
-        assert code == 2 and "--max-n" in err
+    def test_rejects_past_dual_route_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        code, _out, err = run_cli(capsys, "connected", "--max-n", "11")
+        assert code == 2 and "--max-n must be in 1..10" in err
+
+    def test_agrees_at_the_default_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+        code, out, _err = run_cli(capsys, "connected", "--max-n", "10", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == "10,2829325,2829325,yes"
 
 
 class TestMultiset:

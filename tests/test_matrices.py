@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descon.matrices as matrices
 from descon.matrices import (
     INTEGER,
     LAURENT,
@@ -28,8 +29,12 @@ from descon.matrices import (
     top_rows,
     zeta_matrix,
 )
-import descon.permutations as permutations
-from descon.permutations import _multiset_stream, enumerate_permutations, joint_statistics
+from descon.permutations import (
+    connectivity_mask,
+    enumerate_permutations,
+    joint_statistics,
+    multiset_words,
+)
 from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
@@ -464,11 +469,12 @@ class TestInverses:
 
     @pytest.mark.parametrize("q", (False, True))
     def test_inverses_read_no_sweep(self, monkeypatch, q):
+        swept = []
         monkeypatch.setenv("DESCON_MAX_N", "4")
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
+        monkeypatch.setattr(matrices, "joint_statistics", swept.append)
         for kind in ("a", "b", "gamma"):
             assert inverse_closed(kind, 6, q=q).n == 6
-        assert permutations._SWEEPS == {}
+        assert swept == []
 
     def test_b_inverse_spot_value(self):
         # (-1)^(2+0) times the number of connected permutations of [3]
@@ -497,7 +503,7 @@ class TestMultisetCounts:
         # the walk over prefix contents against a tally over every word
         mc = multiset_count_matrix(n)
         for t in range(mc.side):
-            streamed = Counter(mask for _word, mask in _multiset_stream(SubsetMask(n, t)))
+            streamed = Counter(connectivity_mask(u.word) for u in multiset_words(SubsetMask(n, t)))
             assert {s: row[t] for s, row in enumerate(mc.rows) if row[t]} == streamed, (n, t)
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from descon import permutations
 from descon.matrices import gamma_matrix, multiset_count_matrix, top_rows
 from descon.permutations import (
-    _multiset_stream,
     EnumerationCapError,
     MultisetWord,
     Permutation,
@@ -237,7 +236,7 @@ class TestEnumerators:
 
     def test_multiset_words_equal_distinct_rearrangements(self):
         # lexicographic order, no repeats and n!/eta(t) words in one comparison
-        for n in range(1, 7):
+        for n in range(1, 9):
             for mask in range(1 << (n - 1)):
                 t = SubsetMask(n, mask)
                 multiset = [
@@ -247,20 +246,6 @@ class TestEnumerators:
                 ]
                 expected = sorted(set(itertools.permutations(multiset)))
                 assert [u.word for u in multiset_words(t)] == expected, (n, mask)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_stream_is_every_distinct_rearrangement_with_its_mask(self, n):
-        for mask in range(1 << (n - 1)):
-            t = SubsetMask(n, mask)
-            multiset = [
-                letter
-                for letter, part in enumerate(t.to_composition().parts, start=1)
-                for _ in range(part)
-            ]
-            stream = [(tuple(word), cut) for word, cut in _multiset_stream(t)]
-            assert [word for word, _cut in stream] == sorted(set(itertools.permutations(multiset)))
-            for word, cut in stream:
-                assert cut == connectivity_mask(word), word
 
     def test_multiset_enumerators_refuse_oversized_n_at_call_time(self, monkeypatch):
         monkeypatch.delenv("DESCON_MAX_N", raising=False)
@@ -283,7 +268,6 @@ class TestEnumerators:
 class TestJointStatistics:
     def test_total_is_factorial(self, monkeypatch):
         monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
         for n in range(1, 11):
             assert sum(joint_statistics(n).values()) == factorial(n)
 
@@ -292,7 +276,6 @@ class TestJointStatistics:
         # past the per-word oracle's reach: the inversion, connected and
         # descent marginals by routes that share no code with the tally
         monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
         by_inv = [0] * (n * (n - 1) // 2 + 1)
         by_d = [0] * (1 << (n - 1))
         connected = 0
@@ -311,12 +294,10 @@ class TestJointStatistics:
 
         monkeypatch.delenv("DESCON_MAX_N", raising=False)
         monkeypatch.setattr(permutations, "_lex_permutations", refuse)
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
         assert sum(joint_statistics(9).values()) == factorial(9)
 
     def test_walk_matches_every_permutation_tallied(self, monkeypatch):
         # the statistics of each word by the public one-word functions
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
         for n in range(1, 8):
             want = Counter(
                 (connectivity_mask(word), descent_mask(word), inversion_count(word))
@@ -324,33 +305,18 @@ class TestJointStatistics:
             )
             assert dict(joint_statistics(n)) == want, n
 
-    def test_one_sweep_per_n(self, monkeypatch):
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
-        first = joint_statistics(5)
-        assert joint_statistics(5) is first
-        assert list(permutations._SWEEPS) == [5]
-
-    def test_only_the_latest_sweep_is_kept(self, monkeypatch):
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
-        joint_statistics(4)
-        latest = joint_statistics(5)
-        assert list(permutations._SWEEPS) == [5]
-        assert joint_statistics(5) is latest
-
     def test_rejects_bool_sizes(self):
         with pytest.raises(ValueError):
             joint_statistics(True)
 
-    @pytest.mark.parametrize("calls", (1, 2))
-    def test_result_is_read_only(self, monkeypatch, calls):
-        # the fresh tally and the cached result alike
-        monkeypatch.setattr(permutations, "_SWEEPS", {})
-        for _ in range(calls):
-            joint = joint_statistics(3)
-        key = next(iter(joint))
-        with pytest.raises(TypeError):
-            joint[key] += 100
-        assert sum(sum(row) for row in gamma_matrix(3).rows) == factorial(3)
+    def test_each_call_returns_a_tally_of_its_own(self):
+        # a caller owns the dict it gets: changing it changes no later tally
+        joint = joint_statistics(4)
+        want = dict(joint)
+        joint[0, 0, 0] = 100
+        del joint[next(iter(want))]
+        assert joint_statistics(4) == want
+        assert sum(sum(row) for row in gamma_matrix(4).rows) == factorial(4)
 
 
 def test_connected_count_small_values():
@@ -358,20 +324,28 @@ def test_connected_count_small_values():
 
 
 def test_connected_counts_read_the_shared_sweep(monkeypatch):
-    # no second pass over the permutations: the counts, and the check that
-    # compares them with the series, read the cached sweep of each n
+    # no pass over the permutations: the counts read the tally of each n,
+    # and the check that compares them with the series reads the tally that
+    # containment-counts made for the same n
     def refuse(*_args):
         raise AssertionError("connected counts must not enumerate permutations")
 
+    tallied = []
+    original = permutations._rank_tally
+
+    def recorded(n):
+        tallied.append(n)
+        return original(n)
+
     monkeypatch.delenv("DESCON_MAX_N", raising=False)
     monkeypatch.setattr(permutations, "_lex_permutations", refuse)
-    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    monkeypatch.setattr(permutations, "_rank_tally", recorded)
     assert [connected_count(n) for n in range(1, 8)] == [1, 1, 3, 13, 71, 461, 3447]
     results = run_checks(7, names=("containment-counts", "connected-series"))
     assert [(r.name, r.passed) for r in results] == [
         ("containment-counts", True), ("connected-series", True),
     ]
-    assert list(permutations._SWEEPS) == [7]
+    assert tallied == [*range(1, 8), *range(1, 8)]
 
 
 def test_reduction_bijection_through_n7():

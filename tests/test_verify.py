@@ -5,7 +5,6 @@ import pytest
 from descon import verify
 from descon.matrices import zeta_matrix
 from descon.permutations import Permutation, enumerate_permutations, reduce_to_multiset
-from descon.series import connected_counts_series
 from descon.subsets import SubsetMask
 from descon.verify import (
     _bijection_detail,
@@ -43,15 +42,20 @@ def test_names_filter():
 
 
 def test_connected_series_scans_every_n_it_reports(monkeypatch):
-    # a sweep count that is wrong only at n = 10 must fail a check reported as n <= 10
+    # a tally whose connected count is wrong only at n = 10 must fail a
+    # check reported as n <= 10
     scanned = []
+    original = verify.joint_statistics
 
     def recording(n):
         scanned.append(n)
-        return connected_counts_series(n).count(n) + (n == 10)
+        joint = original(n)
+        if n == 10:
+            joint[0, 0, 0] = 1  # no permutation has c = d = 0
+        return joint
 
     monkeypatch.delenv("DESCON_MAX_N", raising=False)
-    monkeypatch.setattr(verify, "connected_count", recording)
+    monkeypatch.setattr(verify, "joint_statistics", recording)
     (result,) = run_checks(10, names=("connected-series",))
     assert scanned == list(range(1, 11))
     assert not result.passed

@@ -21,7 +21,8 @@ _Q_CHECKS = ("q-specialization", "q-superset-closed-form", "q-diagonal-conjugati
 
 # Each matrix that a row names by its public builder is built in verify by
 # the builder here: (name in verify, matrix kind, or None where the row
-# gives the kind). The packed builders take the slot width last.
+# gives the kind). The packed builders take the slot width last, and
+# ``_tally`` takes the tally of S_n first.
 _PACKED = {
     "mobius_matrix": ("mobius_matrix", None),
     "multiset_count_matrix": ("multiset_count_matrix", None),
@@ -57,18 +58,24 @@ def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
 
     def altered(*args):
         out = original(*args)
-        if args not in picked:
+        if _key(args) not in picked:
             return out
         return _bump(out, 1 << 3 * width if builder == "_signed_inverse" else 1)
 
     monkeypatch.setattr(verify, builder, altered)
 
 
+def _key(args):
+    """The arguments of a builder call without the tally of S_n that
+    ``_tally`` takes, which is a dict and cannot be hashed."""
+    return tuple(a for a in args if not isinstance(a, dict))
+
+
 def _record(monkeypatch, names):
     calls = []
     for name in names:
         def recorded(*args, _name=name, _original=getattr(verify, name), **kwargs):
-            calls.append((_name, args, tuple(sorted(kwargs.items()))))
+            calls.append((_name, _key(args), tuple(sorted(kwargs.items()))))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, recorded)
@@ -141,10 +148,23 @@ def test_each_oracle_is_built_once_per_n(monkeypatch):
 
 
 def test_bijection_check_starts_no_sweep(monkeypatch):
-    monkeypatch.setattr(permutations, "_SWEEPS", {})
     calls = _record(monkeypatch, ("joint_statistics",))
     assert all(r.passed for r in run_checks(4, names=("multiset-bijection",)))
-    assert calls == [] and permutations._SWEEPS == {}
+    assert calls == []
+
+
+def test_the_tally_is_made_once_per_n(monkeypatch):
+    # every check of one n reads the one tally of S_n that the runner keeps
+    tallied = []
+    original = permutations._rank_tally
+
+    def recorded(n):
+        tallied.append(n)
+        return original(n)
+
+    monkeypatch.setattr(permutations, "_rank_tally", recorded)
+    assert all(r.passed for r in run_checks(7, include_q=True))
+    assert tallied == list(range(1, 8))
 
 
 def test_max_n_is_checked_before_any_check_runs(monkeypatch):
@@ -162,7 +182,8 @@ def test_b_inverse_without_verify_builds_no_b(monkeypatch):
     # an inverse is expanded from top rows reversed in q, so without verify
     # no inverse expands its matrix, with verify each expands it once, at
     # the width of its products, and no inverse reads the sweep
-    monkeypatch.setattr(permutations, "_SWEEPS", {})
+    swept = []
+    monkeypatch.setattr(matrices, "joint_statistics", swept.append)
     calls = []
     original = matrices._expand
 
@@ -178,7 +199,7 @@ def test_b_inverse_without_verify_builds_no_b(monkeypatch):
             for kind in ("a", "b", "gamma"):
                 matrices.inverse_closed(kind, 5, q, verify=check)
         assert calls == want, check
-        assert permutations._SWEEPS == {}
+        assert swept == []
 
 
 def test_signed_inverses_reuse_the_oracles(monkeypatch):
