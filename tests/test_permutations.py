@@ -247,6 +247,26 @@ class TestEnumerators:
                 expected = sorted(set(itertools.permutations(multiset)))
                 assert [u.word for u in multiset_words(t)] == expected, (n, mask)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stream_is_every_distinct_rearrangement_with_its_mask(self, n):
+        # the words and their order are pinned above; here each of the
+        # n!/eta(t) words carries the connectivity set of the defining rule:
+        # a cut at i only where the letter changes in the sorted word, when
+        # the first i letters are all at most the i-th smallest
+        for mask in range(1 << (n - 1)):
+            t = SubsetMask(n, mask)
+            multiset = [
+                letter
+                for letter, part in enumerate(t.to_composition().parts, start=1)
+                for _ in range(part)
+            ]
+            changes = [(i, multiset[i - 1]) for i in range(1, n) if multiset[i - 1] < multiset[i]]
+            words = list(multiset_words(t))
+            assert len(words) == factorial(n) // eta(t)
+            for u in words:
+                cuts = sum(1 << (i - 1) for i, letter in changes if max(u.word[:i]) == letter)
+                assert u.connectivity_set().mask == cuts, u.word
+
     def test_multiset_enumerators_refuse_oversized_n_at_call_time(self, monkeypatch):
         monkeypatch.delenv("DESCON_MAX_N", raising=False)
         with pytest.raises(EnumerationCapError):
