@@ -8,9 +8,7 @@ output that is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import time
@@ -60,10 +58,12 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _json(value) -> str:
+    import json  # imported here, off the start-up of commands that print none
     return json.dumps(value, separators=(",", ":"))
 
 
 def _csv_text(rows: list[list[str]]) -> str:
+    import csv  # imported here, off the start-up of commands that print none
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)

@@ -49,11 +49,11 @@ from functools import partial
 from itertools import accumulate, product
 from math import comb, factorial
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable
 
 from .permutations import _require_within_cap, joint_statistics
 from .rings import LaurentPolynomial
-from .subsets import SubsetMask, eta_q, min_inversions
+from .subsets import SubsetMask, _Frozen, _require_positive, eta_q, min_inversions
 
 __all__ = [
     "INTEGER",
@@ -179,23 +179,21 @@ def _unpacked(n: int, grid: list[list[int]], w: int, ring: str = POLYNOMIAL, lo:
     return SubsetMatrix(n, ring, [[values[x] for x in row] for row in grid])
 
 
-class SubsetMatrix:
+class SubsetMatrix(_Frozen):
     """Square matrix over one of the exact rings, indexed by subset masks."""
 
-    __slots__ = ("n", "ring", "rows")
+    __slots__ = __match_args__ = ("n", "ring", "rows")
+    n: int
+    ring: str
+    rows: tuple[tuple, ...]
 
-    def __init__(self, n: int, ring: str, rows: Iterable[Iterable]):
-        _require_ring(ring)
-        frozen = tuple(tuple(row) for row in rows)
-        side = _side(n)
-        if len(frozen) != side or any(len(row) != side for row in frozen):
-            raise ValueError(f"matrix for n={n} must be {side}x{side}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubsetMatrix is immutable")
+    def __post_init__(self):
+        _require_ring(self.ring)
+        rows = tuple(tuple(row) for row in self.rows)
+        side = _side(self.n)
+        if len(rows) != side or any(len(row) != side for row in rows):
+            raise ValueError(f"matrix for n={self.n} must be {side}x{side}")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, n: int, ring: str = INTEGER) -> "SubsetMatrix":
@@ -212,14 +210,6 @@ class SubsetMatrix:
         if s.n != self.n or t.n != self.n:
             raise ValueError(f"subset ambient size does not match matrix n={self.n}")
         return self.rows[s.mask][t.mask]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubsetMatrix):
-            return NotImplemented
-        return (self.n, self.ring, self.rows) == (other.n, other.ring, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.ring, self.rows))
 
     def __matmul__(self, other: "SubsetMatrix") -> "SubsetMatrix":
         if not isinstance(other, SubsetMatrix):
@@ -280,8 +270,7 @@ class SubsetMatrix:
 
 
 def _require_closed_form_size(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _require_positive(n, "n")
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_CAP}")
 
@@ -580,7 +569,7 @@ def b_q_matrix_direct(n: int) -> SubsetMatrix:
     return _swept("b", n, True)
 
 
-def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> SubsetMatrix:
+def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     """Closed-form inverse of one of the matrices ``a``, ``b``, ``gamma``.
 
     Every inverse is a checkerboard-signed count matrix, with q replaced by
@@ -589,17 +578,17 @@ def inverse_closed(kind: str, n: int, q: bool = False, verify: bool = True) -> S
     the counts are the matrix itself; for ``b`` they are the relaxed-descent
     counts (connectivity set exactly the complement of S, descent set
     containing T), whose top row is the superset sum of the top row of
-    ``gamma``. q-inverses live in the Laurent ring. With ``verify`` (the
-    default) the product with the original is checked to be the identity,
-    exactly; failure raises ArithmeticError since it can only mean a
-    transcription bug in the formulas.
+    ``gamma``. q-inverses live in the Laurent ring. The product with the
+    original is checked to be the identity, exactly; failure raises
+    ArithmeticError since it can only mean a transcription bug in the
+    formulas.
     """
     if kind not in ("a", "b", "gamma"):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'a', 'b' or 'gamma'")
     _require_closed_form_size(n)
     w = _family_width(n) if q else 0
     inverse = _signed_inverse(kind, n, w)
-    if verify and _int_product(_expand(kind, n, w), inverse) != _identity_rows(n, 1 << w * comb(n, 2)):
+    if _int_product(_expand(kind, n, w), inverse) != _identity_rows(n, 1 << w * comb(n, 2)):
         raise ArithmeticError(
             f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"
         )

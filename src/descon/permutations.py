@@ -19,7 +19,7 @@ from itertools import permutations as _lex_permutations
 from math import factorial
 from typing import Iterator, Sequence
 
-from .subsets import Composition, SubsetMask, _Frozen
+from .subsets import Composition, SubsetMask, _Frozen, _require_positive
 
 __all__ = [
     "EnumerationCapError",
@@ -66,8 +66,7 @@ def enumeration_cap() -> int:
 
 
 def _require_within_cap(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _require_positive(n, "n")
     cap = enumeration_cap()
     if n > cap:
         raise EnumerationCapError(

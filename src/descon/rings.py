@@ -67,7 +67,22 @@ def _format_terms(pairs: Iterable[tuple[int, int]]) -> str:
     return out
 
 
-class LaurentPolynomial:
+class _Sealed:
+    """Refuses assignment and deletion with ``dataclasses.FrozenInstanceError``;
+    a subclass sets its slots in its constructor by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class LaurentPolynomial(_Sealed):
     """Polynomial in q and 1/q with integer coefficients; the one exact type
     of every weighted value (plain polynomials are the case ``min_exp >= 0``).
 
@@ -100,8 +115,12 @@ class LaurentPolynomial:
         lo = 0
         while lo < hi and cs[lo] == 0:
             lo += 1
-        self._coeffs = tuple(cs[lo:hi])
-        self._min_exp = min_exp + lo if hi else 0
+        object.__setattr__(self, "_coeffs", tuple(cs[lo:hi]))
+        object.__setattr__(self, "_min_exp", min_exp + lo if hi else 0)
+
+    def __reduce__(self):
+        # through the constructor: the refusal blocks restoring slots by setattr
+        return LaurentPolynomial, (self._coeffs, self._min_exp)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

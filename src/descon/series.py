@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import factorial
 
 from .permutations import connected_count
-from .subsets import _Frozen
+from .subsets import _Frozen, _require_positive
 
 __all__ = ["ConnectedCountTable", "connected_counts_enumerated", "connected_counts_series"]
 
@@ -42,14 +42,9 @@ class ConnectedCountTable(_Frozen):
         return self.counts[n - 1]
 
 
-def _require_max_n(max_n: int) -> None:
-    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n!r}")
-
-
 def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a time."""
-    _require_max_n(max_n)
+    _require_positive(max_n, "max_n")
     counts = tuple(connected_count(n) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")
 
@@ -57,7 +52,7 @@ def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
 def connected_counts_series(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n as coefficients of 1 - 1/(sum of n! x^n), by
     the convolution recurrence f(n) = n! - sum_{k<n} f(k) (n-k)!."""
-    _require_max_n(max_n)
+    _require_positive(max_n, "max_n")
     factorials = [factorial(k) for k in range(max_n + 1)]
     counts: list[int] = []
     for n in range(1, max_n + 1):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb, factorial, prod
 
-from .rings import InexactDivisionError, LaurentPolynomial, q_factorial
+from .rings import InexactDivisionError, LaurentPolynomial, _Sealed, q_factorial
 
 __all__ = [
     "SubsetMask",
@@ -53,11 +53,11 @@ class _Record:
         return type(self), self._values()
 
 
-class _Frozen(_Record):
+class _Frozen(_Record, _Sealed):
     """An immutable value, as ``dataclass(frozen=True)`` makes one but
     without importing it: built from its fields by position or keyword,
     checked by ``__post_init__``, hashed by its fields, and refusing
-    assignment and deletion with ``dataclasses.FrozenInstanceError``."""
+    assignment and deletion as :class:`LaurentPolynomial` does."""
 
     __slots__ = ()
 
@@ -77,13 +77,10 @@ class _Frozen(_Record):
     def __hash__(self) -> int:
         return hash(self._values())
 
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+def _require_positive(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class SubsetMask(_Frozen):
@@ -94,8 +91,7 @@ class SubsetMask(_Frozen):
     mask: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ambient size must be a positive integer, got {self.n!r}")
+        _require_positive(self.n, "ambient size")
         mask = self.mask
         if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << self.n - 1:
             raise ValueError(f"mask {self.mask!r} out of range for n={self.n}")

@@ -129,7 +129,7 @@ def test_criterion_06_signed_inverses(capsys):
         builders = {"a": a_matrix_closed, "b": b_matrix_direct, "gamma": gamma_matrix}
         for n in range(1, 8):
             for kind, builder in builders.items():
-                product = builder(n) @ inverse_closed(kind, n, verify=False)
+                product = builder(n) @ inverse_closed(kind, n)
                 assert product.is_identity(), (n, kind)
 
 
@@ -141,7 +141,7 @@ def test_criterion_07_q_suite(capsys):
             assert a_q_matrix_closed(n) == mq @ gamma_q_matrix(n) @ mq, n
             builders = {"a": a_q_matrix_closed, "b": b_q_matrix_direct, "gamma": gamma_q_matrix}
             for kind, builder in builders.items():
-                inverse = inverse_closed(kind, n, q=True, verify=False)
+                inverse = inverse_closed(kind, n, q=True)
                 assert inverse.ring == LAURENT
                 product = builder(n).lift(LAURENT) @ inverse
                 assert product.is_identity(), (n, kind)

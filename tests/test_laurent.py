@@ -1,14 +1,20 @@
 """The one exact polynomial type off q**0: shifts of either sign, exact
-division and evaluation with a nonzero lowest exponent, and hashing that
-agrees with equality (ring operations and formatting are in
-test_rings.py)."""
+division and evaluation with a nonzero lowest exponent, hashing that
+agrees with equality, and values that refuse change but pickle and copy
+(ring operations and formatting are in test_rings.py)."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descon.rings import LaurentPolynomial
+from descon.rings import LaurentPolynomial, q_factorial
+from descon.subsets import SubsetMask, eta_q
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
@@ -63,3 +69,22 @@ class TestHash:
         constant = LaurentPolynomial([0] * pad_low + [k], -pad_low)
         assert constant == k and hash(constant) == hash(k)
         assert len({constant, k}) == 1
+
+
+class TestSealed:
+    def test_slots_refuse_assignment_and_deletion(self):
+        for name in ("_coeffs", "_min_exp"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q_factorial(3), name, (9,))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(q_factorial(3), name)
+        # the cached value is shared, so a write that went through would
+        # change every weight built from it
+        assert str(eta_q(SubsetMask.from_elements(4, [3]))) == "1+2q+2q^2+q^3"
+
+    def test_negative_powers_survive_pickle_and_copy(self):
+        value = LaurentPolynomial((1, 0, -2), -3)
+        pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in (*pickled, copy.copy(value), copy.deepcopy(value)):
+            assert type(back) is LaurentPolynomial
+            assert back == value and hash(back) == hash(value) and repr(back) == repr(value)

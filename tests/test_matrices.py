@@ -1,5 +1,7 @@
 """Subset-indexed matrices: builders, closed forms, identities, inverses."""
 
+import copy
+import pickle
 from collections import Counter
 from math import factorial
 
@@ -66,6 +68,12 @@ class TestSubsetMatrix:
         m = SubsetMatrix.identity(3)
         with pytest.raises(AttributeError):
             m.ring = LAURENT
+
+    def test_weighted_matrices_pickle_and_copy(self):
+        for m in (zeta_matrix(3), gamma_q_matrix(3), inverse_closed("b", 4, q=True)):
+            pickled = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for back in (*pickled, copy.copy(m), copy.deepcopy(m)):
+                assert back == m and hash(back) == hash(m) and back.ring == m.ring
 
     def test_identity_and_entry(self):
         m = SubsetMatrix.identity(3)
@@ -443,7 +451,7 @@ class TestInverses:
                 ]
             counts = SubsetMatrix(n, POLYNOMIAL, [block_row(n, tops, s) for s in range(1 << (n - 1))])
             want = counts.substitute_reciprocal().checkerboard_signed()
-            assert inverse_closed(kind, n, q=True, verify=False) == want, n
+            assert inverse_closed(kind, n, q=True) == want, n
 
     @pytest.mark.parametrize("q", (False, True))
     def test_b_inverse_counts_are_a_relaxed_descent_tally(self, q):
@@ -465,7 +473,7 @@ class TestInverses:
             else:
                 sums = [[sum(cell.values()) for cell in row] for row in by_inv]
                 counts = SubsetMatrix(n, INTEGER, sums)
-            assert inverse_closed("b", n, q=q, verify=False) == counts.checkerboard_signed(), n
+            assert inverse_closed("b", n, q=q) == counts.checkerboard_signed(), n
 
     @pytest.mark.parametrize("q", (False, True))
     def test_inverses_read_no_sweep(self, monkeypatch, q):
@@ -485,7 +493,7 @@ class TestInverses:
             inverse_closed("zeta", 3)
 
     def test_verification_catches_corruption(self):
-        good = inverse_closed("gamma", 3, verify=False)
+        good = inverse_closed("gamma", 3)
         bad_rows = [list(row) for row in good.rows]
         bad_rows[0][0] = 2
         bad = SubsetMatrix(3, good.ring, bad_rows)

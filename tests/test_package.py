@@ -1,8 +1,8 @@
 """The package surface: the README's library example runs as written, the
 names ``descon`` re-exports match the ``__all__`` of their modules, the value
 classes build, compare, hash, print, pickle and copy by their fields as
-frozen dataclasses do, and importing the CLI leaves dataclasses and
-fractions unloaded."""
+frozen dataclasses do, and importing the CLI leaves dataclasses, fractions,
+json and csv unloaded."""
 
 import ast
 import copy
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import descon
+from descon.matrices import zeta_matrix
 from descon.permutations import MultisetWord, Permutation
 from descon.series import ConnectedCountTable
 from descon.subsets import Composition, SubsetMask
@@ -47,11 +48,12 @@ def test_reexports_match_module_all():
 
 
 def test_cli_import_leaves_out_dataclasses_and_fractions():
+    # json and csv are imported by the CLI's JSON and CSV writers only
     # a fresh interpreter, so that no other test's imports count, and
     # without site, so that no .pth file's imports count either
     code = (
         "import sys, descon.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'json', 'csv'} & set(sys.modules)))"
     )
     src = str(Path(descon.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -72,6 +74,12 @@ VALUES = [
         "ConnectedCountTable(max_n=3, counts=(1, 1, 3), source='series')",
         {"max_n": 3, "counts": (1, 1, 3), "source": "series"},
         {"counts": (1, 1)},
+    ),
+    (
+        zeta_matrix(2),
+        "SubsetMatrix(n=2, ring='integer')",
+        {"n": 2, "ring": "integer", "rows": ((1, 0), (1, 1))},
+        {"ring": "rational"},
     ),
 ]
 

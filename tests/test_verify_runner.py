@@ -178,10 +178,10 @@ def test_max_n_is_checked_before_any_check_runs(monkeypatch):
     assert calls == []
 
 
-def test_b_inverse_without_verify_builds_no_b(monkeypatch):
-    # an inverse is expanded from top rows reversed in q, so without verify
-    # no inverse expands its matrix, with verify each expands it once, at
-    # the width of its products, and no inverse reads the sweep
+def test_each_inverse_expands_its_matrix_once(monkeypatch):
+    # an inverse is expanded from top rows reversed in q, so its self-check
+    # expands the matrix it inverts once, at the width of its products, and
+    # no inverse reads the sweep
     swept = []
     monkeypatch.setattr(matrices, "joint_statistics", swept.append)
     calls = []
@@ -192,14 +192,12 @@ def test_b_inverse_without_verify_builds_no_b(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(matrices, "_expand", recorded)
+    for q in (False, True):
+        for kind in ("a", "b", "gamma"):
+            matrices.inverse_closed(kind, 5, q)
     widths = (0, matrices._family_width(5))
-    for check, want in ((False, []), (True, [((k, 5, w), {}) for w in widths for k in ("a", "b", "gamma")])):
-        calls.clear()
-        for q in (False, True):
-            for kind in ("a", "b", "gamma"):
-                matrices.inverse_closed(kind, 5, q, verify=check)
-        assert calls == want, check
-        assert swept == []
+    assert calls == [((k, 5, w), {}) for w in widths for k in ("a", "b", "gamma")]
+    assert swept == []
 
 
 def test_signed_inverses_reuse_the_oracles(monkeypatch):
