@@ -52,8 +52,8 @@ from operator import mul
 from typing import Callable
 
 from .permutations import _require_within_cap, joint_statistics
-from .rings import LaurentPolynomial
-from .subsets import SubsetMask, _Frozen, _require_positive, eta_q, min_inversions
+from .rings import LaurentPolynomial, _require_int
+from .subsets import SubsetMask, _Frozen, eta_q, min_inversions
 
 __all__ = [
     "INTEGER",
@@ -188,6 +188,7 @@ class SubsetMatrix(_Frozen):
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
+        _require_int(self.n, "n")
         _require_ring(self.ring)
         rows = tuple(tuple(row) for row in self.rows)
         side = _side(self.n)
@@ -197,6 +198,7 @@ class SubsetMatrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int, ring: str = INTEGER) -> "SubsetMatrix":
+        _require_int(n, "n")
         zero = ring_zero(ring)
         one = zero + 1
         side = _side(n)
@@ -270,7 +272,7 @@ class SubsetMatrix(_Frozen):
 
 
 def _require_closed_form_size(n: int) -> None:
-    _require_positive(n, "n")
+    _require_int(n, "n")
     if n > CLOSED_FORM_CAP:
         raise ValueError(f"n={n} exceeds the closed-form cap {CLOSED_FORM_CAP}")
 

@@ -1,5 +1,7 @@
-"""Permutations and multiset words with their statistics, plus the
-deterministic enumerators every counting routine in this package is built on.
+"""Permutations and multiset words with their statistics, their
+deterministic enumerators, and the tally of S_n by (connectivity set,
+descent set, inversions) that the counting routines read, made by a
+recurrence that lists no permutation.
 
 Statistics use 1-based positions, matching the usual one-line notation
 ``w = a_1 a_2 ... a_n``; the bitmask encoding in :mod:`descon.subsets` owns
@@ -19,7 +21,8 @@ from itertools import permutations as _lex_permutations
 from math import factorial
 from typing import Iterator, Sequence
 
-from .subsets import Composition, SubsetMask, _Frozen, _require_positive
+from .rings import _require_int
+from .subsets import Composition, SubsetMask, _Frozen
 
 __all__ = [
     "EnumerationCapError",
@@ -66,7 +69,7 @@ def enumeration_cap() -> int:
 
 
 def _require_within_cap(n: int) -> None:
-    _require_positive(n, "n")
+    _require_int(n, "n")
     cap = enumeration_cap()
     if n > cap:
         raise EnumerationCapError(
@@ -136,7 +139,7 @@ class MultisetWord(_Frozen):
         if not word:
             raise ValueError("empty multiset word")
         for pos, value in enumerate(word, start=1):
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"value {value!r} at position {pos} is not a positive integer")
 
     @property
@@ -167,15 +170,12 @@ class Permutation(MultisetWord):
     __slots__ = ()
 
     def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        n = len(word)
-        if n == 0:
-            raise ValueError("empty word is not a permutation")
+        super().__post_init__()  # a nonempty word of positive int letters
+        n = len(self.word)
         seen = 0
-        for pos, value in enumerate(word, start=1):
-            if not isinstance(value, int) or not 1 <= value <= n:
-                raise ValueError(f"value {value!r} at position {pos} outside 1..{n}")
+        for pos, value in enumerate(self.word, start=1):
+            if value > n:
+                raise ValueError(f"value {value} at position {pos} outside 1..{n}")
             bit = 1 << (value - 1)
             if seen & bit:
                 raise ValueError(f"value {value} repeated at position {pos}")
@@ -272,7 +272,7 @@ def reduce_to_multiset(w: Permutation, t: SubsetMask) -> MultisetWord:
     Restricted to permutations with connectivity set S and descent set
     containing the complement of t, this is a bijection onto the words of
     the multiset of t with connectivity set S. The collapse itself is the
-    one the ``multiset-bijection`` check applies to its permutation sweep.
+    one the ``multiset-bijection`` check applies to its walk over the inverses.
 
     >>> str(reduce_to_multiset(Permutation((2, 3, 1)), SubsetMask.from_elements(3, [1])))
     '212'
@@ -287,31 +287,6 @@ def _letter_table(t: SubsetMask) -> tuple[int, ...]:
     of the value v in 1..n, one more than the elements of t below v."""
     thresholds = t.elements()
     return (0,) + tuple(bisect_left(thresholds, v) + 1 for v in range(1, t.n + 1))
-
-
-def _inverse_sweep(n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """(descent mask, connectivity mask, inverse word) of every permutation
-    of [n], in lexicographic word order, without building Permutation
-    objects. The enumeration cap is checked when called."""
-    _require_within_cap(n)
-    return map(_masks_and_inverse, _lex_permutations(range(1, n + 1)))
-
-
-def _masks_and_inverse(word: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """Both masks in one pass, the inverse by position: i is a cut when the
-    prefix maximum is i, and a descent when the next value is smaller."""
-    inverse = [0] * len(word)
-    d_mask = c_mask = high = 0
-    for i, v in enumerate(word[:-1]):
-        inverse[v - 1] = i + 1
-        if v > high:
-            high = v
-        if high == i + 1:
-            c_mask |= 1 << i
-        if v > word[i + 1]:
-            d_mask |= 1 << i
-    inverse[word[-1] - 1] = len(word)
-    return d_mask, c_mask, tuple(inverse)
 
 
 def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:

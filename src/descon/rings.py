@@ -67,6 +67,14 @@ def _format_terms(pairs: Iterable[tuple[int, int]]) -> str:
     return out
 
 
+def _require_int(value, name: str, low: int = 1) -> None:
+    """Refuse anything but an int of at least ``low``, which is 1 or 0. A
+    bool is refused too: it equals 1 or 0 but prints as True or False."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 class _Sealed:
     """Refuses assignment and deletion with ``dataclasses.FrozenInstanceError``;
     a subclass sets its slots in its constructor by ``object.__setattr__``."""
@@ -300,8 +308,7 @@ def q_int(j: int) -> LaurentPolynomial:
     >>> str(q_int(3))
     '1+q+q^2'
     """
-    if isinstance(j, bool) or not isinstance(j, int) or j < 1:
-        raise ValueError(f"q_int requires a positive integer, got {j!r}")
+    _require_int(j, "j")
     return LaurentPolynomial((1,) * j)
 
 
@@ -314,8 +321,7 @@ def q_factorial(j: int) -> LaurentPolynomial:
     >>> q_factorial(4).evaluate(1)
     24
     """
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-        raise ValueError(f"q_factorial requires a nonnegative integer, got {j!r}")
+    _require_int(j, "j", 0)
     if j == 0:
         return LaurentPolynomial((1,))
     return q_factorial(j - 1) * q_int(j)
@@ -332,8 +338,8 @@ def q_multinomial(m: int, parts: Sequence[int]) -> LaurentPolynomial:
     """
     if not parts:
         raise ValueError("q_multinomial requires at least one part")
-    if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
-        raise ValueError(f"q_multinomial parts must be positive integers, got {parts!r}")
+    for p in parts:
+        _require_int(p, "part")
     if sum(parts) != m:
         raise ValueError(f"q_multinomial parts {parts!r} do not sum to {m}")
     numerator = q_factorial(m)

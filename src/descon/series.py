@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from math import factorial
 
-from .permutations import connected_count
-from .subsets import _Frozen, _require_positive
+from .permutations import _require_within_cap, connected_count
+from .rings import _require_int
+from .subsets import _Frozen
 
 __all__ = ["ConnectedCountTable", "connected_counts_enumerated", "connected_counts_series"]
 
@@ -43,8 +44,10 @@ class ConnectedCountTable(_Frozen):
 
 
 def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
-    """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a time."""
-    _require_positive(max_n, "max_n")
+    """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a
+    time; max_n is checked against the enumeration cap first."""
+    _require_int(max_n, "max_n")
+    _require_within_cap(max_n)
     counts = tuple(connected_count(n) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")
 
@@ -52,7 +55,7 @@ def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
 def connected_counts_series(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n as coefficients of 1 - 1/(sum of n! x^n), by
     the convolution recurrence f(n) = n! - sum_{k<n} f(k) (n-k)!."""
-    _require_positive(max_n, "max_n")
+    _require_int(max_n, "max_n")
     factorials = [factorial(k) for k in range(max_n + 1)]
     counts: list[int] = []
     for n in range(1, max_n + 1):

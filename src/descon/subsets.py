@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb, factorial, prod
 
-from .rings import InexactDivisionError, LaurentPolynomial, _Sealed, q_factorial
+from .rings import InexactDivisionError, LaurentPolynomial, _Sealed, _require_int, q_factorial
 
 __all__ = [
     "SubsetMask",
@@ -78,11 +78,6 @@ class _Frozen(_Record, _Sealed):
         return hash(self._values())
 
 
-def _require_positive(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 class SubsetMask(_Frozen):
     """A subset of [n-1] in ambient size n, encoded as a bitmask."""
 
@@ -91,7 +86,7 @@ class SubsetMask(_Frozen):
     mask: int
 
     def __post_init__(self):
-        _require_positive(self.n, "ambient size")
+        _require_int(self.n, "ambient size")
         mask = self.mask
         if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 1 << self.n - 1:
             raise ValueError(f"mask {self.mask!r} out of range for n={self.n}")
@@ -162,8 +157,10 @@ class Composition(_Frozen):
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
-            raise ValueError(f"parts must be a nonempty tuple of positive integers, got {parts!r}")
+        if not parts:
+            raise ValueError("a composition has at least one part")
+        for p in parts:
+            _require_int(p, "part")
 
     @property
     def n(self) -> int:
@@ -227,5 +224,6 @@ def count_descent_subset(s: SubsetMask) -> int:
 def cardinality_lex_order(n: int) -> list[int]:
     """Masks of all subsets of [n-1], ordered by cardinality then by the
     lexicographic order of their ascending element lists."""
+    _require_int(n, "n")
     masks = range(1 << (n - 1))
     return sorted(masks, key=lambda m: (m.bit_count(), SubsetMask(n, m).elements()))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import time
 from functools import partial
+from itertools import permutations
 from math import comb, factorial
 
 from .matrices import (
@@ -33,12 +34,7 @@ from .matrices import (
     multiset_count_matrix,
     zeta_matrix,
 )
-from .permutations import (
-    _inverse_sweep,
-    _letter_table,
-    _require_within_cap,
-    joint_statistics,
-)
+from .permutations import _letter_table, _require_within_cap, joint_statistics
 from .series import connected_counts_series
 from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
 
@@ -158,14 +154,27 @@ def _least_inversions(o: _Oracles) -> str | None:
 
 
 def _group_inverses(n: int) -> dict[tuple[int, int], bytearray]:
-    """One lexicographic pass over the permutations of [n]: the inverses,
-    one letter a byte, grouped by (descent mask, connectivity mask) and
-    joined into one blob per group, so that collapsing a group is one
-    ``translate``. Groups keep the order of their lexicographically first
-    permutation."""
+    """The inverses u = w^-1 of the permutations w of [n], walked in
+    lexicographic order, one letter a byte, grouped by (descent mask,
+    connectivity mask) of w and joined into one blob per group, so that
+    collapsing a group is one ``translate``. w descends at v when v + 1
+    comes before v in u, and C(w) = C(u): a cut at i when the first i
+    values of u are 1..i. Groups keep the order of their lexicographically
+    first inverse. The enumeration cap is checked first."""
+    _require_within_cap(n)
+    top = 1 << (n - 1)
     groups: dict[tuple[int, int], bytearray] = {}
-    for d_mask, c_mask, inverse in _inverse_sweep(n):
-        groups.setdefault((d_mask, c_mask), bytearray()).extend(inverse)
+    for u in permutations(range(1, n + 1)):
+        d_mask = c_mask = placed = 0
+        for v in u:
+            bit = 1 << v - 1
+            if placed & bit << 1:
+                d_mask |= bit
+            placed |= bit
+            if not placed & placed + 1:  # placed is 1..i: bit i marks a cut at i
+                c_mask |= placed + 1
+        # bit i down to bit i - 1, less the cut at n that every u has
+        groups.setdefault((d_mask, (c_mask >> 1) ^ top), bytearray()).extend(u)
     return groups
 
 
@@ -173,9 +182,9 @@ def _reduce_classes(groups: dict[tuple[int, int], bytearray], t: SubsetMask) -> 
     """Reduce the inverses of the permutations whose descent set contains
     the complement of t, skipping the groups that do not qualify, and join
     them per connectivity class: the class's reduced words, n bytes each.
-    Since the groups come in the order of their first permutation, so do
-    the classes, and a failure names the same class as a loop over the
-    permutations in lexicographic order would.
+    Since the groups come in the order of their first inverse, so do the
+    classes, and a failure names the same class as a loop over the
+    inverses in lexicographic order would.
     """
     t_bar = ((1 << (t.n - 1)) - 1) ^ t.mask
     table = bytes(_letter_table(t)).ljust(256, b"\0")
@@ -203,21 +212,20 @@ def _late_marks(blob: bytes, n: int, t: SubsetMask) -> dict[int, bytes]:
 
 
 def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: list[int]) -> str | None:
-    """The first fault of the reduction at (n, T): a class whose reduced
-    words repeat, else the smallest connectivity mask S whose class holds a
-    word with another connectivity set or has a size other than entry S of
-    ``column``, the count of the multiset words of T with connectivity set
-    S. A word in two classes has the wrong connectivity set in one."""
+    """The first fault of the reduction at (n, T): the first class whose
+    reduced words repeat, else the smallest connectivity mask S whose class
+    holds a word with another connectivity set or has a size other than
+    entry S of ``column``, the count of the multiset words of T with
+    connectivity set S. A word in two classes has the wrong connectivity
+    set in one."""
     words = re.compile(b"(?s).{%d}" % n).findall
-    blob = b"".join(classes.values())
-    if len(set(words(blob))) * n != len(blob):
-        for s_mask, reduced in classes.items():
-            if len(set(words(reduced))) * n != len(reduced):
-                return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
+    for s_mask, reduced in classes.items():
+        if len(set(words(reduced))) * n != len(reduced):
+            return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
     sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
     counts = {s_mask: count for s_mask, count in enumerate(column) if count}
     bad = {s for s in sizes.keys() | counts.keys() if sizes.get(s) != counts.get(s) or s & ~t_mask}
-    for i, late in _late_marks(blob, n, SubsetMask(n, t_mask)).items():
+    for i, late in _late_marks(b"".join(classes.values()), n, SubsetMask(n, t_mask)).items():
         # the marks of a class whose words all have connectivity set S
         want = b"".join((b"\0" if s >> (i - 1) & 1 else b"\1") * size for s, size in sizes.items())
         if late != want:
@@ -232,7 +240,7 @@ def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: li
 def _multiset_bijection(o: _Oracles) -> str | None:
     """Letterwise reduction of inverses maps each connectivity class of
     permutations with prescribed descents bijectively onto the matching
-    connectivity class of multiset words. The permutations are swept once
+    connectivity class of multiset words. The inverses are walked once
     and no multiset word is listed: per T, each class must be injective,
     inside its connectivity set, and as large as the multiset count matrix says."""
     groups = _group_inverses(o.n)

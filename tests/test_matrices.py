@@ -64,6 +64,13 @@ class TestSubsetMatrix:
         with pytest.raises(ValueError):
             SubsetMatrix(3, "rational", [[1]])
 
+    def test_size_validation(self):
+        with pytest.raises(ValueError, match="^n must be a positive integer, got True$"):
+            SubsetMatrix(True, INTEGER, [[1]])
+        for bad in (0, True, 2.0):
+            with pytest.raises(ValueError, match="^n must be a positive integer, got "):
+                SubsetMatrix.identity(bad)
+
     def test_immutable(self):
         m = SubsetMatrix.identity(3)
         with pytest.raises(AttributeError):

@@ -115,6 +115,13 @@ class TestPermutationType:
         with pytest.raises(ValueError):
             Permutation(())
 
+    def test_bool_letters_are_refused(self):
+        # True would equal 1, and print as "True"
+        with pytest.raises(ValueError, match="^value True at position 1 is not a positive integer$"):
+            Permutation((True, 2))
+        with pytest.raises(ValueError, match="^value True at position 2 is not a positive integer$"):
+            MultisetWord((2, True, 2))
+
     def test_parse_and_format(self):
         assert Permutation.from_text("1342").word == (1, 3, 4, 2)
         assert Permutation.from_text("1").word == (1,)

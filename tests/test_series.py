@@ -5,6 +5,8 @@ from math import factorial
 
 import pytest
 
+from descon import permutations
+from descon.permutations import EnumerationCapError
 from descon.series import (
     ConnectedCountTable,
     connected_counts_enumerated,
@@ -84,3 +86,18 @@ def test_table_validation():
 def test_enumerated_rejects_what_the_series_rejects(bad):
     with pytest.raises(ValueError, match="max_n must be a positive integer"):
         connected_counts_enumerated(bad)
+
+
+def test_enumerated_refuses_past_the_cap_before_any_tally(monkeypatch):
+    tallied = []
+    original = permutations._rank_tally
+
+    def recorded(n):
+        tallied.append(n)
+        return original(n)
+
+    monkeypatch.setenv("DESCON_MAX_N", "9")
+    monkeypatch.setattr(permutations, "_rank_tally", recorded)
+    with pytest.raises(EnumerationCapError, match="^n=10 exceeds the enumeration cap 9"):
+        connected_counts_enumerated(10)
+    assert tallied == []

@@ -183,6 +183,9 @@ class TestCounts:
 def test_cardinality_lex_order():
     assert cardinality_lex_order(4) == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
     assert cardinality_lex_order(1) == [0]
+    for bad in (0, -1, True):
+        with pytest.raises(ValueError, match="^n must be a positive integer, got "):
+            cardinality_lex_order(bad)
     # a permutation of the canonical order, for every n
     for n in range(1, 8):
         assert sorted(cardinality_lex_order(n)) == list(range(1 << (n - 1)))

@@ -85,17 +85,17 @@ def test_sweep_reduction_is_the_public_one():
                 w = Permutation(inverse).inverse()
                 stored.append(w.word)
                 assert (w.descent_set().mask, w.connectivity_set().mask) == (d_mask, c_mask)
-        # one entry per permutation, groups in the order of their first one
+        # one entry per permutation, groups in the order of their first inverse
         assert sorted(stored) == [w.word for w in perms]
-        firsts = [Permutation(blob[:n]).inverse().word for blob in groups.values()]
+        firsts = [tuple(blob[:n]) for blob in groups.values()]
         assert firsts == sorted(firsts)
         # per T, the classes as the object-level loop over the public API
-        # meets them, in lexicographic order of their first permutation
+        # meets them, in lexicographic order of their first inverse
         full = (1 << (n - 1)) - 1
         for t in subsets:
             t_bar = full ^ t.mask
             reduced: dict[int, list] = {}
-            for w in perms:
+            for w in (u.inverse() for u in perms):
                 if w.descent_set().mask & t_bar == t_bar:
                     s_mask = w.connectivity_set().mask
                     reduced.setdefault(s_mask, []).append(reduce_to_multiset(w, t).word)
