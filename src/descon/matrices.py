@@ -38,9 +38,9 @@ q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
 ``_conjugation``) return int grids at a given w, which the public builders
 unpack, each distinct value once. ``verify`` reads the family only through
 them, and multiplies and compares grids at w = 0 for counts and, with q, at
-a width that holds every product (:func:`_family_width`), as ``@`` does for
-Laurent matrices. ``descon table`` expands packed top rows into sparse cells
-(column mask, packed int) and renders each value once.
+a width that holds every product (:func:`_family_width`). ``@`` multiplies
+entries in their own ring. ``descon table`` expands packed top rows into
+sparse cells (column mask, packed int) and renders each value once.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ def ring_zero(ring: str):
     return 0 if ring == INTEGER else LaurentPolynomial()
 
 
-def _int_product(left, right) -> list[list[int]]:
-    """The product of two square int matrices, summed against the nonzero
-    cells of each row of ``right``."""
+def _product(left, right, zero=0) -> list[list]:
+    """The product of two square matrices over one ring, summed against the
+    nonzero cells of each row of ``right``; ``zero`` starts every cell."""
     nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in right]
     out = []
     for arow in left:
-        acc = [0] * len(right)
+        acc = [zero] * len(right)
         for a, bcells in zip(arow, nonzero):
             if a:
                 for j, b in bcells:
@@ -118,34 +118,13 @@ def _int_product(left, right) -> list[list[int]]:
     return out
 
 
-def _product_width(big_x: int, big_y: int, span: int, side: int) -> int:
-    # a slot of a product cell sums at most side * span products of two
-    # coefficients, of sizes up to big_x and big_y; two more bits hold its sign
-    return (big_x * big_y * span * side).bit_length() + 2
-
-
 def _family_width(n: int) -> int:
     """One slot width for the weighted matrices at n, their signed inverses
     and every product of two of them: a coefficient counts permutations of
-    [n], so is at most n!, and a cell spans at most C(n,2) + 1 powers of q."""
-    return _product_width(factorial(n), factorial(n), comb(n, 2) + 1, _side(n))
-
-
-def _extent(rows) -> tuple[int, int, int]:
-    """(lowest exponent, exponent span, largest |coefficient|) over the
-    nonzero Laurent entries of ``rows``; ``(0, 0, 0)`` when all are zero."""
-    cells = [v for row in rows for v in row if v]
-    if not cells:
-        return 0, 0, 0
-    lo = min(v.min_exp for v in cells)
-    hi = max(v.max_exp for v in cells)
-    return lo, hi - lo + 1, max(abs(c) for v in cells for c in v.coeffs)
-
-
-def _pack(rows, lo: int, width: int) -> list[list[int]]:
-    """Kronecker substitution q -> 2**width: each entry becomes one int whose
-    ``width``-bit signed slot k holds the coefficient of q**(lo + k)."""
-    return [[v.shifted(-lo).evaluate(1 << width) for v in row] for row in rows]
+    [n], so is at most n!, and a cell spans at most C(n,2) + 1 powers of q.
+    A slot of a product cell sums at most side * span products of two such
+    coefficients; two more bits hold its sign."""
+    return (factorial(n) ** 2 * (comb(n, 2) + 1) * _side(n)).bit_length() + 2
 
 
 _ZERO = LaurentPolynomial()
@@ -220,12 +199,7 @@ class SubsetMatrix(_Frozen):
             raise ValueError(f"matrix sizes differ: n={self.n} vs n={other.n}")
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}; lift one side first")
-        if self.ring == INTEGER:
-            return SubsetMatrix(self.n, INTEGER, _int_product(self.rows, other.rows))
-        (lo_x, span_x, big_x), (lo_y, span_y, big_y) = _extent(self.rows), _extent(other.rows)
-        width = _product_width(big_x, big_y, min(span_x, span_y), self.side)
-        out = _int_product(_pack(self.rows, lo_x, width), _pack(other.rows, lo_y, width))
-        rows = [[_unpack(v, lo_x + lo_y, width) for v in row] for row in out]
+        rows = _product(self.rows, other.rows, ring_zero(self.ring))
         return SubsetMatrix(self.n, self.ring, rows)
 
     def lift(self, ring: str) -> "SubsetMatrix":
@@ -590,7 +564,7 @@ def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     _require_closed_form_size(n)
     w = _family_width(n) if q else 0
     inverse = _signed_inverse(kind, n, w)
-    if _int_product(_expand(kind, n, w), inverse) != _identity_rows(n, 1 << w * comb(n, 2)):
+    if _product(_expand(kind, n, w), inverse) != _identity_rows(n, 1 << w * comb(n, 2)):
         raise ArithmeticError(
             f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"
         )

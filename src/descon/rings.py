@@ -156,7 +156,8 @@ class LaurentPolynomial(_Sealed):
     def _coerce(other) -> "LaurentPolynomial | None":
         if isinstance(other, LaurentPolynomial):
             return other
-        if isinstance(other, int):
+        # a bool is no constant: it compares unequal and takes part in no arithmetic
+        if isinstance(other, int) and not isinstance(other, bool):
             return LaurentPolynomial((other,))
         return None
 
@@ -221,10 +222,9 @@ class LaurentPolynomial(_Sealed):
             return LaurentPolynomial()
         out = [0] * (len(self._coeffs) + len(o._coeffs) - 1)
         for i, ca in enumerate(self._coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(o._coeffs):
-                out[i + j] += ca * cb
+            if ca:
+                for j, cb in enumerate(o._coeffs, i):
+                    out[j] += ca * cb
         return LaurentPolynomial(out, self._min_exp + o._min_exp)
 
     __rmul__ = __mul__

@@ -32,7 +32,10 @@ class ConnectedCountTable(_Frozen):
     source: str
 
     def __post_init__(self):
-        if self.max_n < 1 or len(self.counts) != self.max_n:
+        _require_int(self.max_n, "max_n")
+        if self.source not in ("enumeration", "series"):
+            raise ValueError(f"source must be 'enumeration' or 'series', got {self.source!r}")
+        if len(self.counts) != self.max_n:
             raise ValueError("counts must cover exactly 1..max_n")
         if self.counts[0] != 1 or any(c < 1 for c in self.counts):
             raise ValueError("connected counts must be positive with f(1) = 1")

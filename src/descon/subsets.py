@@ -103,8 +103,8 @@ class SubsetMask(_Frozen):
     def from_elements(cls, n: int, elements) -> "SubsetMask":
         mask = 0
         for i in elements:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"element {i} outside [{n - 1}]")
+            if isinstance(i, bool) or not 1 <= i <= n - 1:
+                raise ValueError(f"element {i!r} outside [{n - 1}]")
             mask |= 1 << (i - 1)
         return cls(n, mask)
 
@@ -119,7 +119,9 @@ class SubsetMask(_Frozen):
         return SubsetMask(self.n, self.mask ^ ((1 << (self.n - 1)) - 1))
 
     def __contains__(self, i: int) -> bool:
-        return isinstance(i, int) and 1 <= i <= self.n - 1 and bool(self.mask >> (i - 1) & 1)
+        if isinstance(i, bool) or not isinstance(i, int):
+            return False
+        return 1 <= i <= self.n - 1 and bool(self.mask >> (i - 1) & 1)
 
     def _check_ambient(self, other: "SubsetMask") -> None:
         if not isinstance(other, SubsetMask):

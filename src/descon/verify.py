@@ -26,7 +26,7 @@ from .matrices import (
     _expand,
     _family_width,
     _identity_rows,
-    _int_product,
+    _product,
     _signed_inverse,
     _tally,
     _unpack,
@@ -90,7 +90,7 @@ _ORACLES = {
     "gamma": lambda o, w: _tally(o("joint"), "gamma", o.n, w),
     "b": lambda o, w: _tally(o("joint"), "b", o.n, w),
     "a": lambda o, w: _expand("a", o.n, w),
-    "zeta*gamma": lambda o, w: _int_product(o("zeta"), o("gamma", w)),
+    "zeta*gamma": lambda o, w: _product(o("zeta"), o("gamma", w)),
 }
 
 
@@ -278,7 +278,7 @@ def _at_q1(o: _Oracles, grid: list[list[int]]) -> list[list[int]]:
 # (got, want, label, w[, lo]) of grids packed at the width w, 0 for counts.
 def _superset_closed_form(o: _Oracles, w: int) -> list:
     """Closed-form superset counts against the swept joint counts relaxed twice."""
-    return [(o("a", w), _int_product(o("zeta*gamma", w), o("zeta")), "superset counts", w)]
+    return [(o("a", w), _product(o("zeta*gamma", w), o("zeta")), "superset counts", w)]
 
 
 def _top_rows(o: _Oracles, w: int) -> list:
@@ -303,7 +303,7 @@ def _signed_inverses(o: _Oracles, w: int) -> list:
     lo = -comb(o.n, 2)
     identity = _identity_rows(o.n, 1 << -lo * w)
     return [
-        (_int_product(o(kind, w), _signed_inverse(kind, o.n, w)), identity,
+        (_product(o(kind, w), _signed_inverse(kind, o.n, w)), identity,
          f"{kind} inverse product", w, lo)
         for kind in ("a", "b", "gamma")
     ]
@@ -316,7 +316,7 @@ _INTEGER_CHECKS = (
     ("least-inversions", _least_inversions),
     # the signed containment matrix inverts the containment matrix
     ("zeta-signed-inverse", lambda o: [
-        (_int_product(o("zeta"), o("mobius")), _identity_rows(o.n, 1), "zeta inverse"),
+        (_product(o("zeta"), o("mobius")), _identity_rows(o.n, 1), "zeta inverse"),
     ]),
     ("superset-closed-form", lambda o: _superset_closed_form(o, 0)),
     ("diagonal-conjugation", lambda o: _diagonal_conjugation(o, 0)),
@@ -324,14 +324,14 @@ _INTEGER_CHECKS = (
     # top-row routes to b and gamma against the sweep
     ("b-factorization", lambda o: [
         (o("b", 0), o("zeta*gamma", 0), "b enumeration vs zeta*gamma"),
-        (o("b", 0), _int_product(o("a", 0), o("mobius")), "b enumeration vs a*mobius"),
+        (o("b", 0), _product(o("a", 0), o("mobius")), "b enumeration vs a*mobius"),
         *_top_rows(o, 0),
     ]),
     ("signed-inverses", lambda o: _signed_inverses(o, 0)),
     # connectivity-class sizes over multiset words against gamma * zeta,
     # with both indices complemented
     ("multiset-counts", lambda o: [
-        (o("multiset"), _complemented(_int_product(o("gamma", 0), o("zeta"))), "multiset counts"),
+        (o("multiset"), _complemented(_product(o("gamma", 0), o("zeta"))), "multiset counts"),
     ]),
     ("multiset-bijection", _multiset_bijection),
     ("connected-series", _connected_series),

@@ -105,8 +105,9 @@ class TestSubsetMatrix:
 
 
 def schoolbook(x, y):
-    """The dense product with one ring operation per term: the reference the
-    packed product of ``SubsetMatrix.__matmul__`` is checked against."""
+    """The dense product with one ring operation per term, zero terms
+    included: the reference the sparse product of ``SubsetMatrix.__matmul__``
+    is checked against."""
     zero = 0 if x.ring == INTEGER else LaurentPolynomial()
     side = x.side
     rows = [
@@ -147,7 +148,7 @@ def matrix_pairs(draw):
     return matrix(), matrix()
 
 
-class TestPackedProduct:
+class TestProduct:
     @settings(max_examples=150, deadline=None)
     @given(pair=matrix_pairs())
     def test_equals_schoolbook(self, pair):
@@ -165,14 +166,26 @@ class TestPackedProduct:
     @pytest.mark.parametrize("c", (1, 3, 2**64 + 1))
     @pytest.mark.parametrize("sign", (1, -1))
     def test_slots_at_their_bound(self, c, sign):
-        # the middle slot of every cell reaches the bound the width is
-        # chosen for, side * span * c**2, with either sign
+        # the middle coefficient of every cell sums side * span products of
+        # two coefficients c, to side * span * c**2 with either sign, past
+        # 2**128 for the widest c
         p = LaurentPolynomial((c,) * 5, -2)
         x = SubsetMatrix(3, LAURENT, [[p] * 4] * 4)
         y = SubsetMatrix(3, LAURENT, [[p * sign] * 4] * 4)
         product = x @ y
         assert product == schoolbook(x, y)
         assert product.rows[0][0].coeff(0) == sign * 4 * 5 * c * c
+
+    def test_cells_stay_in_the_ring(self):
+        # int 0 equals the zero polynomial, so only the type shows a cell
+        # that no term reached
+        for product in (
+            zeta_matrix(4).lift(POLYNOMIAL) @ gamma_q_matrix(4),
+            gamma_q_matrix(4).lift(LAURENT) @ inverse_closed("gamma", 4, q=True),
+        ):
+            cells = [v for row in product.rows for v in row]
+            assert not all(cells)
+            assert all(type(v) is LaurentPolynomial for v in cells)
 
     def test_ring_and_size_errors(self):
         with pytest.raises(ValueError, match=r"^ring mismatch: polynomial vs laurent; lift one side first$"):

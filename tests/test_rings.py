@@ -113,6 +113,17 @@ class TestIntPolynomial:
         with pytest.raises(TypeError):
             LaurentPolynomial(coeffs, min_exp)
 
+    @pytest.mark.parametrize("flag", (True, False))
+    def test_bools_are_no_constants(self, flag):
+        # True equals 1 and hashes like it, but is neither 1 nor a coefficient
+        p = LaurentPolynomial((int(flag),))
+        assert not p == flag and not flag == p
+        assert p != flag and flag != p
+        assert {p: "p"}.get(flag) is None
+        for add in (lambda: p + flag, lambda: flag + p):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                add()
+
     def test_arithmetic(self):
         p = LaurentPolynomial((1, 1))
         assert (p * p).coeffs == (1, 2, 1)

@@ -71,15 +71,22 @@ def test_series_matches_pinned_values():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^counts must cover exactly 1..max_n$"):
         ConnectedCountTable(2, (1,), "series")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^connected counts must be positive with f\(1\) = 1$"):
         ConnectedCountTable(2, (2, 1), "series")
     with pytest.raises(IndexError):
         connected_counts_series(3).count(4)
     for bad in (0, True, 2.0):
         with pytest.raises(ValueError, match="positive integer"):
             connected_counts_series(bad)
+
+
+def test_table_refuses_a_bool_size_and_an_unknown_source():
+    with pytest.raises(ValueError, match="^max_n must be a positive integer, got True$"):
+        ConnectedCountTable(True, (1,), "series")
+    with pytest.raises(ValueError, match="^source must be 'enumeration' or 'series', got 'anything'$"):
+        ConnectedCountTable(2, (1, 1), "anything")
 
 
 @pytest.mark.parametrize("bad", (0, True, 2.0))

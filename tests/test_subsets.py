@@ -56,6 +56,14 @@ class TestSubsetMask:
         assert s.cardinality == 2
         assert 1 in s and 3 in s and 2 not in s and 7 not in s
 
+    def test_bool_elements_are_refused(self):
+        with pytest.raises(ValueError, match=r"^element True outside \[2\]$"):
+            SubsetMask.from_elements(3, [True])
+
+    def test_bools_are_not_members(self):
+        assert 1 in SubsetMask(3, 1)
+        assert True not in SubsetMask(3, 1)
+
     def test_complement(self):
         assert SubsetMask.from_elements(4, [2, 3]).complement() == SubsetMask.from_elements(4, [1])
         assert SubsetMask.empty(4).complement() == SubsetMask.full(4)
