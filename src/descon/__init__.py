@@ -10,7 +10,9 @@ generating-function identity for connected permutations, all over exact
 integer and polynomial rings. ``descon verify`` checks each fast route
 exactly against an independent one: the tally of S_n by its statistics,
 the defining matrices, and a walk over the n! permutations for the
-multiset bijection.
+multiset bijection. Every size is bounded by one fixed ceiling,
+``permutations.HARD_CEILING`` (n <= 12); the bijection's walk, which holds
+all n! inverses at once, stops at n = 10 and reports that bound.
 """
 
 from .matrices import (
@@ -31,8 +33,6 @@ from .matrices import (
     zeta_matrix,
 )
 from .permutations import (
-    CAP_ENV_VAR,
-    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     MultisetWord,
     Permutation,
@@ -40,7 +40,6 @@ from .permutations import (
     connectivity_mask,
     descent_mask,
     enumerate_permutations,
-    enumeration_cap,
     inversion_count,
     joint_statistics,
     multiset_words,

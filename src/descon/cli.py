@@ -25,10 +25,10 @@ from .matrices import (
     ring_zero,
     row_stream,
 )
-from .permutations import CAP_ENV_VAR, HARD_CEILING, Permutation, enumeration_cap
+from .permutations import HARD_CEILING, Permutation
 from .series import connected_counts_enumerated, connected_counts_series
 from .subsets import SubsetMask, cardinality_lex_order
-from .verify import run_checks
+from .verify import WALK_MAX_N, run_checks
 
 __all__ = ["main"]
 
@@ -227,22 +227,11 @@ def _sweep_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
 
 
 def _cmd_table(args) -> int:
-    cap = enumeration_cap()
     n, kind = args.n, args.kind
-    if n < 1:
-        raise ValueError(f"--n must be positive, got {n}")
+    if not 1 <= n <= HARD_CEILING:
+        raise ValueError(f"--n must be in 1..{HARD_CEILING}, got {n}")
     if args.threads < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
-    if kind == "m" and args.q:
-        raise ValueError("kind 'm' is the containment matrix; it has no weighted version")
-    if kind in ("gamma", "b"):
-        if n > cap:
-            raise ValueError(
-                f"kind '{kind}' is checked against the sweep only up to the "
-                f"enumeration cap; n={n} exceeds the cap {cap}"
-            )
-    elif n > HARD_CEILING:
-        raise ValueError(f"n={n} exceeds the hard ceiling {HARD_CEILING}")
     if kind in ("gamma", "b") and n <= SWEEP_MAX_N:
         _emit_matrix(_sweep_matrix(kind, n, args.q), args.format, args.paper_order, args.out)
         return 0
@@ -254,9 +243,6 @@ def _cmd_table(args) -> int:
 def _cmd_checks(args) -> int:
     """``verify`` and ``multiset``: the checks ``args.names`` (None for
     all) of the identity suite."""
-    cap = enumeration_cap()
-    if not 1 <= args.max_n <= cap:
-        raise ValueError(f"--max-n must be in 1..{cap}, got {args.max_n}")
     results = run_checks(args.max_n, include_q=args.q, names=args.names)
     return 1 if _report_checks(results) else 0
 
@@ -278,9 +264,6 @@ def _report_checks(results) -> int:
 
 
 def _cmd_connected(args) -> int:
-    cap = enumeration_cap()
-    if not 1 <= args.max_n <= cap:
-        raise ValueError(f"--max-n must be in 1..{cap} for the dual-route table, got {args.max_n}")
     start = time.perf_counter()
     enumerated = connected_counts_enumerated(args.max_n)
     series = connected_counts_series(args.max_n)
@@ -319,6 +302,12 @@ def _cmd_connected(args) -> int:
     return 0 if agree_all else 1
 
 
+_CHECKS_MAX_N_HELP = (
+    f"run each check for n = 1..max-n, at most {HARD_CEILING}; "
+    f"multiset-bijection stops at {WALK_MAX_N}"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descon",
@@ -326,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Exact tables and checks for the joint distribution of the descent "
             "and connectivity statistics of permutations."
         ),
-        epilog=f"The {CAP_ENV_VAR} environment variable overrides the enumeration cap "
-        f"(default 10, hard ceiling {HARD_CEILING}).",
+        epilog=f"Every size is bounded by the hard ceiling n <= {HARD_CEILING}; the "
+        f"multiset-bijection check, which walks all n! permutations, stops at n = {WALK_MAX_N}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("gamma", "a", "b", "m"),
         help="gamma: joint counts; a: superset counts; b: half-relaxed counts; m: containment",
     )
-    p_table.add_argument("--n", type=int, required=True, help="ambient permutation size")
+    p_table.add_argument(
+        "--n", type=int, required=True, help=f"ambient permutation size, 1..{HARD_CEILING}"
+    )
     p_table.add_argument("--q", action="store_true", help="weight each permutation by q^inversions")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument(
@@ -360,18 +351,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run every identity check up to a bound")
-    p_verify.add_argument("--max-n", type=int, default=5, help="run each check for n = 1..max-n")
+    p_verify.add_argument("--max-n", type=int, default=5, help=_CHECKS_MAX_N_HELP)
     p_verify.add_argument("--q", action="store_true", help="include the inversion-weighted checks")
     p_verify.set_defaults(handler=_cmd_checks, names=None)
 
     p_conn = sub.add_parser("connected", help="connected-permutation counts by two routes")
-    p_conn.add_argument("--max-n", type=int, default=9, help="rows n = 1..max-n (at most the cap)")
+    p_conn.add_argument(
+        "--max-n", type=int, default=9, help=f"rows n = 1..max-n, at most {HARD_CEILING}"
+    )
     p_conn.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_conn.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     p_conn.set_defaults(handler=_cmd_connected)
 
     p_multi = sub.add_parser("multiset", help="check the multiset-word correspondence")
-    p_multi.add_argument("--max-n", type=int, default=6, help="check n = 1..max-n")
+    p_multi.add_argument("--max-n", type=int, default=6, help=_CHECKS_MAX_N_HELP)
     p_multi.set_defaults(
         handler=_cmd_checks, q=False, names=("multiset-counts", "multiset-bijection")
     )

@@ -633,7 +633,8 @@ def _conjugation(n: int, w: int) -> list[list[int]]:
 def multiset_count_matrix(n: int) -> SubsetMatrix:
     """Entry (S, T) counts the words of the multiset of T whose connectivity
     set is exactly S, by a walk over prefix contents (:func:`_cut_paths`)
-    with no word listed. The cap is checked before the matrix is allocated.
+    with no word listed. The hard ceiling is checked before the matrix is
+    allocated.
 
     Equals the product (gamma times zeta) with both indices complemented.
     Column T = {1} counts 212 and 221 in row {} and 122 in row {1}:

@@ -8,13 +8,12 @@ Statistics use 1-based positions, matching the usual one-line notation
 the 0-based shift. Enumeration order is always lexicographic on the word, so
 streamed computations are reproducible.
 
-The enumeration cap bounds every listing of permutations and the memory of
-the statistics recurrence: ``DESCON_MAX_N`` sets it (default 10, ceiling 12).
+One fixed size bound, :data:`HARD_CEILING` (n <= 12), caps every listing of
+permutations or multiset words and the memory of the statistics recurrence.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from functools import cache
 from itertools import permutations as _lex_permutations
@@ -26,10 +25,7 @@ from .subsets import Composition, SubsetMask, _Frozen
 
 __all__ = [
     "EnumerationCapError",
-    "DEFAULT_ENUMERATION_CAP",
     "HARD_CEILING",
-    "CAP_ENV_VAR",
-    "enumeration_cap",
     "Permutation",
     "MultisetWord",
     "descent_mask",
@@ -42,39 +38,24 @@ __all__ = [
     "connected_count",
 ]
 
-DEFAULT_ENUMERATION_CAP = 10
-# no env setting lets a listing pass 12! words or the recurrence pass n = 12
+# The one size bound of the listings and the tally: 12! is 479,001,600
+# words, and the tally of every n <= 12 (`descon connected --max-n 12`)
+# peaks at 148 MB in a fresh process.
 HARD_CEILING = 12
-CAP_ENV_VAR = "DESCON_MAX_N"
 
 
 class EnumerationCapError(ValueError):
-    """Requested n exceeds the cap on n!-word listings and recurrence memory."""
+    """A size past a fixed bound on work that grows like n!: the hard
+    ceiling of the listings and the statistics recurrence, or the lower
+    bound of the multiset-bijection check's walk in :mod:`descon.verify`."""
 
 
-def enumeration_cap() -> int:
-    """Current cap on enumeration size: DESCON_MAX_N if set, else 10."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive, got {value}")
-    if value > HARD_CEILING:
-        raise ValueError(f"{CAP_ENV_VAR}={value} exceeds the hard ceiling {HARD_CEILING}")
-    return value
-
-
-def _require_within_cap(n: int) -> None:
-    _require_int(n, "n")
-    cap = enumeration_cap()
-    if n > cap:
+def _require_within_cap(n: int, name: str = "n") -> None:
+    _require_int(n, name)
+    if n > HARD_CEILING:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap}, which bounds the {n}!-word "
-            f"listings and the statistics recurrence; raise {CAP_ENV_VAR}"
+            f"{name}={n} exceeds the hard ceiling {HARD_CEILING}, which bounds the "
+            f"n!-word listings and the statistics recurrence"
         )
 
 
@@ -237,7 +218,7 @@ def multiset_words(t: SubsetMask) -> Iterator[MultisetWord]:
 
     The subset {i_1 < ... < i_k} of [n-1] yields the multiset
     {1^i_1, 2^(i_2-i_1), ..., (k+1)^(n-i_k)}; there are n!/eta(t) words.
-    The cap is checked when called, before any word is built.
+    The hard ceiling is checked when called, before any word is built.
 
     >>> [str(w) for w in multiset_words(SubsetMask.from_elements(3, [1]))]
     ['122', '212', '221']
@@ -325,7 +306,7 @@ def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:
 def joint_statistics(n: int) -> dict[tuple[int, int, int], int]:
     """All n! permutations tallied by the triple (connectivity mask,
     descent mask, inversion count), by a relative-rank recurrence that
-    lists none of them; the enumeration cap bounds its memory.
+    lists none of them; the hard ceiling bounds its memory.
 
     Each call runs the recurrence and returns a fresh dict that the caller
     owns; a caller that reads the tally more than once keeps it.

@@ -48,9 +48,8 @@ class ConnectedCountTable(_Frozen):
 
 def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
     """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a
-    time; max_n is checked against the enumeration cap first."""
-    _require_int(max_n, "max_n")
-    _require_within_cap(max_n)
+    time; max_n is checked against the hard ceiling first."""
+    _require_within_cap(max_n, "max_n")
     counts = tuple(connected_count(n) for n in range(1, max_n + 1))
     return ConnectedCountTable(max_n, counts, "enumeration")
 

@@ -7,6 +7,10 @@ on first use, shared by all its checks and dropped before the next n. A
 check that fails is not run for larger n. The exact arithmetic means there
 is no tolerance anywhere, only equality.
 
+Every check runs up to the hard ceiling n = 12 but ``multiset-bijection``,
+whose walk holds the inverses of all n! permutations at once: it stops at
+:data:`WALK_MAX_N` = 10 and reports that bound as its own ``max_n``.
+
 Every matrix compared is a list of int lists packed by q -> 2**w, w = 0 for
 counts and one width per n for the ``q``-checks, so each identity is one
 function of w and each comparison one ``==``; only a cell that a failure
@@ -34,11 +38,18 @@ from .matrices import (
     multiset_count_matrix,
     zeta_matrix,
 )
-from .permutations import _letter_table, _require_within_cap, joint_statistics
+from .permutations import EnumerationCapError, _letter_table, _require_within_cap, joint_statistics
+from .rings import _require_int
 from .series import connected_counts_series
 from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
+
+# The walk of multiset-bijection holds all n! inverses at once, n bytes
+# each. `verify --max-n 10` took 49-57 s and peaked at 526 MB in a fresh
+# process on a shared 2-core machine, nearly all of it this walk; n = 11
+# would cost about 11 times both.
+WALK_MAX_N = 10
 
 
 class CheckResult(_Record):
@@ -160,8 +171,12 @@ def _group_inverses(n: int) -> dict[tuple[int, int], bytearray]:
     collapsing a group is one ``translate``. w descends at v when v + 1
     comes before v in u, and C(w) = C(u): a cut at i when the first i
     values of u are 1..i. Groups keep the order of their lexicographically
-    first inverse. The enumeration cap is checked first."""
-    _require_within_cap(n)
+    first inverse. n is checked against :data:`WALK_MAX_N` first."""
+    _require_int(n, "n")
+    if n > WALK_MAX_N:
+        raise EnumerationCapError(
+            f"n={n} exceeds the bound {WALK_MAX_N} of the walk over all n! inverses"
+        )
     top = 1 << (n - 1)
     groups: dict[tuple[int, int], bytearray] = {}
     for u in permutations(range(1, n + 1)):
@@ -359,9 +374,10 @@ def run_checks(
     names: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
     """Run the identity suite for all n up to max_n and return one result
-    per check, in a fixed order. A check's seconds are summed over n and
-    include every shared oracle it is the first to build."""
-    _require_within_cap(max_n)
+    per check, in a fixed order; ``multiset-bijection`` runs and reports
+    only up to min(max_n, WALK_MAX_N). A check's seconds are summed over n
+    and include every shared oracle it is the first to build."""
+    _require_within_cap(max_n, "max_n")
     selected = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
     if names is not None:
         wanted = set(names)
@@ -369,11 +385,15 @@ def run_checks(
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         selected = tuple((name, fn) for name, fn in selected if name in wanted)
-    results = [CheckResult(name, max_n, True, 0.0) for name, _fn in selected]
+    walk = min(max_n, WALK_MAX_N)
+    results = [
+        CheckResult(name, walk if name == "multiset-bijection" else max_n, True, 0.0)
+        for name, _fn in selected
+    ]
     for n in range(1, max_n + 1):
         oracles = _Oracles(n)
         for result, (_name, check) in zip(results, selected):
-            if not result.passed:
+            if not result.passed or n > result.max_n:
                 continue
             start = time.perf_counter()
             detail = check(oracles)

@@ -166,25 +166,29 @@ class TestTable:
         # row {1,2}, column {1}: 213 and 312 carry 1 and 2 inversions
         assert payload["entries"][3][1] == {"min": 0, "coeffs": ["0", "1", "1"]}
 
-    def test_m_rejects_q(self, capsys):
-        code, _out, err = run_cli(capsys, "table", "m", "--n", "3", "--q")
-        assert code == 2
-        assert "no weighted version" in err
+    def test_m_rejects_q(self, capsys, tmp_path):
+        # the library refuses it before --out is opened
+        target = tmp_path / "X"
+        code, _out, err = run_cli(capsys, "table", "m", "--n", "3", "--q", "--out", str(target))
+        assert code == 2 and "no weighted version" in err
+        assert not target.exists()
 
-    def test_cap_violations(self, capsys, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        code, _out, err = run_cli(capsys, "table", "gamma", "--n", "11")
-        assert code == 2 and "cap" in err
-        code, _out, err = run_cli(capsys, "table", "a", "--n", "13")
-        assert code == 2 and "ceiling" in err
-        monkeypatch.setenv("DESCON_MAX_N", "13")
-        code, _out, err = run_cli(capsys, "table", "gamma", "--n", "4")
-        assert code == 2 and "ceiling" in err
+    def test_cap_violations(self, capsys, tmp_path):
+        # every kind stops at the hard ceiling, refused before --out opens
+        target = tmp_path / "X"
+        for kind in ("gamma", "a", "b", "m"):
+            code, _out, err = run_cli(capsys, "table", kind, "--n", "13", "--out", str(target))
+            assert (code, err) == (2, "error: --n must be in 1..12, got 13\n")
+        code, _out, err = run_cli(capsys, "verify", "--max-n", "13")
+        assert code == 2 and "max_n=13 exceeds the hard ceiling 12" in err
+        assert not target.exists()
 
-    def test_env_cap_can_lower(self, capsys, monkeypatch):
+    def test_environment_sets_no_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DESCON_MAX_N", "3")
-        code, _out, err = run_cli(capsys, "table", "gamma", "--n", "4")
-        assert code == 2 and "cap 3" in err
+        code, out, _err = run_cli(capsys, "table", "gamma", "--n", "11", "--format", "csv")
+        assert code == 0
+        _emit_matrix(gamma_matrix(11), "csv", False, None)
+        assert out.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
 
     def test_out_file_in_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "m.csv"
@@ -264,7 +268,7 @@ class TestVerify:
 
     def test_max_n_validation(self, capsys):
         code, _out, err = run_cli(capsys, "verify", "--max-n", "0")
-        assert code == 2 and "--max-n" in err
+        assert (code, err) == (2, "error: max_n must be a positive integer, got 0\n")
 
     def test_failure_reporting(self, capsys):
         from descon.cli import _report_checks
@@ -294,16 +298,15 @@ class TestConnected:
         payload = json.loads(out)
         assert payload["rows"][2] == {"n": 3, "enumerated": "3", "series": "3", "agree": True}
 
-    def test_rejects_past_dual_route_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        code, _out, err = run_cli(capsys, "connected", "--max-n", "11")
-        assert code == 2 and "--max-n must be in 1..10" in err
+    def test_rejects_past_dual_route_cap(self, capsys):
+        code, _out, err = run_cli(capsys, "connected", "--max-n", "13")
+        assert code == 2 and "max_n=13 exceeds the hard ceiling 12" in err
 
     def test_agrees_at_the_default_cap(self, capsys, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        code, out, _err = run_cli(capsys, "connected", "--max-n", "10", "--format", "csv")
+        monkeypatch.setenv("DESCON_MAX_N", "3")  # sets nothing
+        code, out, _err = run_cli(capsys, "connected", "--max-n", "11", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[-1] == "10,2829325,2829325,yes"
+        assert out.splitlines()[-1] == "11,31998903,31998903,yes"
 
 
 class TestMultiset:

@@ -498,7 +498,6 @@ class TestInverses:
     @pytest.mark.parametrize("q", (False, True))
     def test_inverses_read_no_sweep(self, monkeypatch, q):
         swept = []
-        monkeypatch.setenv("DESCON_MAX_N", "4")
         monkeypatch.setattr(matrices, "joint_statistics", swept.append)
         for kind in ("a", "b", "gamma"):
             assert inverse_closed(kind, 6, q=q).n == 6

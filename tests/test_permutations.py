@@ -19,7 +19,6 @@ from descon.permutations import (
     connectivity_mask,
     descent_mask,
     enumerate_permutations,
-    enumeration_cap,
     inversion_count,
     joint_statistics,
     multiset_words,
@@ -204,26 +203,13 @@ class TestEnumerators:
         assert sum(1 for _ in enumerate_permutations(8)) == factorial(8)
 
     def test_cap_enforcement(self, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
-        assert enumeration_cap() == 10
-        with pytest.raises(EnumerationCapError):
-            enumerate_permutations(11)
+        # the environment sets no cap: 12 is listed lazily, 13 is refused
         monkeypatch.setenv("DESCON_MAX_N", "3")
-        assert enumeration_cap() == 3
-        with pytest.raises(EnumerationCapError):
-            enumerate_permutations(4)
-        monkeypatch.setenv("DESCON_MAX_N", "5")
-        assert [p.word for p in enumerate_permutations(4)][-1] == (4, 3, 2, 1)
-        monkeypatch.setenv("DESCON_MAX_N", "12")
-        assert enumeration_cap() == 12
-        monkeypatch.setenv("DESCON_MAX_N", "13")
-        with pytest.raises(ValueError, match="DESCON_MAX_N=13 exceeds the hard ceiling 12"):
-            enumeration_cap()
-        with pytest.raises(ValueError, match="ceiling"):
-            joint_statistics(3)
-        monkeypatch.setenv("DESCON_MAX_N", "eleven")
-        with pytest.raises(ValueError):
-            enumeration_cap()
+        assert next(enumerate_permutations(12)).word == tuple(range(1, 13))
+        with pytest.raises(EnumerationCapError, match="^n=13 exceeds the hard ceiling 12"):
+            enumerate_permutations(13)
+        with pytest.raises(EnumerationCapError, match="ceiling"):
+            joint_statistics(13)
 
     def test_multiset_words_examples(self):
         t = SubsetMask.from_elements(3, [1])
@@ -274,12 +260,11 @@ class TestEnumerators:
                 cuts = sum(1 << (i - 1) for i, letter in changes if max(u.word[:i]) == letter)
                 assert u.connectivity_set().mask == cuts, u.word
 
-    def test_multiset_enumerators_refuse_oversized_n_at_call_time(self, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+    def test_multiset_enumerators_refuse_oversized_n_at_call_time(self):
         with pytest.raises(EnumerationCapError):
-            multiset_words(SubsetMask(11, 0))  # never iterated
+            multiset_words(SubsetMask(13, 0))  # never iterated
         with pytest.raises(EnumerationCapError):
-            multiset_count_matrix(11)
+            multiset_count_matrix(13)
 
     def test_reduce_to_multiset_examples(self):
         w = Permutation((1, 3, 2))
@@ -293,16 +278,14 @@ class TestEnumerators:
 
 
 class TestJointStatistics:
-    def test_total_is_factorial(self, monkeypatch):
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
+    def test_total_is_factorial(self):
         for n in range(1, 11):
             assert sum(joint_statistics(n).values()) == factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_marginals_match_independent_routes(self, monkeypatch, n):
+    def test_marginals_match_independent_routes(self, n):
         # past the per-word oracle's reach: the inversion, connected and
         # descent marginals by routes that share no code with the tally
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
         by_inv = [0] * (n * (n - 1) // 2 + 1)
         by_d = [0] * (1 << (n - 1))
         connected = 0
@@ -319,7 +302,6 @@ class TestJointStatistics:
         def refuse(*_args):
             raise AssertionError("the tally must not list permutations")
 
-        monkeypatch.delenv("DESCON_MAX_N", raising=False)
         monkeypatch.setattr(permutations, "_lex_permutations", refuse)
         assert sum(joint_statistics(9).values()) == factorial(9)
 
@@ -364,7 +346,6 @@ def test_connected_counts_read_the_shared_sweep(monkeypatch):
         tallied.append(n)
         return original(n)
 
-    monkeypatch.delenv("DESCON_MAX_N", raising=False)
     monkeypatch.setattr(permutations, "_lex_permutations", refuse)
     monkeypatch.setattr(permutations, "_rank_tally", recorded)
     assert [connected_count(n) for n in range(1, 8)] == [1, 1, 3, 13, 71, 461, 3447]

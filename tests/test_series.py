@@ -103,8 +103,7 @@ def test_enumerated_refuses_past_the_cap_before_any_tally(monkeypatch):
         tallied.append(n)
         return original(n)
 
-    monkeypatch.setenv("DESCON_MAX_N", "9")
     monkeypatch.setattr(permutations, "_rank_tally", recorded)
-    with pytest.raises(EnumerationCapError, match="^n=10 exceeds the enumeration cap 9"):
-        connected_counts_enumerated(10)
+    with pytest.raises(EnumerationCapError, match="^max_n=13 exceeds the hard ceiling 12"):
+        connected_counts_enumerated(13)
     assert tallied == []

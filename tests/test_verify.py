@@ -54,7 +54,6 @@ def test_connected_series_scans_every_n_it_reports(monkeypatch):
             joint[0, 0, 0] = 1  # no permutation has c = d = 0
         return joint
 
-    monkeypatch.delenv("DESCON_MAX_N", raising=False)
     monkeypatch.setattr(verify, "joint_statistics", recording)
     (result,) = run_checks(10, names=("connected-series",))
     assert scanned == list(range(1, 11))

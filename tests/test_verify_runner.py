@@ -169,13 +169,28 @@ def test_the_tally_is_made_once_per_n(monkeypatch):
 
 def test_max_n_is_checked_before_any_check_runs(monkeypatch):
     calls = _record(monkeypatch, _ORACLE_BUILDERS)
-    monkeypatch.setenv("DESCON_MAX_N", "3")
-    with pytest.raises(EnumerationCapError, match="n=4 exceeds the enumeration cap 3"):
-        run_checks(4)
+    with pytest.raises(EnumerationCapError, match="^max_n=13 exceeds the hard ceiling 12"):
+        run_checks(13)
     for bad in (True, 2.0, 0):
         with pytest.raises(ValueError, match="positive integer"):
             run_checks(bad)
     assert calls == []
+
+
+def test_bijection_runs_and_reports_to_its_own_bound(monkeypatch):
+    calls = _record(monkeypatch, ("_group_inverses",))
+    monkeypatch.setattr(verify, "WALK_MAX_N", 3)
+    results = run_checks(5, names=("multiset-counts", "multiset-bijection"))
+    assert [(r.name, r.max_n, r.passed) for r in results] == [
+        ("multiset-counts", 5, True), ("multiset-bijection", 3, True),
+    ]
+    assert calls == [("_group_inverses", (n,), ()) for n in (1, 2, 3)]
+
+
+def test_walk_refuses_past_its_bound_before_walking(monkeypatch):
+    monkeypatch.setattr(verify, "permutations", pytest.fail)
+    with pytest.raises(EnumerationCapError, match="^n=11 exceeds the bound 10 of the walk"):
+        verify._group_inverses(11)
 
 
 def test_each_inverse_expands_its_matrix_once(monkeypatch):
