@@ -20,13 +20,9 @@ from .matrices import (
     LAURENT,
     POLYNOMIAL,
     SubsetMatrix,
-    a_matrix_closed,
-    a_q_matrix_closed,
     b_matrix_direct,
-    b_q_matrix_direct,
     diagonal_conjugation_matrix,
     gamma_matrix,
-    gamma_q_matrix,
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
@@ -50,7 +46,6 @@ from .rings import (
     LaurentPolynomial,
     q_factorial,
     q_int,
-    q_multinomial,
 )
 from .series import ConnectedCountTable, connected_counts_enumerated, connected_counts_series
 from .subsets import (

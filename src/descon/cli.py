@@ -19,9 +19,7 @@ from .matrices import (
     POLYNOMIAL,
     SubsetMatrix,
     b_matrix_direct,
-    b_q_matrix_direct,
     gamma_matrix,
-    gamma_q_matrix,
     ring_zero,
     row_stream,
 )
@@ -221,9 +219,7 @@ def _stat_text(value) -> str:
 
 
 def _sweep_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
-    if kind == "gamma":
-        return gamma_q_matrix(n) if q else gamma_matrix(n)
-    return b_q_matrix_direct(n) if q else b_matrix_direct(n)
+    return (gamma_matrix if kind == "gamma" else b_matrix_direct)(n, q)
 
 
 def _cmd_table(args) -> int:

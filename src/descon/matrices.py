@@ -1,8 +1,8 @@
 """Dense matrices indexed by the subsets of [n-1], and the builders for the
 joint-distribution family: the containment (zeta) matrix and its signed
 inverse, the joint descent/connectivity count matrix ``gamma``, the
-superset-count matrix ``a``, the half-relaxed matrix ``b``, their
-inversion-weighted q-analogues, and the closed-form inverses of all of them.
+superset-count matrix ``a``, the half-relaxed matrix ``b``, each plain or
+inversion-weighted by a ``q`` flag, and the closed-form inverses of all of them.
 
 Matrix indexing convention: entry (S, T) sits at ``rows[S.mask][T.mask]``,
 rows and columns in ascending-mask order. Row S of ``gamma`` counts the
@@ -19,12 +19,12 @@ is the product, over the blocks of [n] cut at the complement of S, of one
 *top-row* value v_L(T restricted to the block). :func:`top_rows` builds
 v_1, ..., v_n of ``a``, ``b``, ``gamma`` and the containment matrix, plain
 or q-weighted, with no enumeration, and :func:`block_row` expands any row
-from them. That is the route of the closed-form builders, the signed
-inverses and ``descon table``, which writes the rows one at a time.
-Closed-form builders are capped only by matrix side.
+from them. That is the route of :func:`block_matrix`, the one builder of
+``a``, of the signed inverses and of ``descon table``, which writes the rows
+one at a time. Closed-form builders are capped only by matrix side.
 
-The sweep builders (:func:`gamma_matrix`, :func:`b_matrix_direct` and
-their q-versions) scatter a tally of S_n by statistics through ``_tally``,
+The sweep builders (:func:`gamma_matrix` and :func:`b_matrix_direct`, plain
+or with ``q``) scatter a tally of S_n by statistics through ``_tally``,
 the oracle of ``verify`` for the top rows and the inverses; ``verify``
 hands it the one tally it keeps per n. The dense products with the
 containment matrix ``M`` check the identity ``a = M gamma M`` that ties
@@ -64,15 +64,11 @@ __all__ = [
     "zeta_matrix",
     "mobius_matrix",
     "gamma_matrix",
-    "gamma_q_matrix",
-    "a_matrix_closed",
-    "a_q_matrix_closed",
     "top_rows",
     "block_row",
     "block_matrix",
     "row_stream",
     "b_matrix_direct",
-    "b_q_matrix_direct",
     "inverse_closed",
     "diagonal_conjugation_matrix",
     "multiset_count_matrix",
@@ -442,7 +438,12 @@ def _expand(kind: str, n: int, w: int) -> list[list[int]]:
 
 
 def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
-    """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows."""
+    """The matrix ``kind`` (see :func:`top_rows`) expanded from its top rows,
+    with no enumeration. Entry (S, T) of ``a`` counts the permutations whose
+    connectivity set contains the complement of S and whose descent set
+    contains T, weighted by q**inv with q: per block of the row, a Gaussian
+    multinomial times q to the least inversion count its forced descents
+    require."""
     tops, w = _packed_tops(kind, n, q)
     return _unpacked(n, [block_row(n, tops, s) for s in range(_side(n))], w)
 
@@ -459,27 +460,6 @@ def row_stream(kind: str, n: int, q: bool = False) -> tuple[Callable, Callable]:
     tops, w = _packed_tops(kind, n, q)
     value_of = partial(_unpack, lo=0, width=w) if w else int
     return partial(_block_cells, n, tops), value_of
-
-
-def a_matrix_closed(n: int) -> SubsetMatrix:
-    """Superset-count matrix: entry (S, T) counts the permutations whose
-    connectivity set contains the complement of S and whose descent set
-    contains T.
-
-    Expanded from its top rows, multinomial coefficients built from
-    binomials with no division; the entry is 0 unless T is a subset of S.
-    """
-    return block_matrix("a", n)
-
-
-def a_q_matrix_closed(n: int) -> SubsetMatrix:
-    """Inversion-weighted superset-count matrix.
-
-    Each block contributes a Gaussian multinomial times q to the power of
-    the least inversion count its forced descents require; the powers across
-    blocks add up to the least inversion count of the whole column subset.
-    """
-    return block_matrix("a", n, q=True)
 
 
 def _submasks(mask: int):
@@ -519,30 +499,20 @@ def _swept(kind: str, n: int, q: bool) -> SubsetMatrix:
     return _unpacked(n, _tally(joint_statistics(n), kind, n, w), w)
 
 
-def gamma_matrix(n: int) -> SubsetMatrix:
+def gamma_matrix(n: int, q: bool = False) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
-    exactly T. Read from the tally of all n! permutations."""
-    return _swept("gamma", n, False)
+    exactly T; with q each permutation w counts as q**inv(w). Read from the
+    tally of all n! permutations."""
+    return _swept("gamma", n, q)
 
 
-def gamma_q_matrix(n: int) -> SubsetMatrix:
-    """Joint count matrix refined by inversions: each permutation contributes
-    q**inv(w) instead of 1. Specializes to :func:`gamma_matrix` at q=1."""
-    return _swept("gamma", n, True)
-
-
-def b_matrix_direct(n: int) -> SubsetMatrix:
+def b_matrix_direct(n: int, q: bool = False) -> SubsetMatrix:
     """Entry (S, T) counts the permutations whose connectivity set contains
-    the complement of S and whose descent set is exactly T; built straight
-    from the tally of all n! permutations, independently of any matrix
-    product."""
-    return _swept("b", n, False)
-
-
-def b_q_matrix_direct(n: int) -> SubsetMatrix:
-    """Inversion-weighted version of :func:`b_matrix_direct`."""
-    return _swept("b", n, True)
+    the complement of S and whose descent set is exactly T, weighted by
+    q**inv with q; built straight from the tally of all n! permutations,
+    independently of any matrix product."""
+    return _swept("b", n, q)
 
 
 def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:

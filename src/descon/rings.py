@@ -1,5 +1,5 @@
 """Exact coefficient arithmetic: Laurent polynomials in q and the
-q-analogues of integers, factorials and multinomials.
+q-analogues of integers and factorials.
 
 Every weighted value of the package is a :class:`LaurentPolynomial`: the
 ``q``-analogues weigh each permutation by ``q**inv(w)``, and their inverses
@@ -18,7 +18,7 @@ coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -28,7 +28,6 @@ __all__ = [
     "LaurentPolynomial",
     "q_int",
     "q_factorial",
-    "q_multinomial",
 ]
 
 
@@ -250,39 +249,6 @@ class LaurentPolynomial(_Sealed):
         from fractions import Fraction  # imported here, off every command's start-up
         return Fraction(acc, den)
 
-    def exact_div(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        """Divide exactly; raise InexactDivisionError if any remainder appears.
-
-        Powers of q are units here, so only the coefficient tuples (whose
-        constant terms are nonzero after normalization) need to divide.
-        """
-        d = self._coerce(divisor)
-        if d is None:
-            raise TypeError("divisor must be a LaurentPolynomial or int")
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return LaurentPolynomial()
-        rem = list(self._coeffs)
-        dc = d._coeffs
-        lead = dc[-1]
-        if len(rem) < len(dc):
-            raise InexactDivisionError(f"{self!r} is not divisible by {d!r}")
-        quot = [0] * (len(rem) - len(dc) + 1)
-        for pos in range(len(quot) - 1, -1, -1):
-            head = rem[pos + len(dc) - 1]
-            if head == 0:
-                continue
-            q, r = divmod(head, lead)
-            if r != 0:
-                raise InexactDivisionError(f"{self!r} is not divisible by {d!r}")
-            quot[pos] = q
-            for i, c in enumerate(dc):
-                rem[pos + i] -= q * c
-        if any(rem):
-            raise InexactDivisionError(f"{self!r} is not divisible by {d!r}")
-        return LaurentPolynomial(quot, self._min_exp - d._min_exp)
-
     def substitute_reciprocal(self) -> "LaurentPolynomial":
         """Negate all exponents (q -> 1/q); an involution."""
         return LaurentPolynomial(tuple(reversed(self._coeffs)), -self.max_exp if self else 0)
@@ -325,24 +291,3 @@ def q_factorial(j: int) -> LaurentPolynomial:
     if j == 0:
         return LaurentPolynomial((1,))
     return q_factorial(j - 1) * q_int(j)
-
-
-def q_multinomial(m: int, parts: Sequence[int]) -> LaurentPolynomial:
-    """Gaussian multinomial coefficient: q_factorial(m) over the parts.
-
-    The division is exact by construction; a remainder would be an internal
-    arithmetic bug and raises InexactDivisionError.
-
-    >>> str(q_multinomial(4, [2, 2]))
-    '1+q+2q^2+q^3+q^4'
-    """
-    if not parts:
-        raise ValueError("q_multinomial requires at least one part")
-    for p in parts:
-        _require_int(p, "part")
-    if sum(parts) != m:
-        raise ValueError(f"q_multinomial parts {parts!r} do not sum to {m}")
-    numerator = q_factorial(m)
-    for p in parts:
-        numerator = numerator.exact_div(q_factorial(p))
-    return numerator

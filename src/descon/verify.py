@@ -229,10 +229,11 @@ def _late_marks(blob: bytes, n: int, t: SubsetMask) -> dict[int, bytes]:
 def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: list[int]) -> str | None:
     """The first fault of the reduction at (n, T): the first class whose
     reduced words repeat, else the smallest connectivity mask S whose class
-    holds a word with another connectivity set or has a size other than
+    holds a word with another connectivity set, has a size other than
     entry S of ``column``, the count of the multiset words of T with
-    connectivity set S. A word in two classes has the wrong connectivity
-    set in one."""
+    connectivity set S, or holds letter j other than part j of T's
+    composition times per word. A word in two classes has the wrong
+    connectivity set in one."""
     words = re.compile(b"(?s).{%d}" % n).findall
     for s_mask, reduced in classes.items():
         if len(set(words(reduced))) * n != len(reduced):
@@ -240,6 +241,10 @@ def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: li
     sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
     counts = {s_mask: count for s_mask, count in enumerate(column) if count}
     bad = {s for s in sizes.keys() | counts.keys() if sizes.get(s) != counts.get(s) or s & ~t_mask}
+    parts = SubsetMask(n, t_mask).to_composition().parts
+    for s_mask, reduced in classes.items():
+        if any(reduced.count(j) != sizes[s_mask] * part for j, part in enumerate(parts, 1)):
+            bad.add(s_mask)
     for i, late in _late_marks(b"".join(classes.values()), n, SubsetMask(n, t_mask)).items():
         # the marks of a class whose words all have connectivity set S
         want = b"".join((b"\0" if s >> (i - 1) & 1 else b"\1") * size for s, size in sizes.items())
@@ -257,7 +262,8 @@ def _multiset_bijection(o: _Oracles) -> str | None:
     permutations with prescribed descents bijectively onto the matching
     connectivity class of multiset words. The inverses are walked once
     and no multiset word is listed: per T, each class must be injective,
-    inside its connectivity set, and as large as the multiset count matrix says."""
+    inside its connectivity set, of T's letter content, and as large as the
+    multiset count matrix says."""
     groups = _group_inverses(o.n)
     for t_mask in range(1 << (o.n - 1)):
         classes = _reduce_classes(groups, SubsetMask(o.n, t_mask))

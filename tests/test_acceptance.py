@@ -9,19 +9,17 @@ import csv
 import io
 import time
 from contextlib import contextmanager
+from functools import partial
 from math import factorial
 
 from descon.cli import main
 from descon.matrices import (
     LAURENT,
     POLYNOMIAL,
-    a_matrix_closed,
-    a_q_matrix_closed,
     b_matrix_direct,
-    b_q_matrix_direct,
+    block_matrix,
     diagonal_conjugation_matrix,
     gamma_matrix,
-    gamma_q_matrix,
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
@@ -55,6 +53,10 @@ def S(n, *elements):
     return SubsetMask.from_elements(n, elements)
 
 
+# the one builder of each matrix of the family, each taking (n, q=False)
+FAMILY = {"a": partial(block_matrix, "a"), "b": b_matrix_direct, "gamma": gamma_matrix}
+
+
 def test_criterion_01_golden_tables(capsys):
     with capsys.disabled(), criterion(1, 1, "joint-count tables match the reference tables"):
         for n, golden in GOLDEN_GAMMAS.items():
@@ -78,7 +80,7 @@ def test_criterion_01_golden_tables(capsys):
 def test_criterion_02_worked_example(capsys):
     with capsys.disabled(), criterion(2, 1, "worked n=4 entry with witnesses from enumeration"):
         s, t = S(4, 2, 3), S(4, 3)
-        assert a_matrix_closed(4).entry(s, t) == 3
+        assert block_matrix("a", 4).entry(s, t) == 3
         assert gamma_matrix(4).entry(s, t) == 1
         s_bar = s.complement()
         relaxed, exact = [], []
@@ -111,24 +113,23 @@ def test_criterion_04_closed_form_equals_sandwich(capsys):
     with capsys.disabled(), criterion(4, 30, "closed-form superset counts equal M*Gamma*M, n<=7"):
         for n in range(1, 8):
             m = zeta_matrix(n)
-            assert a_matrix_closed(n) == m @ gamma_matrix(n) @ m, n
+            assert block_matrix("a", n) == m @ gamma_matrix(n) @ m, n
 
 
 def test_criterion_05_matrix_identities(capsys):
     with capsys.disabled(), criterion(5, 60, "conjugation, b factorizations, zeta inverse, n<=7"):
         for n in range(1, 8):
-            assert diagonal_conjugation_matrix(n) == a_matrix_closed(n), n
+            assert diagonal_conjugation_matrix(n) == block_matrix("a", n), n
             direct = b_matrix_direct(n)
             assert direct == zeta_matrix(n) @ gamma_matrix(n), n
-            assert direct == a_matrix_closed(n) @ mobius_matrix(n), n
+            assert direct == block_matrix("a", n) @ mobius_matrix(n), n
             assert (zeta_matrix(n) @ mobius_matrix(n)).is_identity(), n
 
 
 def test_criterion_06_signed_inverses(capsys):
     with capsys.disabled(), criterion(6, 60, "signed inverses multiply to the identity, n<=7"):
-        builders = {"a": a_matrix_closed, "b": b_matrix_direct, "gamma": gamma_matrix}
         for n in range(1, 8):
-            for kind, builder in builders.items():
+            for kind, builder in FAMILY.items():
                 product = builder(n) @ inverse_closed(kind, n)
                 assert product.is_identity(), (n, kind)
 
@@ -136,16 +137,15 @@ def test_criterion_06_signed_inverses(capsys):
 def test_criterion_07_q_suite(capsys):
     with capsys.disabled(), criterion(7, 120, "inversion-weighted suite, n<=6"):
         for n in range(1, 7):
-            assert gamma_q_matrix(n).specialize_q1() == gamma_matrix(n), n
+            assert gamma_matrix(n, q=True).specialize_q1() == gamma_matrix(n), n
             mq = zeta_matrix(n).lift(POLYNOMIAL)
-            assert a_q_matrix_closed(n) == mq @ gamma_q_matrix(n) @ mq, n
-            builders = {"a": a_q_matrix_closed, "b": b_q_matrix_direct, "gamma": gamma_q_matrix}
-            for kind, builder in builders.items():
+            assert block_matrix("a", n, q=True) == mq @ gamma_matrix(n, q=True) @ mq, n
+            for kind, builder in FAMILY.items():
                 inverse = inverse_closed(kind, n, q=True)
                 assert inverse.ring == LAURENT
-                product = builder(n).lift(LAURENT) @ inverse
+                product = builder(n, q=True).lift(LAURENT) @ inverse
                 assert product.is_identity(), (n, kind)
-        assert a_q_matrix_closed(4).entry(S(4, 2, 3), S(4, 3)) == LaurentPolynomial((0, 1, 1, 1))
+        assert block_matrix("a", 4, q=True).entry(S(4, 2, 3), S(4, 3)) == LaurentPolynomial((0, 1, 1, 1))
 
 
 def test_criterion_08_least_inversions(capsys):

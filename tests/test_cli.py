@@ -11,7 +11,7 @@ import pytest
 
 import descon
 from descon.cli import _cell_renderer, _emit_matrix, _json, main
-from descon.matrices import b_matrix_direct, b_q_matrix_direct, gamma_matrix, gamma_q_matrix
+from descon.matrices import b_matrix_direct, gamma_matrix
 from descon.rings import LaurentPolynomial
 
 from golden_tables import GAMMA_N5
@@ -206,12 +206,7 @@ class TestTable:
         assert target.read_text().startswith("S\\T,")
 
 
-SWEEP_BUILDERS = {
-    ("gamma", False): gamma_matrix,
-    ("gamma", True): gamma_q_matrix,
-    ("b", False): b_matrix_direct,
-    ("b", True): b_q_matrix_direct,
-}
+SWEEP_BUILDERS = {"gamma": gamma_matrix, "b": b_matrix_direct}
 
 
 @pytest.mark.parametrize("kind", ("gamma", "b"))
@@ -224,7 +219,7 @@ def test_table_bytes_match_sweep(capsys, kind, q, fmt, paper):
         argv += ["--q"] * q + ["--paper-order"] * paper
         code, out, _err = run_cli(capsys, *argv)
         assert code == 0
-        _emit_matrix(SWEEP_BUILDERS[kind, q](n), fmt, paper, None)
+        _emit_matrix(SWEEP_BUILDERS[kind](n, q), fmt, paper, None)
         assert out == capsys.readouterr().out
 
 

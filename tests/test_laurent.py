@@ -28,13 +28,6 @@ class TestShiftedValues:
         assert p.shifted(0) == p
         assert LaurentPolynomial().shifted(-3) == 0
 
-    def test_exact_div_with_shifted_operands(self):
-        p, r = LaurentPolynomial((1, 1)), LaurentPolynomial((1, 1, 1))
-        assert (p * r).shifted(3).exact_div(p) == r.shifted(3)
-        assert (p * r).exact_div(p.shifted(2)) == r.shifted(-2)
-        assert (p * r).shifted(-1).exact_div(r.shifted(4)) == p.shifted(-5)
-        assert LaurentPolynomial((0, 0, 6)).exact_div(3) == LaurentPolynomial((0, 0, 2))
-
     def test_evaluate_with_negative_powers_stays_exact(self):
         assert LaurentPolynomial((1,), -1).evaluate(2) == Fraction(1, 2)
         assert LaurentPolynomial((2, 0, 4), -1).evaluate(2) == 9

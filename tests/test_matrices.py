@@ -3,6 +3,7 @@
 import copy
 import pickle
 from collections import Counter
+from functools import partial
 from math import factorial
 
 import pytest
@@ -15,15 +16,11 @@ from descon.matrices import (
     LAURENT,
     POLYNOMIAL,
     SubsetMatrix,
-    a_matrix_closed,
-    a_q_matrix_closed,
     b_matrix_direct,
-    b_q_matrix_direct,
     block_matrix,
     block_row,
     diagonal_conjugation_matrix,
     gamma_matrix,
-    gamma_q_matrix,
     inverse_closed,
     mobius_matrix,
     multiset_count_matrix,
@@ -41,6 +38,9 @@ from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
 from golden_tables import GOLDEN_GAMMAS
+
+# the one builder of each matrix of the family, each taking (n, q=False)
+FAMILY = {"a": partial(block_matrix, "a"), "b": b_matrix_direct, "gamma": gamma_matrix}
 
 
 def S(n, *elements):
@@ -77,7 +77,7 @@ class TestSubsetMatrix:
             m.ring = LAURENT
 
     def test_weighted_matrices_pickle_and_copy(self):
-        for m in (zeta_matrix(3), gamma_q_matrix(3), inverse_closed("b", 4, q=True)):
+        for m in (zeta_matrix(3), gamma_matrix(3, q=True), inverse_closed("b", 4, q=True)):
             pickled = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
             for back in (*pickled, copy.copy(m), copy.deepcopy(m)):
                 assert back == m and hash(back) == hash(m) and back.ring == m.ring
@@ -91,7 +91,7 @@ class TestSubsetMatrix:
 
     def test_matmul_requires_matching_ring(self):
         with pytest.raises(ValueError, match="ring mismatch"):
-            zeta_matrix(3) @ gamma_q_matrix(3)
+            zeta_matrix(3) @ gamma_matrix(3, q=True)
         with pytest.raises(ValueError, match="sizes differ"):
             zeta_matrix(3) @ zeta_matrix(4)
 
@@ -180,8 +180,8 @@ class TestProduct:
         # int 0 equals the zero polynomial, so only the type shows a cell
         # that no term reached
         for product in (
-            zeta_matrix(4).lift(POLYNOMIAL) @ gamma_q_matrix(4),
-            gamma_q_matrix(4).lift(LAURENT) @ inverse_closed("gamma", 4, q=True),
+            zeta_matrix(4).lift(POLYNOMIAL) @ gamma_matrix(4, q=True),
+            gamma_matrix(4, q=True).lift(LAURENT) @ inverse_closed("gamma", 4, q=True),
         ):
             cells = [v for row in product.rows for v in row]
             assert not all(cells)
@@ -240,7 +240,7 @@ class TestGamma:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_q_total_is_inversion_generating_function(self, n):
         total = LaurentPolynomial()
-        for row in gamma_q_matrix(n).rows:
+        for row in gamma_matrix(n, q=True).rows:
             for cell in row:
                 total = total + cell
         expected = LaurentPolynomial((1,))
@@ -266,31 +266,31 @@ class TestGamma:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_gamma_q_specializes(self, n):
-        gq = gamma_q_matrix(n)
+        gq = gamma_matrix(n, q=True)
         assert gq.ring == POLYNOMIAL
         assert gq.specialize_q1() == gamma_matrix(n)
 
 
 class TestAClosedForm:
     def test_worked_example(self):
-        a = a_matrix_closed(4)
+        a = block_matrix("a", 4)
         assert a.entry(S(4, 2, 3), S(4, 3)) == 3
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_diagonal_and_corner(self, n):
-        a = a_matrix_closed(n)
+        a = block_matrix("a", n)
         assert all(a.rows[i][i] == 1 for i in range(a.side))
         assert a.entry(SubsetMask.full(n), SubsetMask.empty(n)) == factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_enumeration_sandwich(self, n):
         m = zeta_matrix(n)
-        assert m @ gamma_matrix(n) @ m == a_matrix_closed(n)
+        assert m @ gamma_matrix(n) @ m == block_matrix("a", n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_entries_re_derived_from_eta_ratio(self, n):
         # independent route: exact division of the complement weights
-        a = a_matrix_closed(n)
+        a = block_matrix("a", n)
         for s in range(a.side):
             s_weight = eta(SubsetMask(n, s).complement())
             for t in range(a.side):
@@ -312,23 +312,23 @@ class TestAClosedForm:
                 witnesses.append(str(w))
                 weights = weights + LaurentPolynomial((1,)).shifted(w.inversions())
         assert witnesses == ["1243", "1342", "1432"]
-        entry = a_q_matrix_closed(4).entry(s, t)
+        entry = block_matrix("a", 4, q=True).entry(s, t)
         assert entry == weights == LaurentPolynomial((0, 1, 1, 1))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_a_q_matches_enumeration_sandwich(self, n):
         mq = zeta_matrix(n).lift(POLYNOMIAL)
-        assert mq @ gamma_q_matrix(n) @ mq == a_q_matrix_closed(n)
+        assert mq @ gamma_matrix(n, q=True) @ mq == block_matrix("a", n, q=True)
 
     def test_a_q_zero_case_and_specialization(self):
-        aq = a_q_matrix_closed(4)
+        aq = block_matrix("a", 4, q=True)
         assert aq.entry(S(4, 1), S(4, 2)) == LaurentPolynomial()
-        assert aq.specialize_q1() == a_matrix_closed(4)
+        assert aq.specialize_q1() == block_matrix("a", 4)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_diagonal_conjugation(self, n):
-        assert diagonal_conjugation_matrix(n) == a_matrix_closed(n)
-        assert diagonal_conjugation_matrix(n, q=True) == a_q_matrix_closed(n)
+        assert diagonal_conjugation_matrix(n) == block_matrix("a", n)
+        assert diagonal_conjugation_matrix(n, q=True) == block_matrix("a", n, q=True)
 
 
 class TestB:
@@ -341,12 +341,12 @@ class TestB:
     def test_three_routes_agree(self, n):
         direct = b_matrix_direct(n)
         assert direct == zeta_matrix(n) @ gamma_matrix(n)
-        assert direct == a_matrix_closed(n) @ mobius_matrix(n)
+        assert direct == block_matrix("a", n) @ mobius_matrix(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_q_version(self, n):
-        direct = b_q_matrix_direct(n)
-        assert direct == zeta_matrix(n).lift(POLYNOMIAL) @ gamma_q_matrix(n)
+        direct = b_matrix_direct(n, q=True)
+        assert direct == zeta_matrix(n).lift(POLYNOMIAL) @ gamma_matrix(n, q=True)
         assert direct.specialize_q1() == b_matrix_direct(n)
 
 
@@ -355,8 +355,8 @@ class TestTransformRoute:
     @given(n=st.integers(1, 7), q=st.booleans())
     def test_equals_sweep_and_keeps_support(self, n, q):
         routes = (
-            (block_matrix("gamma", n, q), gamma_q_matrix(n) if q else gamma_matrix(n)),
-            (block_matrix("b", n, q), b_q_matrix_direct(n) if q else b_matrix_direct(n)),
+            (block_matrix("gamma", n, q), gamma_matrix(n, q)),
+            (block_matrix("b", n, q), b_matrix_direct(n, q)),
         )
         for expanded, swept in routes:
             assert expanded == swept
@@ -422,7 +422,7 @@ class TestTransformRoute:
 
     def test_rejects_bool_and_oversized_n(self):
         builders = (
-            a_matrix_closed, a_q_matrix_closed, lambda n: top_rows("gamma", n),
+            partial(block_matrix, "a"), partial(block_matrix, "a", q=True), partial(top_rows, "gamma"),
             lambda n: diagonal_conjugation_matrix(n, q=True), lambda n: inverse_closed("a", n, q=True),
         )
         for builder in builders:
@@ -444,7 +444,7 @@ class TestInverses:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("kind", ("a", "b", "gamma"))
     def test_products_are_identity(self, n, kind):
-        base = {"a": a_matrix_closed, "b": b_matrix_direct, "gamma": gamma_matrix}[kind](n)
+        base = FAMILY[kind](n)
         inv = inverse_closed(kind, n)
         assert (base @ inv).is_identity()
         assert (inv @ base).is_identity()
@@ -452,7 +452,7 @@ class TestInverses:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("kind", ("a", "b", "gamma"))
     def test_q_products_are_identity(self, n, kind):
-        base = {"a": a_q_matrix_closed, "b": b_q_matrix_direct, "gamma": gamma_q_matrix}[kind](n)
+        base = FAMILY[kind](n, q=True)
         inv = inverse_closed(kind, n, q=True)
         assert inv.ring == LAURENT
         assert (base.lift(LAURENT) @ inv).is_identity()

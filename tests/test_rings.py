@@ -1,34 +1,12 @@
 """Exact Laurent polynomial arithmetic and the q-analogues."""
 
-import itertools
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descon.rings import (
-    InexactDivisionError,
-    LaurentPolynomial,
-    q_factorial,
-    q_int,
-    q_multinomial,
-)
-
-
-def compositions(m):
-    """All ordered tuples of positive parts summing to m."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in compositions(m - first):
-            yield (first, *rest)
-
-
-def inversions(word):
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+from descon.rings import LaurentPolynomial, q_factorial, q_int
 
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
@@ -49,11 +27,6 @@ class TestQPrimitives:
         with pytest.raises(ValueError):
             q_factorial(-1)
 
-    def test_q_multinomial_examples(self):
-        assert q_multinomial(4, [2, 2]).coeffs == (1, 1, 2, 1, 1)
-        assert q_multinomial(5, [5]) == 1
-        assert q_multinomial(4, [2, 2]).evaluate(1) == 6
-
     def test_q_int_and_q_factorial_reject_bools(self):
         q_factorial(1), q_factorial(0)  # cached entries that True and False must not hit
         for bad in (True, False):
@@ -61,31 +34,6 @@ class TestQPrimitives:
                 q_int(bad)
             with pytest.raises(ValueError):
                 q_factorial(bad)
-
-    @pytest.mark.parametrize(
-        "m,parts", [(4, [2, 3]), (4, [2, 0, 2]), (4, []), (2, [True, True]), (True, [1])]
-    )
-    def test_q_multinomial_rejects_bad_parts(self, m, parts):
-        with pytest.raises(ValueError):
-            q_multinomial(m, parts)
-
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_q_multinomial_counts_multiset_inversions(self, m):
-        # independent oracle: sum q^inversions over the distinct words of
-        # the multiset with parts[i] copies of letter i
-        for parts in compositions(m):
-            letters = [i + 1 for i, p in enumerate(parts) for _ in range(p)]
-            coeffs = [0] * (inversions(tuple(reversed(letters))) + 1)
-            for word in set(itertools.permutations(letters)):
-                coeffs[inversions(word)] += 1
-            assert q_multinomial(m, list(parts)) == LaurentPolynomial(coeffs), parts
-
-    @pytest.mark.parametrize("m", range(1, 8))
-    def test_q_multinomial_palindromic_nonnegative(self, m):
-        for parts in compositions(m):
-            coeffs = q_multinomial(m, list(parts)).coeffs
-            assert all(c >= 0 for c in coeffs)
-            assert coeffs == tuple(reversed(coeffs))
 
     def test_q_factorial_total_at_one(self):
         for j in range(8):
@@ -142,21 +90,6 @@ class TestIntPolynomial:
             assert (p * r).evaluate(v) == p.evaluate(v) * r.evaluate(v)
             assert (p + r).evaluate(v) == p.evaluate(v) + r.evaluate(v)
             assert (p - r).evaluate(v) == p.evaluate(v) - r.evaluate(v)
-
-    def test_exact_div(self):
-        p, r = LaurentPolynomial((1, 1)), LaurentPolynomial((1, 1, 1))
-        assert (p * r).exact_div(p) == r
-        assert LaurentPolynomial().exact_div(p) == 0
-
-    def test_exact_div_remainder_raises(self):
-        with pytest.raises(InexactDivisionError):
-            LaurentPolynomial((1, 0, 1)).exact_div(LaurentPolynomial((1, 1)))
-        with pytest.raises(InexactDivisionError):
-            LaurentPolynomial((0, 1)).exact_div(LaurentPolynomial((0, 2)))
-        with pytest.raises(InexactDivisionError):
-            LaurentPolynomial((1, 0, 1), -2).exact_div(LaurentPolynomial((1, 1), 3))
-        with pytest.raises(ZeroDivisionError):
-            LaurentPolynomial((1,)).exact_div(LaurentPolynomial())
 
     def test_substitute_reciprocal_examples(self):
         assert LaurentPolynomial((0, 1, 1, 1)).substitute_reciprocal() == LaurentPolynomial((1, 1, 1), -3)

@@ -7,33 +7,25 @@ import csv
 import hashlib
 import io
 import json
+from functools import partial
 from math import factorial
 from pathlib import Path
 
 import pytest
 
 from descon.cli import _emit_matrix, main
-from descon.matrices import (
-    a_matrix_closed,
-    a_q_matrix_closed,
-    b_matrix_direct,
-    b_q_matrix_direct,
-    gamma_matrix,
-    gamma_q_matrix,
-    top_rows,
-    zeta_matrix,
-)
+from descon.matrices import b_matrix_direct, block_matrix, gamma_matrix, top_rows, zeta_matrix
 from descon.rings import q_factorial
 from descon.series import connected_counts_series
 from descon.subsets import SubsetMask, cardinality_lex_order
 
 REFERENCES = {
     ("gamma", False): gamma_matrix,
-    ("gamma", True): gamma_q_matrix,
+    ("gamma", True): partial(gamma_matrix, q=True),
     ("b", False): b_matrix_direct,
-    ("b", True): b_q_matrix_direct,
-    ("a", False): a_matrix_closed,
-    ("a", True): a_q_matrix_closed,
+    ("b", True): partial(b_matrix_direct, q=True),
+    ("a", False): partial(block_matrix, "a"),
+    ("a", True): partial(block_matrix, "a", q=True),
     ("m", False): zeta_matrix,
 }
 

@@ -11,6 +11,7 @@ import descon.permutations as permutations
 import descon.verify as verify
 from descon.permutations import EnumerationCapError
 from descon.rings import LaurentPolynomial
+from descon.subsets import SubsetMask
 from descon.verify import run_checks
 
 _ORACLE_BUILDERS = (
@@ -27,10 +28,7 @@ _PACKED = {
     "mobius_matrix": ("mobius_matrix", None),
     "multiset_count_matrix": ("multiset_count_matrix", None),
     "b_matrix_direct": ("_tally", "b"),
-    "gamma_q_matrix": ("_tally", "gamma"),
-    "b_q_matrix_direct": ("_tally", "b"),
-    "a_matrix_closed": ("_expand", "a"),
-    "a_q_matrix_closed": ("_expand", "a"),
+    "gamma_matrix": ("_tally", "gamma"),
     "block_matrix": ("_expand", None),
     "diagonal_conjugation_matrix": ("_conjugation", None),
     "inverse_closed": ("_signed_inverse", None),
@@ -86,11 +84,11 @@ def _record(monkeypatch, names):
     "check, name, part, detail",
     [
         ("zeta-signed-inverse", "mobius_matrix", None, f"zeta inverse {_AT}: 1 != 0"),
-        ("superset-closed-form", "a_matrix_closed", None, f"superset counts {_AT}: 4 != 3"),
+        ("superset-closed-form", "block_matrix", "a", f"superset counts {_AT}: 4 != 3"),
         ("diagonal-conjugation", "diagonal_conjugation_matrix", None,
          f"diagonal conjugation {_AT}: 4 != 3"),
         ("b-factorization", "b_matrix_direct", None, f"b enumeration vs zeta*gamma {_AT}: 3 != 2"),
-        ("b-factorization", "a_matrix_closed", None,
+        ("b-factorization", "block_matrix", "a",
          "b enumeration vs a*mobius at n=3, S={1,2}, T={}: 1 != 0"),
         ("b-factorization", "block_matrix", "b", f"b top rows vs enumeration {_AT}: 3 != 2"),
         ("b-factorization", "block_matrix", "gamma",
@@ -101,10 +99,10 @@ def _record(monkeypatch, names):
         ("multiset-counts", "multiset_count_matrix", None, f"multiset counts {_AT}: 1 != 0"),
         # a count off by one leaves its class the wrong size
         ("multiset-bijection", "multiset_count_matrix", None, f"reduction misses a class {_AT}"),
-        ("q-specialization", "gamma_q_matrix", None, f"gamma at q=1 {_AT}: 2 != 1"),
-        ("q-specialization", "a_q_matrix_closed", None, f"a at q=1 {_AT}: 4 != 3"),
-        ("q-specialization", "b_q_matrix_direct", None, f"b at q=1 {_AT}: 3 != 2"),
-        ("q-superset-closed-form", "a_q_matrix_closed", None,
+        ("q-specialization", "gamma_matrix", None, f"gamma at q=1 {_AT}: 2 != 1"),
+        ("q-specialization", "block_matrix", "a", f"a at q=1 {_AT}: 4 != 3"),
+        ("q-specialization", "b_matrix_direct", None, f"b at q=1 {_AT}: 3 != 2"),
+        ("q-superset-closed-form", "block_matrix", "a",
          f"weighted superset counts {_AT}: 1+q+q^2+q^3 != q+q^2+q^3"),
         ("q-superset-closed-form", "block_matrix", "b",
          f"weighted b top rows vs enumeration {_AT}: 1+q+q^2 != q+q^2"),
@@ -219,7 +217,7 @@ def test_signed_inverses_reuse_the_oracles(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("matrix rebuilt for its inverse")
 
-    for name in ("a_matrix_closed", "a_q_matrix_closed", "gamma_matrix", "gamma_q_matrix"):
+    for name in ("block_matrix", "gamma_matrix"):
         monkeypatch.setattr(matrices, name, refuse)
     results = run_checks(4, include_q=True, names=("signed-inverses", "q-signed-inverses"))
     assert all(r.passed for r in results)
@@ -268,3 +266,52 @@ def test_inverse_fault_at_an_end_of_the_packed_range(monkeypatch, power, detail)
     assert (result.passed, result.detail) == (
         False, f"weighted a inverse product at n=3, S={{1,2}}, T={{}}: {detail}",
     )
+
+
+def _one_more_at(arg):
+    """The fault of one value: the value at ``arg`` one more."""
+    return lambda original: lambda x: original(x) + int(x == arg)
+
+
+def _first_cell_one_more(original):
+    """The fault of one cell: cell (0, 0) of each grid one more."""
+    def faulty(*args):
+        grid = original(*args)
+        grid[0][0] += 1
+        return grid
+
+    return faulty
+
+
+# (target, fault, first failing check, its counterexample): each fault puts
+# one value off where the code reads it, at the smallest n where it shows.
+_FAULTS = [
+    ("verify.eta", _one_more_at(SubsetMask(1, 0)), "containment-counts",
+     "connectivity-superset count at n=1, S={}: 1 != 2"),
+    ("verify.min_inversions", _one_more_at(SubsetMask(1, 0)), "least-inversions",
+     "least inversions at n=1, T={}: weight 1 != enumerated 0"),
+    ("matrices.eta_q", _one_more_at(SubsetMask(2, 0)), "diagonal-conjugation",
+     "diagonal conjugation at n=2, S={1}, T={}: 3 != 2"),
+    ("matrices.min_inversions", _one_more_at(SubsetMask(1, 0)), "q-diagonal-conjugation",
+     "weighted diagonal conjugation at n=1, S={}, T={}: q != 1"),
+    ("verify._at_q1", _first_cell_one_more, "q-specialization",
+     "gamma at q=1 at n=1, S={}, T={}: 2 != 1"),
+    # for each element of T, the mark of the first word flipped
+    ("verify._late_marks", lambda original: lambda blob, n, t: {
+        i: bytes([late[0] ^ 1]) + late[1:] for i, late in original(blob, n, t).items()
+    }, "multiset-bijection", "reduction misses a class at n=2, S={1}, T={1}"),
+    # every value of T's last block, letter k + 1, collapses to k + 2 instead:
+    # classes keep their sizes, their injectivity and their cuts
+    ("verify._letter_table", lambda original: lambda t: tuple(
+        x + (x > len(t.elements())) for x in original(t)
+    ), "multiset-bijection", "reduction misses a class at n=1, S={}, T={}"),
+]
+
+
+@pytest.mark.parametrize("target, fault, check, detail", _FAULTS, ids=[row[0] for row in _FAULTS])
+def test_a_fault_where_the_code_reads_it_fails_a_check(monkeypatch, target, fault, check, detail):
+    module, name = target.split(".")
+    owner = {"verify": verify, "matrices": matrices}[module]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    failed = [(r.name, r.detail) for r in run_checks(3, include_q=True) if not r.passed]
+    assert failed[:1] == [(check, detail)]
