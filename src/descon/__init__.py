@@ -32,7 +32,6 @@ from .permutations import (
     EnumerationCapError,
     MultisetWord,
     Permutation,
-    connected_count,
     connectivity_mask,
     descent_mask,
     enumerate_permutations,
@@ -57,6 +56,6 @@ from .subsets import (
     eta_q,
     min_inversions,
 )
-from .verify import CheckResult, available_checks, run_checks
+from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"

@@ -182,7 +182,7 @@ def _cmd_stats(args) -> int:
     connectivity = w.connectivity_set()
     composition = w.descent_composition()
     fields = [
-        ("word", w.to_text()),
+        ("word", str(w)),
         ("n", w.n),
         ("descents", descents),
         ("connectivity", connectivity),

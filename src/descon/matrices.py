@@ -39,7 +39,8 @@ q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
 unpack, each distinct value once. ``verify`` reads the family only through
 them, and multiplies and compares grids at w = 0 for counts and, with q, at
 a width that holds every product (:func:`_family_width`). ``@`` multiplies
-entries in their own ring. ``descon table`` expands packed top rows into
+over the wider ring of its two operands, so an integer matrix times a
+weighted one needs no cast. ``descon table`` expands packed top rows into
 sparse cells (column mask, packed int) and renders each value once.
 """
 
@@ -175,9 +176,7 @@ class SubsetMatrix(_Frozen):
     def identity(cls, n: int, ring: str = INTEGER) -> "SubsetMatrix":
         _require_int(n, "n")
         zero = ring_zero(ring)
-        one = zero + 1
-        side = _side(n)
-        return cls(n, ring, [[one if i == j else zero for j in range(side)] for i in range(side)])
+        return cls(n, ring, _identity_rows(n, zero + 1, zero))
 
     @property
     def side(self) -> int:
@@ -189,29 +188,13 @@ class SubsetMatrix(_Frozen):
         return self.rows[s.mask][t.mask]
 
     def __matmul__(self, other: "SubsetMatrix") -> "SubsetMatrix":
+        """The product over the wider ring of the two, in ``_RINGS`` order."""
         if not isinstance(other, SubsetMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"matrix sizes differ: n={self.n} vs n={other.n}")
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}; lift one side first")
-        rows = _product(self.rows, other.rows, ring_zero(self.ring))
-        return SubsetMatrix(self.n, self.ring, rows)
-
-    def lift(self, ring: str) -> "SubsetMatrix":
-        """Reinterpret over a wider ring (integer -> polynomial -> laurent);
-        between the two polynomial rings only the tag changes."""
-        _require_ring(ring)
-        if ring == self.ring:
-            return self
-        if _RINGS.index(ring) < _RINGS.index(self.ring):
-            raise ValueError(f"cannot narrow {self.ring} matrix to {ring}")
-        if self.ring == INTEGER:
-            return self.map_entries(lambda v: LaurentPolynomial((v,)), ring)
-        return SubsetMatrix(self.n, ring, self.rows)
-
-    def map_entries(self, fn: Callable, ring: str) -> "SubsetMatrix":
-        return SubsetMatrix(self.n, ring, [[fn(v) for v in row] for row in self.rows])
+        ring = max(self.ring, other.ring, key=_RINGS.index)
+        return SubsetMatrix(self.n, ring, _product(self.rows, other.rows, ring_zero(ring)))
 
     def checkerboard_signed(self) -> "SubsetMatrix":
         """Negate every entry whose row and column cardinalities differ in
@@ -222,20 +205,6 @@ class SubsetMatrix(_Frozen):
             pi = parity[i]
             out.append([-v if pi ^ parity[j] else v for j, v in enumerate(row)])
         return SubsetMatrix(self.n, self.ring, out)
-
-    def specialize_q1(self) -> "SubsetMatrix":
-        """Substitute q = 1, returning an integer matrix."""
-        if self.ring == INTEGER:
-            return self
-        return self.map_entries(lambda p: p.evaluate(1), INTEGER)
-
-    def substitute_reciprocal(self) -> "SubsetMatrix":
-        """Apply q -> 1/q entrywise; the result lives in the Laurent ring."""
-        lifted = self.lift(LAURENT)
-        return lifted.map_entries(lambda p: p.substitute_reciprocal(), LAURENT)
-
-    def is_identity(self) -> bool:
-        return self == SubsetMatrix.identity(self.n, self.ring)
 
     def __repr__(self) -> str:
         return f"SubsetMatrix(n={self.n}, ring={self.ring!r})"
@@ -541,9 +510,9 @@ def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     return _unpacked(n, inverse, w, LAURENT, -comb(n, 2))
 
 
-def _identity_rows(n: int, one: int) -> list[list[int]]:
+def _identity_rows(n: int, one, zero=0) -> list[list]:
     side = _side(n)
-    return [[one if s == t else 0 for t in range(side)] for s in range(side)]
+    return [[one if s == t else zero for t in range(side)] for s in range(side)]
 
 
 def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:

@@ -35,7 +35,6 @@ __all__ = [
     "multiset_words",
     "reduce_to_multiset",
     "joint_statistics",
-    "connected_count",
 ]
 
 # The one size bound of the listings and the tally: 12! is 479,001,600
@@ -146,7 +145,7 @@ class MultisetWord(_Frozen):
 class Permutation(MultisetWord):
     """A permutation of [n] in one-line notation: a multiset word whose
     letters are 1..n, each once. It inherits ``n``, the statistics and
-    ``str`` (which is :meth:`to_text`, since the largest letter is n)."""
+    ``str``, the one-line notation that :meth:`from_text` parses."""
 
     __slots__ = ()
 
@@ -182,9 +181,6 @@ class Permutation(MultisetWord):
                     raise ValueError(f"character {ch!r} at position {pos} is not a digit 1-9")
             values = [int(ch) for ch in text]
         return cls(tuple(values))
-
-    def to_text(self) -> str:
-        return str(self)
 
     def descent_composition(self) -> Composition:
         """The composition of n cut at the descent positions."""
@@ -317,13 +313,3 @@ def joint_statistics(n: int) -> dict[tuple[int, int, int], int]:
     """
     _require_within_cap(n)
     return _rank_tally(n)
-
-
-def connected_count(n: int) -> int:
-    """Number of permutations of [n] with empty connectivity set, summed
-    off the tally of :func:`joint_statistics`.
-
-    >>> [connected_count(n) for n in range(1, 6)]
-    [1, 1, 3, 13, 71]
-    """
-    return sum(count for (c, _d, _inv), count in joint_statistics(n).items() if not c)

@@ -142,12 +142,6 @@ class LaurentPolynomial(_Sealed):
         """Highest exponent; ``-1`` for zero."""
         return self._min_exp + len(self._coeffs) - 1
 
-    def coeff(self, exp: int) -> int:
-        i = exp - self._min_exp
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -227,12 +221,6 @@ class LaurentPolynomial(_Sealed):
         return LaurentPolynomial(out, self._min_exp + o._min_exp)
 
     __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiply by q**k, for k of either sign."""
-        if not self:
-            return self
-        return LaurentPolynomial(self._coeffs, self._min_exp + k)
 
     def evaluate(self, value: int) -> "int | Fraction":
         """Evaluate at an integer point (Horner), nonzero if some power is

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .permutations import _require_within_cap, connected_count
+from .permutations import _require_within_cap, joint_statistics
 from .rings import _require_int
 from .subsets import _Frozen
 
@@ -47,10 +47,11 @@ class ConnectedCountTable(_Frozen):
 
 
 def connected_counts_enumerated(max_n: int) -> ConnectedCountTable:
-    """f(n) for n = 1..max_n, each read off the tally of S_n, one n at a
+    """f(n) for n = 1..max_n, each summed off the tally of S_n, one n at a
     time; max_n is checked against the hard ceiling first."""
     _require_within_cap(max_n, "max_n")
-    counts = tuple(connected_count(n) for n in range(1, max_n + 1))
+    tallies = (joint_statistics(n) for n in range(1, max_n + 1))
+    counts = tuple(sum(v for (c, _d, _inv), v in joint.items() if not c) for joint in tallies)
     return ConnectedCountTable(max_n, counts, "enumeration")
 
 

@@ -111,34 +111,14 @@ class SubsetMask(_Frozen):
     def elements(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n - 1) if self.mask >> i & 1)
 
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.n, self.mask ^ ((1 << (self.n - 1)) - 1))
 
-    def __contains__(self, i: int) -> bool:
-        if isinstance(i, bool) or not isinstance(i, int):
-            return False
-        return 1 <= i <= self.n - 1 and bool(self.mask >> (i - 1) & 1)
-
-    def _check_ambient(self, other: "SubsetMask") -> None:
+    def __le__(self, other: "SubsetMask") -> bool:
         if not isinstance(other, SubsetMask):
             raise TypeError(f"expected SubsetMask, got {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"ambient sizes differ: {self.n} vs {other.n}")
-
-    def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_ambient(other)
-        return SubsetMask(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_ambient(other)
-        return SubsetMask(self.n, self.mask & other.mask)
-
-    def __le__(self, other: "SubsetMask") -> bool:
-        self._check_ambient(other)
         return self.mask & ~other.mask == 0
 
     def to_composition(self) -> "Composition":
@@ -167,15 +147,6 @@ class Composition(_Frozen):
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def to_subset(self) -> SubsetMask:
-        """The partial-sum subset of [n-1]; inverse of SubsetMask.to_composition."""
-        total = 0
-        elements = []
-        for p in self.parts[:-1]:
-            total += p
-            elements.append(total)
-        return SubsetMask.from_elements(self.n, elements)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"

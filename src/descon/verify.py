@@ -15,6 +15,26 @@ Every matrix compared is a list of int lists packed by q -> 2**w, w = 0 for
 counts and one width per n for the ``q``-checks, so each identity is one
 function of w and each comparison one ``==``; only a cell that a failure
 names is unpacked into a polynomial.
+
+The primitives that each side of each comparison reads, got | want: "tally"
+is ``permutations._rank_tally`` scattered by ``matrices._tally``; "tops X"
+is ``matrices._TOP_ROWS[X]`` expanded by ``_block_cells`` over ``_cut_parts``
+(tops b: ``_superset_pass`` of tops a; tops gamma: a recursion on tops b),
+and an inverse reverses them (for b ``_h_tops``, the superset pass of tops
+gamma). Each ``q``-check reads what its plain check reads.
+
+    containment-counts    tally | eta, count_descent_subset
+    least-inversions      min_inversions | tally
+    zeta-signed-inverse   zeta_matrix, mobius_matrix | the identity
+    superset-closed-form  tops a | zeta, tally
+    diagonal-conjugation  eta_q, and with q min_inversions | tops a
+    b-factorization       tally | zeta, tally; tally | tops a, mobius_matrix;
+                          tops b, tops gamma | tally
+    signed-inverses       tally (tops a for a), the inverse | the identity
+    multiset-counts       _cut_paths | tally, zeta
+    multiset-bijection    the walk, _letter_table, _late_marks | _cut_paths
+    connected-series      tally | the series recurrence
+    q-specialization      _at_q1 of tally and tops a | tally and tops a
 """
 
 from __future__ import annotations
@@ -43,7 +63,7 @@ from .rings import _require_int
 from .series import connected_counts_series
 from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
 
-__all__ = ["CheckResult", "available_checks", "run_checks"]
+__all__ = ["CheckResult", "run_checks"]
 
 # The walk of multiset-bijection holds all n! inverses at once, n bytes
 # each. `verify --max-n 10` took 49-57 s and peaked at 526 MB in a fresh
@@ -335,22 +355,17 @@ def _signed_inverses(o: _Oracles, w: int) -> list:
 _INTEGER_CHECKS = (
     ("containment-counts", _containment_counts),
     ("least-inversions", _least_inversions),
-    # the signed containment matrix inverts the containment matrix
     ("zeta-signed-inverse", lambda o: [
         (_product(o("zeta"), o("mobius")), _identity_rows(o.n, 1), "zeta inverse"),
     ]),
     ("superset-closed-form", lambda o: _superset_closed_form(o, 0)),
     ("diagonal-conjugation", lambda o: _diagonal_conjugation(o, 0)),
-    # b three ways (direct enumeration, zeta * gamma, a * mobius), then the
-    # top-row routes to b and gamma against the sweep
     ("b-factorization", lambda o: [
         (o("b", 0), o("zeta*gamma", 0), "b enumeration vs zeta*gamma"),
         (o("b", 0), _product(o("a", 0), o("mobius")), "b enumeration vs a*mobius"),
         *_top_rows(o, 0),
     ]),
     ("signed-inverses", lambda o: _signed_inverses(o, 0)),
-    # connectivity-class sizes over multiset words against gamma * zeta,
-    # with both indices complemented
     ("multiset-counts", lambda o: [
         (o("multiset"), _complemented(_product(o("gamma", 0), o("zeta"))), "multiset counts"),
     ]),
@@ -359,7 +374,6 @@ _INTEGER_CHECKS = (
 )
 
 _Q_CHECKS = (
-    # substituting q = 1 into each weighted matrix recovers the plain one
     ("q-specialization", lambda o: [
         (_at_q1(o, o(kind, o.w)), o(kind, 0), f"{kind} at q=1") for kind in ("gamma", "a", "b")
     ]),
@@ -367,11 +381,6 @@ _Q_CHECKS = (
     ("q-diagonal-conjugation", lambda o: _diagonal_conjugation(o, o.w)),
     ("q-signed-inverses", lambda o: _signed_inverses(o, o.w)),
 )
-
-
-def available_checks(include_q: bool = False) -> tuple[str, ...]:
-    checks = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
-    return tuple(name for name, _fn in checks)
 
 
 def run_checks(

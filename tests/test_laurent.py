@@ -1,7 +1,6 @@
-"""The one exact polynomial type off q**0: shifts of either sign, exact
-division and evaluation with a nonzero lowest exponent, hashing that
-agrees with equality, and values that refuse change but pickle and copy
-(ring operations and formatting are in test_rings.py)."""
+"""The one exact polynomial type off q**0: evaluation with a nonzero lowest
+exponent, hashing that agrees with equality, and values that refuse change
+but pickle and copy (ring operations and formatting are in test_rings.py)."""
 
 import copy
 import dataclasses
@@ -20,14 +19,6 @@ coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
 
 class TestShiftedValues:
-    def test_shift_of_either_sign_moves_only_the_exponents(self):
-        p = LaurentPolynomial((1, 2, 3))
-        assert p.shifted(-2) == LaurentPolynomial((1, 2, 3), -2)
-        assert p.shifted(-2).coeffs == p.coeffs
-        assert p.shifted(-2).shifted(2) == p
-        assert p.shifted(0) == p
-        assert LaurentPolynomial().shifted(-3) == 0
-
     def test_evaluate_with_negative_powers_stays_exact(self):
         assert LaurentPolynomial((1,), -1).evaluate(2) == Fraction(1, 2)
         assert LaurentPolynomial((2, 0, 4), -1).evaluate(2) == 9

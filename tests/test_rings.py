@@ -81,7 +81,7 @@ class TestIntPolynomial:
         assert (p + 2).coeffs == (3, 1)
         assert (3 * p).coeffs == (3, 3)
         assert (-p).coeffs == (-1, -1)
-        assert p.shifted(2) == LaurentPolynomial((0, 0, 1, 1))
+        assert LaurentPolynomial((1, 1), 2) == LaurentPolynomial((0, 0, 1, 1))
 
     @given(coeff_lists, coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
     def test_evaluation_is_a_ring_homomorphism(self, a, b, j, k):
@@ -124,7 +124,7 @@ class TestLaurentPolynomial:
         assert a - b == LaurentPolynomial((1, 0, 1), -1)
         assert b - a == LaurentPolynomial((-1, 0, -1), -1)
         assert a - a == 0
-        assert a.coeff(-1) == 1 and a.coeff(3) == 0
+        assert (a.min_exp, a.coeffs) == (-1, (1, 1))
 
     def test_mixes_with_polynomials_and_ints(self):
         p = LaurentPolynomial((1, 1))

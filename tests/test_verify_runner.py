@@ -279,45 +279,73 @@ def _one_more_at(arg):
     return lambda original: lambda x: original(x) + int(x == arg)
 
 
-def _first_cell_one_more(original):
-    """The fault of one cell: cell (0, 0) of each grid one more."""
-    def faulty(*args):
-        grid = original(*args)
-        grid[0][0] += 1
+def _cell_off(row, col, by=1):
+    """The fault of one cell: cell (row, col) of each grid that has it off by
+    ``by``; in a list of top rows, row L is the top row v_L."""
+    def faulty(grid):
+        if row < len(grid):
+            grid[row][col] += by
         return grid
 
-    return faulty
+    return lambda original: lambda *args: faulty(original(*args))
 
 
-# (target, fault, first failing check, its counterexample): each fault puts
-# one value off where the code reads it, at the smallest n where it shows.
+# (target[-what], fault, n, first failing check, its counterexample): each
+# fault puts one value off where the code reads it, at the smallest n where
+# it shows, and the checks run to that n. ``matrices._TOP_ROWS`` holds the
+# top-row builders themselves, so a builder is faulted through its entry.
 _FAULTS = [
-    ("verify.eta", _one_more_at(SubsetMask(1, 0)), "containment-counts",
+    ("verify.eta", _one_more_at(SubsetMask(1, 0)), 1, "containment-counts",
      "connectivity-superset count at n=1, S={}: 1 != 2"),
-    ("verify.min_inversions", _one_more_at(SubsetMask(1, 0)), "least-inversions",
+    ("verify.min_inversions", _one_more_at(SubsetMask(1, 0)), 1, "least-inversions",
      "least inversions at n=1, T={}: weight 1 != enumerated 0"),
-    ("matrices.eta_q", _one_more_at(SubsetMask(2, 0)), "diagonal-conjugation",
+    ("matrices.eta_q", _one_more_at(SubsetMask(2, 0)), 2, "diagonal-conjugation",
      "diagonal conjugation at n=2, S={1}, T={}: 3 != 2"),
-    ("matrices.min_inversions", _one_more_at(SubsetMask(1, 0)), "q-diagonal-conjugation",
+    ("matrices.min_inversions", _one_more_at(SubsetMask(1, 0)), 1, "q-diagonal-conjugation",
      "weighted diagonal conjugation at n=1, S={}, T={}: q != 1"),
-    ("verify._at_q1", _first_cell_one_more, "q-specialization",
+    ("verify._at_q1", _cell_off(0, 0), 1, "q-specialization",
      "gamma at q=1 at n=1, S={}, T={}: 2 != 1"),
     # for each element of T, the mark of the first word flipped
     ("verify._late_marks", lambda original: lambda blob, n, t: {
         i: bytes([late[0] ^ 1]) + late[1:] for i, late in original(blob, n, t).items()
-    }, "multiset-bijection", "reduction misses a class at n=2, S={1}, T={1}"),
+    }, 2, "multiset-bijection", "reduction misses a class at n=2, S={1}, T={1}"),
     # every value of T's last block, letter k + 1, collapses to k + 2 instead:
     # classes keep their sizes, their injectivity and their cuts
     ("verify._letter_table", lambda original: lambda t: tuple(
         x + (x > len(t.elements())) for x in original(t)
-    ), "multiset-bijection", "reduction misses a class at n=1, S={}, T={}"),
+    ), 1, "multiset-bijection", "reduction misses a class at n=1, S={}, T={}"),
+    # the blocks of [3] cut at the complement of {1}, 2 then 1, reversed
+    ("matrices._cut_parts", lambda original: lambda *args: original(*args)[::-1 if args == (3, 1) else 1],
+     3, "superset-closed-form", "superset counts at n=3, S={1}, T={1}: 0 != 1"),
+    # beta_3({1}) and h_3({1}) one less
+    ("matrices._superset_pass", _cell_off(3, 0b1, -1), 3, "b-factorization",
+     "b top rows vs enumeration at n=3, S={1,2}, T={1}: 1 != 2"),
+    # the last cell of row {1,2} at n=3, T = {1,2}, one more
+    ("matrices._block_cells", lambda original: lambda n, tops, s: [
+        (t, v + ((n, s, t) == (3, 3, 3))) for t, v in original(n, tops, s)
+    ], 3, "superset-closed-form", "superset counts at n=3, S={1,2}, T={1,2}: 2 != 1"),
+    # slot 0, the words of the multiset of T = {1} with no cut, one more
+    ("matrices._cut_paths", lambda original: lambda t, w: original(t, w) + (t.mask == 1),
+     2, "multiset-counts", "multiset counts at n=2, S={}, T={1}: 2 != 1"),
+    # 321 counted twice
+    ("permutations._rank_tally-count", lambda original: lambda n: (
+        {**original(n), (0, 0b11, 3): 2} if n == 3 else original(n)
+    ), 3, "containment-counts", "connectivity-superset count at n=3, S={}: 7 != 6"),
+    # 4123 one inversion up, above the least of its descent set: only q shows it
+    ("permutations._rank_tally-inversion", lambda original: lambda n: {
+        (0, 0b1, 4) if key == (0, 0b1, 3) else key: count for key, count in original(n).items()
+    }, 4, "q-superset-closed-form", "weighted superset counts at n=4, S={1,2,3}, T={}: "
+       "1+3q+5q^2+6q^3+5q^4+3q^5+q^6 != 1+3q+5q^2+5q^3+6q^4+3q^5+q^6"),
+    # a_3({2}) one more; the top rows of b call _a_tops by name and keep theirs
+    ("matrices._TOP_ROWS", lambda rows: {**rows, "a": _cell_off(3, 0b10)(rows["a"])},
+     3, "superset-closed-form", "superset counts at n=3, S={1,2}, T={2}: 4 != 3"),
 ]
 
 
-@pytest.mark.parametrize("target, fault, check, detail", _FAULTS, ids=[row[0] for row in _FAULTS])
-def test_a_fault_where_the_code_reads_it_fails_a_check(monkeypatch, target, fault, check, detail):
-    module, name = target.split(".")
-    owner = {"verify": verify, "matrices": matrices}[module]
+@pytest.mark.parametrize("target, fault, n, check, detail", _FAULTS, ids=[row[0] for row in _FAULTS])
+def test_a_fault_where_the_code_reads_it_fails_a_check(monkeypatch, target, fault, n, check, detail):
+    module, name = target.split("-")[0].split(".")
+    owner = {"verify": verify, "matrices": matrices, "permutations": permutations}[module]
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
-    failed = [(r.name, r.detail) for r in run_checks(3, include_q=True) if not r.passed]
+    failed = [(r.name, r.detail) for r in run_checks(n, include_q=True) if not r.passed]
     assert failed[:1] == [(check, detail)]
