@@ -16,9 +16,6 @@ all n! inverses at once, stops at n = 10 and reports that bound.
 """
 
 from .matrices import (
-    INTEGER,
-    LAURENT,
-    POLYNOMIAL,
     SubsetMatrix,
     b_matrix_direct,
     diagonal_conjugation_matrix,

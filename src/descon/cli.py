@@ -14,24 +14,17 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .matrices import (
-    INTEGER,
-    POLYNOMIAL,
-    SubsetMatrix,
-    b_matrix_direct,
-    gamma_matrix,
-    ring_zero,
-    row_stream,
-)
+from .matrices import SubsetMatrix, gamma_matrix, row_stream
 from .permutations import HARD_CEILING, Permutation
+from .rings import LaurentPolynomial
 from .series import connected_counts_enumerated, connected_counts_series
 from .subsets import SubsetMask, cardinality_lex_order
 from .verify import WALK_MAX_N, run_checks
 
 __all__ = ["main"]
 
-# Up to this n, `table gamma|b` still sweeps the n! permutations; above
-# it every table is streamed from top rows. The benchmark's self-test
+# Up to this n, `table gamma` still sweeps the n! permutations; every
+# other table is streamed from top rows. The benchmark's self-test
 # (perfbench/tests/test_perfbench.py::test_traced_run_reports_every_layer)
 # expects `table gamma --n 4` to sweep once; ROADMAP item 1 makes that
 # assertion route-agnostic, and then this branch can go.
@@ -90,12 +83,12 @@ def _matrix_order(n: int, paper: bool) -> tuple[str, list[int]]:
     return CANONICAL_ORDER, list(range(1 << (n - 1)))
 
 
-def _cell_renderer(fmt: str, ring: str):
+def _cell_renderer(fmt: str, q: bool):
     if fmt != "json":
         return str
-    if ring == INTEGER:
-        return lambda v: f'"{v}"'  # the JSON string of the decimal digits
-    return lambda v: _json(v.to_json_dict())
+    if q:
+        return lambda v: _json(v.to_json_dict())
+    return lambda v: f'"{v}"'  # the JSON string of the decimal digits
 
 
 class _Texts(dict):
@@ -112,7 +105,7 @@ class _Texts(dict):
 
 
 def _emit_rows(
-    n: int, ring: str, cells_of, value_of, fmt: str, paper: bool, out: str | None
+    n: int, q: bool, cells_of, value_of, fmt: str, paper: bool, out: str | None
 ) -> None:
     """Write a matrix one row at a time: ``cells_of(S)`` lists the nonzero
     cells ``(column mask, key)`` of row S, and ``value_of(key)`` is the
@@ -124,8 +117,8 @@ def _emit_rows(
     labels = [str(SubsetMask(n, m)) for m in masks]
     side = len(masks)
     column = sorted(range(side), key=masks.__getitem__)  # the position of each mask
-    render = _cell_renderer(fmt, ring)
-    zero = render(ring_zero(ring))
+    render = _cell_renderer(fmt, q)
+    zero = render(LaurentPolynomial() if q else 0)
     texts = _Texts(lambda key: render(value_of(key)))
 
     def row_texts(s: int) -> list[str]:
@@ -143,6 +136,7 @@ def _emit_rows(
             for label, s in zip(quoted, masks):
                 stream.write(label + "," + ",".join(row_texts(s)) + "\n")
         elif fmt == "json":
+            ring = "polynomial" if q else "integer"
             head = _json({"n": n, "order": order_name, "ring": ring, "entries": []})
             stream.write(head[:-2])  # up to the opening bracket of the entries
             for i, s in enumerate(masks):
@@ -173,7 +167,8 @@ def _emit_matrix(matrix: SubsetMatrix, fmt: str, paper: bool, out: str | None) -
     def cells_of(s: int) -> list:
         return [(t, v) for t, v in enumerate(matrix.rows[s]) if v]
 
-    _emit_rows(matrix.n, matrix.ring, cells_of, lambda v: v, fmt, paper, out)
+    q = isinstance(matrix.rows[0][0], LaurentPolynomial)
+    _emit_rows(matrix.n, q, cells_of, lambda v: v, fmt, paper, out)
 
 
 def _cmd_stats(args) -> int:
@@ -218,21 +213,16 @@ def _stat_text(value) -> str:
     return str(value)
 
 
-def _sweep_matrix(kind: str, n: int, q: bool) -> SubsetMatrix:
-    return (gamma_matrix if kind == "gamma" else b_matrix_direct)(n, q)
-
-
 def _cmd_table(args) -> int:
     n, kind = args.n, args.kind
     if not 1 <= n <= HARD_CEILING:
         raise ValueError(f"--n must be in 1..{HARD_CEILING}, got {n}")
     if args.threads < 1:
         raise ValueError(f"--threads must be positive, got {args.threads}")
-    if kind in ("gamma", "b") and n <= SWEEP_MAX_N:
-        _emit_matrix(_sweep_matrix(kind, n, args.q), args.format, args.paper_order, args.out)
+    if kind == "gamma" and n <= SWEEP_MAX_N:
+        _emit_matrix(gamma_matrix(n, args.q), args.format, args.paper_order, args.out)
         return 0
-    ring = POLYNOMIAL if args.q else INTEGER
-    _emit_rows(n, ring, *row_stream(kind, n, args.q), args.format, args.paper_order, args.out)
+    _emit_rows(n, args.q, *row_stream(kind, n, args.q), args.format, args.paper_order, args.out)
     return 0
 
 

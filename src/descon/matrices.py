@@ -38,10 +38,11 @@ q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
 ``_conjugation``) return int grids at a given w, which the public builders
 unpack, each distinct value once. ``verify`` reads the family only through
 them, and multiplies and compares grids at w = 0 for counts and, with q, at
-a width that holds every product (:func:`_family_width`). ``@`` multiplies
-over the wider ring of its two operands, so an integer matrix times a
-weighted one needs no cast. ``descon table`` expands packed top rows into
-sparse cells (column mask, packed int) and renders each value once.
+a width that holds every product (:func:`_family_width`). A matrix's ring is
+the type of its cells: int for counts, :class:`LaurentPolynomial` with q.
+``@`` starts every cell from the zero of both operands, so an integer matrix
+times a weighted one needs no cast. ``descon table`` expands packed top rows
+into sparse cells (column mask, packed int) and renders each value once.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ from .rings import LaurentPolynomial, _require_int
 from .subsets import SubsetMask, _Frozen, eta_q, min_inversions
 
 __all__ = [
-    "INTEGER",
-    "POLYNOMIAL",
-    "LAURENT",
     "CLOSED_FORM_CAP",
     "SubsetMatrix",
     "zeta_matrix",
@@ -75,29 +73,12 @@ __all__ = [
     "multiset_count_matrix",
 ]
 
-# Ring tags, narrowest first. Both polynomial tags hold LaurentPolynomial
-# entries; "polynomial" promises that no entry has a negative power.
-INTEGER = "integer"
-POLYNOMIAL = "polynomial"
-LAURENT = "laurent"
-_RINGS = (INTEGER, POLYNOMIAL, LAURENT)
-
 # closed-form builders stop here: side 2^(n-1) entries per row get unwieldy
 CLOSED_FORM_CAP = 14
 
 
 def _side(n: int) -> int:
     return 1 << (n - 1)
-
-
-def _require_ring(ring: str) -> None:
-    if ring not in _RINGS:
-        raise ValueError(f"unknown ring {ring!r}")
-
-
-def ring_zero(ring: str):
-    _require_ring(ring)
-    return 0 if ring == INTEGER else LaurentPolynomial()
 
 
 def _product(left, right, zero=0) -> list[list]:
@@ -146,26 +127,26 @@ def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs, lo)
 
 
-def _unpacked(n: int, grid: list[list[int]], w: int, ring: str = POLYNOMIAL, lo: int = 0) -> SubsetMatrix:
+def _unpacked(n: int, grid: list[list[int]], w: int, lo: int = 0) -> SubsetMatrix:
     """The matrix of a grid packed at slot width ``w`` (0 for counts), slot k
     the coefficient of q**(lo + k); each distinct value is unpacked once."""
     if not w:
-        return SubsetMatrix(n, INTEGER, grid)
+        return SubsetMatrix(n, grid)
     values = {x: _unpack(x, lo, w) for x in set().union(*grid)}
-    return SubsetMatrix(n, ring, [[values[x] for x in row] for row in grid])
+    return SubsetMatrix(n, [[values[x] for x in row] for row in grid])
 
 
 class SubsetMatrix(_Frozen):
-    """Square matrix over one of the exact rings, indexed by subset masks."""
+    """Square matrix indexed by subset masks. Its ring is the type of its
+    cells: int, or :class:`LaurentPolynomial` from a builder's ``q``. A
+    constant polynomial equals its int, so matrices compare and hash by value."""
 
-    __slots__ = __match_args__ = ("n", "ring", "rows")
+    __slots__ = __match_args__ = ("n", "rows")
     n: int
-    ring: str
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
         _require_int(self.n, "n")
-        _require_ring(self.ring)
         rows = tuple(tuple(row) for row in self.rows)
         side = _side(self.n)
         if len(rows) != side or any(len(row) != side for row in rows):
@@ -173,10 +154,9 @@ class SubsetMatrix(_Frozen):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def identity(cls, n: int, ring: str = INTEGER) -> "SubsetMatrix":
+    def identity(cls, n: int) -> "SubsetMatrix":
         _require_int(n, "n")
-        zero = ring_zero(ring)
-        return cls(n, ring, _identity_rows(n, zero + 1, zero))
+        return cls(n, _identity_rows(n, 1))
 
     @property
     def side(self) -> int:
@@ -188,13 +168,14 @@ class SubsetMatrix(_Frozen):
         return self.rows[s.mask][t.mask]
 
     def __matmul__(self, other: "SubsetMatrix") -> "SubsetMatrix":
-        """The product over the wider ring of the two, in ``_RINGS`` order."""
+        """The product, every cell started from the zero of both operands'
+        rings, so an int matrix times a polynomial one has polynomial cells."""
         if not isinstance(other, SubsetMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"matrix sizes differ: n={self.n} vs n={other.n}")
-        ring = max(self.ring, other.ring, key=_RINGS.index)
-        return SubsetMatrix(self.n, ring, _product(self.rows, other.rows, ring_zero(ring)))
+        zero = self.rows[0][0] * 0 + other.rows[0][0] * 0
+        return SubsetMatrix(self.n, _product(self.rows, other.rows, zero))
 
     def checkerboard_signed(self) -> "SubsetMatrix":
         """Negate every entry whose row and column cardinalities differ in
@@ -204,10 +185,10 @@ class SubsetMatrix(_Frozen):
         for i, row in enumerate(self.rows):
             pi = parity[i]
             out.append([-v if pi ^ parity[j] else v for j, v in enumerate(row)])
-        return SubsetMatrix(self.n, self.ring, out)
+        return SubsetMatrix(self.n, out)
 
     def __repr__(self) -> str:
-        return f"SubsetMatrix(n={self.n}, ring={self.ring!r})"
+        return f"SubsetMatrix(n={self.n})"
 
 
 def _require_closed_form_size(n: int) -> None:
@@ -224,7 +205,7 @@ def zeta_matrix(n: int) -> SubsetMatrix:
     _require_closed_form_size(n)
     side = _side(n)
     rows = [[1 if t & ~s == 0 else 0 for t in range(side)] for s in range(side)]
-    return SubsetMatrix(n, INTEGER, rows)
+    return SubsetMatrix(n, rows)
 
 
 def mobius_matrix(n: int) -> SubsetMatrix:
@@ -493,7 +474,8 @@ def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     the counts are the matrix itself; for ``b`` they are the relaxed-descent
     counts (connectivity set exactly the complement of S, descent set
     containing T), whose top row is the superset sum of the top row of
-    ``gamma``. q-inverses live in the Laurent ring. The product with the
+    ``gamma``. q-inverses have :class:`LaurentPolynomial` cells with
+    powers of q down to -C(n,2). The product with the
     original is checked to be the identity, exactly; failure raises
     ArithmeticError since it can only mean a transcription bug in the
     formulas.
@@ -507,12 +489,12 @@ def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
         raise ArithmeticError(
             f"closed-form inverse of {kind} (n={n}, q={q}) failed the identity check"
         )
-    return _unpacked(n, inverse, w, LAURENT, -comb(n, 2))
+    return _unpacked(n, inverse, w, -comb(n, 2))
 
 
-def _identity_rows(n: int, one, zero=0) -> list[list]:
+def _identity_rows(n: int, one) -> list[list]:
     side = _side(n)
-    return [[one if s == t else zero for t in range(side)] for s in range(side)]
+    return [[one if s == t else 0 for t in range(side)] for s in range(side)]
 
 
 def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
@@ -589,7 +571,7 @@ def multiset_count_matrix(n: int) -> SubsetMatrix:
         packed = _cut_paths(SubsetMask(n, t), w)
         for s in _submasks(t):
             rows[s][t] = packed >> s * w & (1 << w) - 1
-    return SubsetMatrix(n, INTEGER, rows)
+    return SubsetMatrix(n, rows)
 
 
 def _cut_paths(t: SubsetMask, w: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import permutations as _lex_permutations
+from itertools import pairwise, permutations as _lex_permutations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -220,7 +220,10 @@ def multiset_words(t: SubsetMask) -> Iterator[MultisetWord]:
     ['122', '212', '221']
     """
     _require_within_cap(t.n)
-    return _next_permutations(list(_letter_table(t)[1:]))  # the sorted word
+    cuts = (0, *t.elements(), t.n)
+    # the sorted word: letter j once for each position of the j-th gap
+    word = [j for j, (lo, hi) in enumerate(pairwise(cuts), 1) for _ in range(lo, hi)]
+    return _next_permutations(word)
 
 
 def _next_permutations(word: list[int]) -> Iterator[MultisetWord]:

@@ -12,10 +12,11 @@ from contextlib import contextmanager
 from functools import partial
 from math import factorial
 
+import pytest
+
+import descon.permutations as permutations
 from descon.cli import main
 from descon.matrices import (
-    INTEGER,
-    LAURENT,
     SubsetMatrix,
     b_matrix_direct,
     block_matrix,
@@ -138,13 +139,13 @@ def test_criterion_07_q_suite(capsys):
     with capsys.disabled(), criterion(7, 120, "inversion-weighted suite, n<=6"):
         for n in range(1, 7):
             at_q1 = [[v.evaluate(1) for v in row] for row in gamma_matrix(n, q=True).rows]
-            assert SubsetMatrix(n, INTEGER, at_q1) == gamma_matrix(n), n
+            assert SubsetMatrix(n, at_q1) == gamma_matrix(n), n
             m = zeta_matrix(n)
             assert block_matrix("a", n, q=True) == m @ gamma_matrix(n, q=True) @ m, n
             for kind, builder in FAMILY.items():
                 inverse = inverse_closed(kind, n, q=True)
-                assert inverse.ring == LAURENT
-                assert builder(n, q=True) @ inverse == SubsetMatrix.identity(n, LAURENT), (n, kind)
+                assert all(type(v) is LaurentPolynomial for row in inverse.rows for v in row)
+                assert builder(n, q=True) @ inverse == SubsetMatrix.identity(n), (n, kind)
         assert block_matrix("a", 4, q=True).entry(S(4, 2, 3), S(4, 3)) == LaurentPolynomial((0, 1, 1, 1))
 
 
@@ -170,24 +171,43 @@ def test_criterion_09_multiset_correspondence(capsys):
                 for t in range(counted.side):
                     assert counted.rows[s][t] == gm.rows[full ^ s][full ^ t], (n, s, t)
         for n in range(1, 7):
-            full = (1 << (n - 1)) - 1
-            for t_mask in range(full + 1):
-                t = SubsetMask(n, t_mask)
-                t_bar = full ^ t_mask
-                reduced: dict[int, set] = {}
-                class_size: dict[int, int] = {}
-                for w in enumerate_permutations(n):
-                    if w.descent_set().mask & t_bar != t_bar:
-                        continue
-                    s_mask = w.connectivity_set().mask
-                    reduced.setdefault(s_mask, set()).add(reduce_to_multiset(w, t).word)
-                    class_size[s_mask] = class_size.get(s_mask, 0) + 1
-                target: dict[int, set] = {}
-                for u in multiset_words(t):
-                    target.setdefault(u.connectivity_set().mask, set()).add(u.word)
-                assert reduced == target, (n, t_mask)
-                for s_mask, words in reduced.items():
-                    assert len(words) == class_size[s_mask], (n, t_mask, s_mask)
+            _check_reduction(n)
+
+
+def _check_reduction(n):
+    """Criterion 09's bijection at n: for each T, the permutations whose
+    descent set contains the complement of T reduce, class by connectivity
+    set, one to one onto the listed words of T's multiset."""
+    full = (1 << (n - 1)) - 1
+    for t_mask in range(full + 1):
+        t = SubsetMask(n, t_mask)
+        t_bar = full ^ t_mask
+        reduced: dict[int, set] = {}
+        class_size: dict[int, int] = {}
+        for w in enumerate_permutations(n):
+            if w.descent_set().mask & t_bar != t_bar:
+                continue
+            s_mask = w.connectivity_set().mask
+            reduced.setdefault(s_mask, set()).add(reduce_to_multiset(w, t).word)
+            class_size[s_mask] = class_size.get(s_mask, 0) + 1
+        target: dict[int, set] = {}
+        for u in multiset_words(t):
+            target.setdefault(u.connectivity_set().mask, set()).add(u.word)
+        assert reduced == target, (n, t_mask)
+        for s_mask, words in reduced.items():
+            assert len(words) == class_size[s_mask], (n, t_mask, s_mask)
+
+
+def test_criterion_09_lists_the_words_without_the_reduction(monkeypatch):
+    # every value of T's last block, letter k + 1, collapses to k + 2
+    # instead; the listing must not read the collapse's table, or it moves
+    # with it and the comparison cannot fail
+    original = permutations._letter_table
+    monkeypatch.setattr(permutations, "_letter_table", lambda t: tuple(
+        x + (x > len(t.elements())) for x in original(t)
+    ))
+    with pytest.raises(AssertionError, match=r"^\(1, 0\)\n"):
+        _check_reduction(1)
 
 
 def test_criterion_10_connected_series(capsys):

@@ -146,7 +146,7 @@ class TestTable:
     )
     def test_weighted_json_cell_is_the_wire_form(self, value):
         polynomial, wire = value
-        assert _cell_renderer("json", "laurent")(polynomial) == wire
+        assert _cell_renderer("json", True)(polynomial) == wire
 
     def test_a_table_text(self, capsys):
         code, out, _err = run_cli(capsys, "table", "a", "--n", "4", "--paper-order")

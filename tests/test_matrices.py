@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 import descon.matrices as matrices
 from descon.matrices import (
-    INTEGER,
-    LAURENT,
-    POLYNOMIAL,
     SubsetMatrix,
     b_matrix_direct,
     block_matrix,
@@ -54,7 +51,11 @@ def _block_lengths(n, s):
 
 
 def at_q1(matrix):
-    return SubsetMatrix(matrix.n, INTEGER, [[v.evaluate(1) for v in row] for row in matrix.rows])
+    return SubsetMatrix(matrix.n, [[v.evaluate(1) for v in row] for row in matrix.rows])
+
+
+def cell_types(matrix):  # a constant polynomial equals its int; its type differs
+    return {type(v) for row in matrix.rows for v in row}
 
 
 def reordered(matrix, order):
@@ -64,13 +65,11 @@ def reordered(matrix, order):
 class TestSubsetMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SubsetMatrix(3, INTEGER, [[1, 0], [0, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            SubsetMatrix(3, "rational", [[1]])
+            SubsetMatrix(3, [[1, 0], [0, 1], [0, 0]])
 
     def test_size_validation(self):
         with pytest.raises(ValueError, match="^n must be a positive integer, got True$"):
-            SubsetMatrix(True, INTEGER, [[1]])
+            SubsetMatrix(True, [[1]])
         for bad in (0, True, 2.0):
             with pytest.raises(ValueError, match="^n must be a positive integer, got "):
                 SubsetMatrix.identity(bad)
@@ -78,13 +77,13 @@ class TestSubsetMatrix:
     def test_immutable(self):
         m = SubsetMatrix.identity(3)
         with pytest.raises(AttributeError):
-            m.ring = LAURENT
+            m.rows = ()
 
     def test_weighted_matrices_pickle_and_copy(self):
         for m in (zeta_matrix(3), gamma_matrix(3, q=True), inverse_closed("b", 4, q=True)):
             pickled = [pickle.loads(pickle.dumps(m, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
             for back in (*pickled, copy.copy(m), copy.deepcopy(m)):
-                assert back == m and hash(back) == hash(m) and back.ring == m.ring
+                assert back == m and hash(back) == hash(m) and cell_types(back) == cell_types(m)
 
     def test_identity_and_entry(self):
         m = SubsetMatrix.identity(3)
@@ -94,24 +93,25 @@ class TestSubsetMatrix:
             m.entry(S(4, 1), S(4, 1))
 
     def test_matmul_takes_the_wider_ring(self):
-        # either way round, with the values of the schoolbook product
+        # either way round, with the values of the schoolbook product, and
+        # polynomial cells wherever one operand has them
         z, g, gi = zeta_matrix(3), gamma_matrix(3, q=True), inverse_closed("gamma", 3, q=True)
-        for x, y, ring in ((z, g, POLYNOMIAL), (g, z, POLYNOMIAL), (g, gi, LAURENT), (gi, g, LAURENT)):
-            assert (x @ y).ring == ring and (x @ y).rows == schoolbook(x, y).rows
-        assert g @ gi == SubsetMatrix.identity(3, LAURENT)
+        for x, y in ((z, g), (g, z), (g, gi), (gi, g)):
+            assert (x @ y).rows == schoolbook(x, y).rows
+            assert cell_types(x @ y) == {LaurentPolynomial}
+        assert cell_types(z @ z) == {int}
 
 
 def schoolbook(x, y):
     """The dense product with one ring operation per term, zero terms
     included: the reference the sparse product of ``SubsetMatrix.__matmul__``
     is checked against."""
-    zero = 0 if x.ring == INTEGER else LaurentPolynomial()
     side = x.side
     rows = [
-        [sum((x.rows[i][k] * y.rows[k][j] for k in range(side)), zero) for j in range(side)]
+        [sum(x.rows[i][k] * y.rows[k][j] for k in range(side)) for j in range(side)]
         for i in range(side)
     ]
-    return SubsetMatrix(x.n, x.ring, rows)
+    return SubsetMatrix(x.n, rows)
 
 
 # small coefficients collide in the slots; huge ones (past 2**64) widen them
@@ -120,18 +120,17 @@ COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
 @st.composite
 def matrix_pairs(draw):
-    """Two matrices of one n and ring; a quarter of the rows are zero."""
+    """Two matrices of one n and cell type; a quarter of the rows are zero."""
     n = draw(st.integers(1, 3))
-    ring = draw(st.sampled_from((INTEGER, POLYNOMIAL, LAURENT)))
+    cell = draw(st.sampled_from((int, LaurentPolynomial)))
     side = 1 << (n - 1)
-    if ring == INTEGER:
-        entry, zero = COEFFS, 0
+    if cell is int:
+        entry = COEFFS
     else:
-        low = -4 if ring == LAURENT else 0
         entry = st.builds(
-            LaurentPolynomial, st.lists(COEFFS, max_size=4), st.integers(low, 4)
+            LaurentPolynomial, st.lists(COEFFS, max_size=4), st.integers(-4, 4)
         )
-        zero = LaurentPolynomial()
+    zero = cell()
 
     def matrix():
         rows = []
@@ -140,7 +139,7 @@ def matrix_pairs(draw):
                 rows.append(draw(st.lists(entry, min_size=side, max_size=side)))
             else:
                 rows.append([zero] * side)
-        return SubsetMatrix(n, ring, rows)
+        return SubsetMatrix(n, rows)
 
     return matrix(), matrix()
 
@@ -156,7 +155,7 @@ class TestProduct:
     @given(pair=matrix_pairs())
     def test_all_zero_operand(self, pair):
         x, y = pair
-        zero = SubsetMatrix(x.n, x.ring, [[v * 0 for v in row] for row in x.rows])
+        zero = SubsetMatrix(x.n, [[v * 0 for v in row] for row in x.rows])
         assert zero @ y == schoolbook(zero, y) == zero
         assert y @ zero == zero
 
@@ -167,8 +166,8 @@ class TestProduct:
         # two coefficients c, to side * span * c**2 with either sign, past
         # 2**128 for the widest c
         p = LaurentPolynomial((c,) * 5, -2)
-        x = SubsetMatrix(3, LAURENT, [[p] * 4] * 4)
-        y = SubsetMatrix(3, LAURENT, [[p * sign] * 4] * 4)
+        x = SubsetMatrix(3, [[p] * 4] * 4)
+        y = SubsetMatrix(3, [[p * sign] * 4] * 4)
         product = x @ y
         assert product == schoolbook(x, y)
         assert product.rows[0][0].coeffs[4] == sign * 4 * 5 * c * c
@@ -185,7 +184,7 @@ class TestProduct:
             assert all(type(v) is LaurentPolynomial for v in cells)
 
     def test_ring_and_size_errors(self):
-        assert (zeta_matrix(3) @ inverse_closed("a", 3, q=True)).ring == LAURENT  # no ring error
+        assert cell_types(zeta_matrix(3) @ inverse_closed("a", 3, q=True)) == {LaurentPolynomial}  # no error
         with pytest.raises(ValueError, match=r"^matrix sizes differ: n=3 vs n=4$"):
             zeta_matrix(3) @ gamma_matrix(4, q=True)
         with pytest.raises(TypeError):
@@ -263,7 +262,9 @@ class TestGamma:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_gamma_q_specializes(self, n):
         gq = gamma_matrix(n, q=True)
-        assert gq.ring == POLYNOMIAL
+        lowest = min(v.min_exp for row in gq.rows for v in row)
+        assert cell_types(gq) == {LaurentPolynomial}
+        assert lowest == 0  # no negative power
         assert at_q1(gq) == gamma_matrix(n)
 
 
@@ -449,8 +450,8 @@ class TestInverses:
     def test_q_products_are_identity(self, n, kind):
         base = FAMILY[kind](n, q=True)
         inv = inverse_closed(kind, n, q=True)
-        assert inv.ring == LAURENT
-        assert base @ inv == SubsetMatrix.identity(n, LAURENT)
+        assert cell_types(inv) == {LaurentPolynomial}
+        assert base @ inv == SubsetMatrix.identity(n)
 
     @pytest.mark.parametrize("kind", ("a", "b", "gamma"))
     def test_packed_reciprocal_equals_the_laurent_one(self, kind):
@@ -466,7 +467,7 @@ class TestInverses:
                 ]
             rows = [block_row(n, tops, s) for s in range(1 << (n - 1))]
             reciprocal = [[v.substitute_reciprocal() for v in row] for row in rows]
-            want = SubsetMatrix(n, LAURENT, reciprocal).checkerboard_signed()
+            want = SubsetMatrix(n, reciprocal).checkerboard_signed()
             assert inverse_closed(kind, n, q=True) == want, n
 
     @pytest.mark.parametrize("q", (False, True))
@@ -482,13 +483,13 @@ class TestInverses:
                     if not t & ~d:
                         row[t][inv] = row[t].get(inv, 0) + count
             if q:
-                counts = SubsetMatrix(n, LAURENT, [
+                counts = SubsetMatrix(n, [
                     [LaurentPolynomial([cell.get(k, 0) for k in range(max(cell, default=-1) + 1)])
                      .substitute_reciprocal() for cell in row] for row in by_inv
                 ])
             else:
                 sums = [[sum(cell.values()) for cell in row] for row in by_inv]
-                counts = SubsetMatrix(n, INTEGER, sums)
+                counts = SubsetMatrix(n, sums)
             assert inverse_closed("b", n, q=q) == counts.checkerboard_signed(), n
 
     @pytest.mark.parametrize("q", (False, True))
@@ -511,7 +512,7 @@ class TestInverses:
         good = inverse_closed("gamma", 3)
         bad_rows = [list(row) for row in good.rows]
         bad_rows[0][0] = 2
-        bad = SubsetMatrix(3, good.ring, bad_rows)
+        bad = SubsetMatrix(3, bad_rows)
         assert gamma_matrix(3) @ bad != SubsetMatrix.identity(3)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import descon
-from descon.matrices import zeta_matrix
+from descon.matrices import SubsetMatrix, gamma_matrix, inverse_closed, zeta_matrix
 from descon.permutations import MultisetWord, Permutation
 from descon.series import ConnectedCountTable
 from descon.subsets import Composition, SubsetMask
@@ -77,9 +77,9 @@ VALUES = [
     ),
     (
         zeta_matrix(2),
-        "SubsetMatrix(n=2, ring='integer')",
-        {"n": 2, "ring": "integer", "rows": ((1, 0), (1, 1))},
-        {"ring": "rational"},
+        "SubsetMatrix(n=2)",
+        {"n": 2, "rows": ((1, 0), (1, 1))},
+        {"rows": ((1,),)},
     ),
 ]
 
@@ -138,6 +138,21 @@ def test_values_pickle_and_copy():
         for back in _round_trips(value):
             assert type(back) is type(value)
             assert back == value and hash(back) == hash(value) and repr(back) == text
+
+
+def test_a_matrix_takes_no_ring_tag():
+    # a matrix is n and its cells; the cells' type is its ring
+    with pytest.raises(TypeError):
+        SubsetMatrix(2, "integer", [[1, 0], [0, 1]])
+
+
+def test_matrices_compare_by_value_whatever_the_cell_type():
+    # gamma(q) times its inverse has polynomial cells, each a constant that
+    # equals its int: the product is the integer identity, hash included
+    product = gamma_matrix(3, q=True) @ inverse_closed("gamma", 3, q=True)
+    identity = SubsetMatrix.identity(3)
+    assert product == identity
+    assert hash(product) == hash(identity)
 
 
 def test_check_result_is_a_mutable_record():

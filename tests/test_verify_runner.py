@@ -39,7 +39,7 @@ def _bump(m, unit=1):
     """m with ``unit`` added to entry ({1,2}, {1}); m is a matrix or an int grid."""
     rows = [list(row) for row in getattr(m, "rows", m)]
     rows[3][1] = rows[3][1] + unit
-    return matrices.SubsetMatrix(m.n, m.ring, rows) if hasattr(m, "rows") else rows
+    return matrices.SubsetMatrix(m.n, rows) if hasattr(m, "rows") else rows
 
 
 def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
@@ -339,6 +339,12 @@ _FAULTS = [
     # a_3({2}) one more; the top rows of b call _a_tops by name and keep theirs
     ("matrices._TOP_ROWS", lambda rows: {**rows, "a": _cell_off(3, 0b10)(rows["a"])},
      3, "superset-closed-form", "superset counts at n=3, S={1,2}, T={2}: 4 != 3"),
+    # gamma_3({1,2}) one more: 321 counted twice among the connected
+    ("matrices._TOP_ROWS-gamma", lambda rows: {**rows, "gamma": _cell_off(3, 0b11)(rows["gamma"])},
+     3, "b-factorization", "gamma top rows vs enumeration at n=3, S={1,2}, T={1,2}: 2 != 1"),
+    # h_3({1}) one more; _signed_inverse calls _h_tops by name for b
+    ("matrices._h_tops", _cell_off(3, 0b1), 3, "signed-inverses",
+     "b inverse product at n=3, S={1,2}, T={1}: -1 != 0"),
 ]
 
 
