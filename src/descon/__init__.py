@@ -17,7 +17,6 @@ all n! inverses at once, stops at n = 10 and reports that bound.
 
 from .matrices import (
     SubsetMatrix,
-    b_matrix_direct,
     diagonal_conjugation_matrix,
     gamma_matrix,
     inverse_closed,
@@ -43,9 +42,8 @@ from .rings import (
     q_factorial,
     q_int,
 )
-from .series import ConnectedCountTable, connected_counts_enumerated, connected_counts_series
+from .series import connected_counts_enumerated, connected_counts_series
 from .subsets import (
-    Composition,
     SubsetMask,
     cardinality_lex_order,
     count_descent_subset,

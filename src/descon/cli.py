@@ -190,7 +190,6 @@ def _cmd_stats(args) -> int:
         payload = dict(fields)
         payload["descents"] = descents.elements()
         payload["connectivity"] = connectivity.elements()
-        payload["composition"] = composition.parts
         _write(_json_text(payload), None)
     elif args.format == "csv":
         rows = [
@@ -210,6 +209,8 @@ def _stat_text(value) -> str:
         return "yes"
     if value is False:
         return "no"
+    if isinstance(value, tuple):  # a composition's parts, as (3,1)
+        return "(" + ",".join(map(str, value)) + ")"
     return str(value)
 
 
@@ -253,39 +254,26 @@ def _cmd_connected(args) -> int:
     start = time.perf_counter()
     enumerated = connected_counts_enumerated(args.max_n)
     series = connected_counts_series(args.max_n)
-    agree_all = enumerated.counts == series.counts
     # timing goes to stderr so the emitted table stays byte-deterministic
     print(f"both routes computed in {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    rows = list(enumerate(zip(enumerated, series), 1))
     if args.format == "json":
         payload = {
             "max_n": args.max_n,
             "rows": [
-                {
-                    "n": n,
-                    "enumerated": str(enumerated.count(n)),
-                    "series": str(series.count(n)),
-                    "agree": enumerated.count(n) == series.count(n),
-                }
-                for n in range(1, args.max_n + 1)
+                {"n": n, "enumerated": str(e), "series": str(f), "agree": e == f}
+                for n, (e, f) in rows
             ],
         }
         _write(_json_text(payload), args.out)
     else:
         header = ["n", "enumerated", "series", "agree"]
-        rows = [
-            [
-                str(n),
-                str(enumerated.count(n)),
-                str(series.count(n)),
-                "yes" if enumerated.count(n) == series.count(n) else "NO",
-            ]
-            for n in range(1, args.max_n + 1)
-        ]
+        table = [[str(n), str(e), str(f), "yes" if e == f else "NO"] for n, (e, f) in rows]
         if args.format == "csv":
-            _write(_csv_text([header] + rows), args.out)
+            _write(_csv_text([header] + table), args.out)
         else:
-            _write(_grid_text(header, rows), args.out)
-    return 0 if agree_all else 1
+            _write(_grid_text(header, table), args.out)
+    return 0 if enumerated == series else 1
 
 
 _CHECKS_MAX_N_HELP = (

@@ -19,17 +19,18 @@ is the product, over the blocks of [n] cut at the complement of S, of one
 *top-row* value v_L(T restricted to the block). :func:`top_rows` builds
 v_1, ..., v_n of ``a``, ``b``, ``gamma`` and the containment matrix, plain
 or q-weighted, with no enumeration, and :func:`block_row` expands any row
-from them. That is the route of :func:`block_matrix`, the one builder of
-``a``, of the signed inverses and of ``descon table``, which writes the rows
-one at a time. Closed-form builders are capped only by matrix side.
+from them. That is the route of :func:`block_matrix`, the one public
+builder of ``a`` and ``b``, of the signed inverses and of ``descon table``,
+which writes the rows one at a time. Closed-form builders are capped only
+by matrix side.
 
-The sweep builders (:func:`gamma_matrix` and :func:`b_matrix_direct`, plain
-or with ``q``) scatter a tally of S_n by statistics through ``_tally``,
-the oracle of ``verify`` for the top rows and the inverses; ``verify``
-hands it the one tally it keeps per n. The dense products with the
-containment matrix ``M`` check the identity ``a = M gamma M`` that ties
-the family together. The multiset count matrix is a walk over the prefix
-contents of multiset words, with no word listed;
+:func:`gamma_matrix`, plain or with ``q``, is the one public sweep: it
+scatters the tally of S_n by statistics through ``_tally``. ``_tally``,
+which scatters ``b`` too, is the oracle of ``verify`` for the top rows and
+the inverses; ``verify`` hands it the one tally it keeps per n. The dense
+products with the containment matrix ``M`` check the identity
+``a = M gamma M`` that ties the family together. The multiset count matrix
+is a walk over the prefix contents of multiset words, with no word listed;
 ``verify`` takes its entries as the class sizes of the reduction bijection.
 
 Weighted values are computed on plain ints by Kronecker substitution
@@ -39,7 +40,7 @@ q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
 unpack, each distinct value once. ``verify`` reads the family only through
 them, and multiplies and compares grids at w = 0 for counts and, with q, at
 a width that holds every product (:func:`_family_width`). A matrix's ring is
-the type of its cells: int for counts, :class:`LaurentPolynomial` with q.
+the type of all its cells: int for counts, :class:`LaurentPolynomial` with q.
 ``@`` starts every cell from the zero of both operands, so an integer matrix
 times a weighted one needs no cast. ``descon table`` expands packed top rows
 into sparse cells (column mask, packed int) and renders each value once.
@@ -48,7 +49,7 @@ into sparse cells (column mask, packed int) and renders each value once.
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import comb, factorial
 from operator import mul
 from typing import Callable
@@ -67,7 +68,6 @@ __all__ = [
     "block_row",
     "block_matrix",
     "row_stream",
-    "b_matrix_direct",
     "inverse_closed",
     "diagonal_conjugation_matrix",
     "multiset_count_matrix",
@@ -137,9 +137,9 @@ def _unpacked(n: int, grid: list[list[int]], w: int, lo: int = 0) -> SubsetMatri
 
 
 class SubsetMatrix(_Frozen):
-    """Square matrix indexed by subset masks. Its ring is the type of its
-    cells: int, or :class:`LaurentPolynomial` from a builder's ``q``. A
-    constant polynomial equals its int, so matrices compare and hash by value."""
+    """Square matrix indexed by subset masks. Its ring is the one type of
+    all its cells: int, or :class:`LaurentPolynomial` from a builder's ``q``.
+    A constant polynomial equals its int, so matrices compare and hash by value."""
 
     __slots__ = __match_args__ = ("n", "rows")
     n: int
@@ -151,6 +151,8 @@ class SubsetMatrix(_Frozen):
         side = _side(self.n)
         if len(rows) != side or any(len(row) != side for row in rows):
             raise ValueError(f"matrix for n={self.n} must be {side}x{side}")
+        if set(map(type, chain.from_iterable(rows))) not in ({int}, {LaurentPolynomial}):
+            raise ValueError("matrix cells must be all int or all LaurentPolynomial")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -444,25 +446,13 @@ def _single(mask: int) -> tuple[int]:
     return (mask,)
 
 
-def _swept(kind: str, n: int, q: bool) -> SubsetMatrix:
-    w = _slot_width(n, q)
-    return _unpacked(n, _tally(joint_statistics(n), kind, n, w), w)
-
-
 def gamma_matrix(n: int, q: bool = False) -> SubsetMatrix:
     """Joint count matrix: entry (S, T) counts the permutations whose
     connectivity set is exactly the complement of S and whose descent set is
     exactly T; with q each permutation w counts as q**inv(w). Read from the
     tally of all n! permutations."""
-    return _swept("gamma", n, q)
-
-
-def b_matrix_direct(n: int, q: bool = False) -> SubsetMatrix:
-    """Entry (S, T) counts the permutations whose connectivity set contains
-    the complement of S and whose descent set is exactly T, weighted by
-    q**inv with q; built straight from the tally of all n! permutations,
-    independently of any matrix product."""
-    return _swept("b", n, q)
+    w = _slot_width(n, q)
+    return _unpacked(n, _tally(joint_statistics(n), "gamma", n, w), w)
 
 
 def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
@@ -501,8 +491,9 @@ def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
     """The rows of :func:`inverse_closed` packed at slot width ``w`` (0 for
     counts), slot k of a cell the coefficient of q**(k - C(n,2)). Each top
     value v_L, with no negative slot, is reversed over C(L,2) + 1 slots into
-    q**C(L,2) v_L(1/q); row S then shifts by the C(n,2) - sum C(L_i,2) its
-    blocks L_i leave, and the checkerboard sign negates an int."""
+    q**C(L,2) v_L(1/q). Each nonzero cell of row S (:func:`_block_cells`)
+    then shifts by the C(n,2) - sum C(L_i,2) its blocks L_i leave, and the
+    checkerboard sign negates an int."""
     tops = (_h_tops if kind == "b" else _TOP_ROWS[kind])(n, w)
     mask = (1 << w) - 1
     for length, row in enumerate(tops if w else ()):
@@ -511,8 +502,10 @@ def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
     rows = []
     for s in range(_side(n)):
         shift = w * (comb(n, 2) - sum(comb(p, 2) for p in _cut_parts(n, s)))
-        row = block_row(n, tops, s)
-        rows.append([(-x if (s ^ t).bit_count() & 1 else x) << shift for t, x in enumerate(row)])
+        row = [0] * _side(n)
+        for t, x in _block_cells(n, tops, s):
+            row[t] = (-x if (s ^ t).bit_count() & 1 else x) << shift
+        rows.append(row)
     return rows
 
 
@@ -581,7 +574,7 @@ def _cut_paths(t: SubsetMask, w: int) -> int:
     a prefix uses), here mixed-radix indices that every step raises. Position
     i is a cut exactly when i is in t and the path passes the content with
     every letter up to the one of value i used up and none above."""
-    parts = t.to_composition().parts
+    parts = t.to_composition()
     strides = list(accumulate((part + 1 for part in parts), mul, initial=1))
     # strides[j] - 1 is the content with the first j letters used up; no path
     # into it has the bit of its cut yet, so the cut moves every slot up by it

@@ -21,7 +21,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .rings import _require_int
-from .subsets import Composition, SubsetMask, _Frozen
+from .subsets import SubsetMask, _Frozen
 
 __all__ = [
     "EnumerationCapError",
@@ -182,8 +182,8 @@ class Permutation(MultisetWord):
             values = [int(ch) for ch in text]
         return cls(tuple(values))
 
-    def descent_composition(self) -> Composition:
-        """The composition of n cut at the descent positions."""
+    def descent_composition(self) -> tuple[int, ...]:
+        """The parts of the composition of n cut at the descent positions."""
         return self.descent_set().to_composition()
 
     def is_connected(self) -> bool:

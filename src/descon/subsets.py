@@ -1,5 +1,5 @@
-"""Subsets of [n-1] as fixed-width bitmasks, compositions of n, and the
-factorial weights attached to them.
+"""Subsets of [n-1] as fixed-width bitmasks, with the compositions of n
+they cut (tuples of parts) and the factorial weights attached to them.
 
 A subset S of [n-1] = {1, ..., n-1} is stored as an unsigned ``mask`` of
 width n-1 with bit i-1 set exactly when i is in S. The ambient n travels
@@ -19,7 +19,6 @@ from .rings import InexactDivisionError, LaurentPolynomial, _Sealed, _require_in
 
 __all__ = [
     "SubsetMask",
-    "Composition",
     "eta",
     "eta_q",
     "min_inversions",
@@ -121,35 +120,13 @@ class SubsetMask(_Frozen):
             raise ValueError(f"ambient sizes differ: {self.n} vs {other.n}")
         return self.mask & ~other.mask == 0
 
-    def to_composition(self) -> "Composition":
-        """The composition of n cut at the elements of the subset."""
+    def to_composition(self) -> tuple[int, ...]:
+        """The parts of the composition of n cut at the elements of the subset."""
         points = (0,) + self.elements() + (self.n,)
-        return Composition(tuple(b - a for a, b in zip(points, points[1:])))
+        return tuple(b - a for a, b in zip(points, points[1:]))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.elements()) + "}"
-
-
-class Composition(_Frozen):
-    """An ordered tuple of positive parts; sums to the ambient n."""
-
-    __slots__ = __match_args__ = ("parts",)
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("a composition has at least one part")
-        for p in parts:
-            _require_int(p, "part")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
 def eta(s: SubsetMask) -> int:
@@ -162,7 +139,7 @@ def eta(s: SubsetMask) -> int:
     >>> eta(SubsetMask.from_elements(4, [1]))
     6
     """
-    return prod(map(factorial, s.to_composition().parts))
+    return prod(map(factorial, s.to_composition()))
 
 
 def eta_q(s: SubsetMask) -> LaurentPolynomial:
@@ -171,7 +148,7 @@ def eta_q(s: SubsetMask) -> LaurentPolynomial:
     Specializes to ``eta(s)`` at q=1.
     """
     out = LaurentPolynomial((1,))
-    for p in s.to_composition().parts:
+    for p in s.to_composition():
         out = out * q_factorial(p)
     return out
 
@@ -182,7 +159,7 @@ def min_inversions(t: SubsetMask) -> int:
     Computed as the sum of binomial(part, 2) over the gap lengths cut by the
     complement of t.
     """
-    return sum(comb(p, 2) for p in t.complement().to_composition().parts)
+    return sum(comb(p, 2) for p in t.complement().to_composition())
 
 
 def count_descent_subset(s: SubsetMask) -> int:

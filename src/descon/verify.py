@@ -261,7 +261,7 @@ def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: li
     sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
     counts = {s_mask: count for s_mask, count in enumerate(column) if count}
     bad = {s for s in sizes.keys() | counts.keys() if sizes.get(s) != counts.get(s) or s & ~t_mask}
-    parts = SubsetMask(n, t_mask).to_composition().parts
+    parts = SubsetMask(n, t_mask).to_composition()
     for s_mask, reduced in classes.items():
         if any(reduced.count(j) != sizes[s_mask] * part for j, part in enumerate(parts, 1)):
             bad.add(s_mask)
@@ -297,7 +297,7 @@ def _multiset_bijection(o: _Oracles) -> str | None:
 def _connected_series(o: _Oracles) -> str | None:
     """Connected counts read off the tally and by the series route agree."""
     swept = sum(count for (c, _d, _inv), count in o("joint").items() if not c)
-    series = connected_counts_series(o.n).count(o.n)
+    series = connected_counts_series(o.n)[-1]
     if swept != series:
         return f"connected counts at n={o.n}: sweep {swept} != series {series}"
     return None

@@ -11,10 +11,11 @@ import pytest
 
 import descon
 from descon.cli import _cell_renderer, _emit_matrix, _json, main
-from descon.matrices import b_matrix_direct, gamma_matrix
+from descon.matrices import gamma_matrix
 from descon.rings import LaurentPolynomial
 
 from golden_tables import GAMMA_N5
+from sweeps import b_swept
 
 
 def run_cli(capsys, *argv):
@@ -206,7 +207,7 @@ class TestTable:
         assert target.read_text().startswith("S\\T,")
 
 
-SWEEP_BUILDERS = {"gamma": gamma_matrix, "b": b_matrix_direct}
+SWEEP_BUILDERS = {"gamma": gamma_matrix, "b": b_swept}
 
 
 @pytest.mark.parametrize("kind", ("gamma", "b"))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import descon.matrices as matrices
 from descon.matrices import (
     SubsetMatrix,
-    b_matrix_direct,
     block_matrix,
     block_row,
     diagonal_conjugation_matrix,
@@ -35,9 +34,10 @@ from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask, cardinality_lex_order, eta
 
 from golden_tables import GOLDEN_GAMMAS
+from sweeps import b_swept
 
 # the one builder of each matrix of the family, each taking (n, q=False)
-FAMILY = {"a": partial(block_matrix, "a"), "b": b_matrix_direct, "gamma": gamma_matrix}
+FAMILY = {"a": partial(block_matrix, "a"), "b": b_swept, "gamma": gamma_matrix}
 
 
 def S(n, *elements):
@@ -330,21 +330,21 @@ class TestAClosedForm:
 
 class TestB:
     def test_spot_values(self):
-        b = b_matrix_direct(3)
+        b = b_swept(3)
         assert b.entry(S(3, 1, 2), S(3, 1)) == 2  # 213 and 312
         assert b.entry(SubsetMask.empty(3), SubsetMask.empty(3)) == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_three_routes_agree(self, n):
-        direct = b_matrix_direct(n)
+        direct = b_swept(n)
         assert direct == zeta_matrix(n) @ gamma_matrix(n)
         assert direct == block_matrix("a", n) @ mobius_matrix(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_q_version(self, n):
-        direct = b_matrix_direct(n, q=True)
+        direct = b_swept(n, q=True)
         assert direct == zeta_matrix(n) @ gamma_matrix(n, q=True)
-        assert at_q1(direct) == b_matrix_direct(n)
+        assert at_q1(direct) == b_swept(n)
 
 
 class TestTransformRoute:
@@ -353,7 +353,7 @@ class TestTransformRoute:
     def test_equals_sweep_and_keeps_support(self, n, q):
         routes = (
             (block_matrix("gamma", n, q), gamma_matrix(n, q)),
-            (block_matrix("b", n, q), b_matrix_direct(n, q)),
+            (block_matrix("b", n, q), b_swept(n, q)),
         )
         for expanded, swept in routes:
             assert expanded == swept

@@ -19,8 +19,8 @@ import pytest
 import descon
 from descon.matrices import SubsetMatrix, gamma_matrix, inverse_closed, zeta_matrix
 from descon.permutations import MultisetWord, Permutation
-from descon.series import ConnectedCountTable
-from descon.subsets import Composition, SubsetMask
+from descon.rings import LaurentPolynomial
+from descon.subsets import SubsetMask
 from descon.verify import CheckResult
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -66,15 +66,8 @@ def test_cli_import_leaves_out_dataclasses_and_fractions():
 # field set to a value its validation refuses
 VALUES = [
     (SubsetMask(3, 1), "SubsetMask(n=3, mask=1)", {"n": 3, "mask": 1}, {"mask": 4}),
-    (Composition((1, 2)), "Composition(parts=(1, 2))", {"parts": (1, 2)}, {"parts": (0, 3)}),
     (MultisetWord((2, 1)), "MultisetWord(word=(2, 1))", {"word": (2, 1)}, {"word": (0, 1)}),
     (Permutation((2, 3, 1)), "Permutation(word=(2, 3, 1))", {"word": (2, 3, 1)}, {"word": (1, 1)}),
-    (
-        ConnectedCountTable(3, (1, 1, 3), "series"),
-        "ConnectedCountTable(max_n=3, counts=(1, 1, 3), source='series')",
-        {"max_n": 3, "counts": (1, 1, 3), "source": "series"},
-        {"counts": (1, 1)},
-    ),
     (
         zeta_matrix(2),
         "SubsetMatrix(n=2)",
@@ -117,7 +110,6 @@ def test_values_build_by_position_or_keyword_and_validate():
         ):
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
-    assert Composition(parts=[1, 2]) == Composition((1, 2))
     assert Permutation(word=[2, 1]).word == (2, 1)
 
 
@@ -144,6 +136,17 @@ def test_a_matrix_takes_no_ring_tag():
     # a matrix is n and its cells; the cells' type is its ring
     with pytest.raises(TypeError):
         SubsetMatrix(2, "integer", [[1, 0], [0, 1]])
+
+
+def test_a_matrix_has_one_cell_type():
+    # the zero that @ takes from cell (0, 0), and the ring that the CLI
+    # reads there, hold for every cell
+    with pytest.raises(ValueError, match="all int or all LaurentPolynomial"):
+        SubsetMatrix(2, [[0, LaurentPolynomial((0, 1))], [0, LaurentPolynomial((1,))]])
+    for cells in ([[1, 0], [0, True]], [[1, 0], [0, 1.0]], [[1, 0], [0, "1"]]):
+        with pytest.raises(ValueError):
+            SubsetMatrix(2, cells)
+    assert SubsetMatrix(2, [[LaurentPolynomial((1,)), LaurentPolynomial()]] * 2).n == 2
 
 
 def test_matrices_compare_by_value_whatever_the_cell_type():

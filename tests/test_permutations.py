@@ -85,10 +85,10 @@ class TestStatistics:
             assert (inversion_count(word) == 0) == expected
 
     def test_descent_composition(self):
-        assert Permutation((1, 3, 4, 2)).descent_composition().parts == (3, 1)
-        assert Permutation((3, 2, 1)).descent_composition().parts == (1, 1, 1)
+        assert Permutation((1, 3, 4, 2)).descent_composition() == (3, 1)
+        assert Permutation((3, 2, 1)).descent_composition() == (1, 1, 1)
         for n in range(1, 7):
-            assert Permutation(tuple(range(1, n + 1))).descent_composition().parts == (n,)
+            assert Permutation(tuple(range(1, n + 1))).descent_composition() == (n,)
 
     def test_connectivity_and_descents_are_disjoint(self):
         for n in range(1, 8):
@@ -233,7 +233,7 @@ class TestEnumerators:
                 t = SubsetMask(n, mask)
                 multiset = [
                     letter
-                    for letter, part in enumerate(t.to_composition().parts, start=1)
+                    for letter, part in enumerate(t.to_composition(), start=1)
                     for _ in range(part)
                 ]
                 expected = sorted(set(itertools.permutations(multiset)))
@@ -249,7 +249,7 @@ class TestEnumerators:
             t = SubsetMask(n, mask)
             multiset = [
                 letter
-                for letter, part in enumerate(t.to_composition().parts, start=1)
+                for letter, part in enumerate(t.to_composition(), start=1)
                 for _ in range(part)
             ]
             changes = [(i, multiset[i - 1]) for i in range(1, n) if multiset[i - 1] < multiset[i]]
@@ -294,7 +294,7 @@ class TestJointStatistics:
             by_d[d] += count
             connected += 0 if c else count
         assert by_inv == list(q_factorial(n).coeffs)
-        assert connected == connected_counts_series(n).count(n)
+        assert connected == connected_counts_series(n)[-1]
         assert by_d == top_rows("b", n)[n]
 
     def test_lists_no_permutation(self, monkeypatch):
@@ -343,7 +343,7 @@ def test_connected_counts_read_the_shared_sweep(monkeypatch):
 
     monkeypatch.setattr(permutations, "_lex_permutations", refuse)
     monkeypatch.setattr(permutations, "_rank_tally", recorded)
-    assert connected_counts_enumerated(7).counts == (1, 1, 3, 13, 71, 461, 3447)
+    assert connected_counts_enumerated(7) == (1, 1, 3, 13, 71, 461, 3447)
     results = run_checks(7, names=("containment-counts", "connected-series"))
     assert [(r.name, r.passed) for r in results] == [
         ("containment-counts", True), ("connected-series", True),

@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from descon.subsets import (
-    Composition,
     SubsetMask,
     cardinality_lex_order,
     count_descent_subset,
@@ -80,14 +79,14 @@ class TestSubsetMask:
 
 class TestCompositions:
     def test_subset_to_composition(self):
-        assert SubsetMask.from_elements(4, [3]).to_composition() == Composition((3, 1))
-        assert SubsetMask.empty(6).to_composition() == Composition((6,))
-        assert SubsetMask(1, 0).to_composition() == Composition((1,))
+        assert SubsetMask.from_elements(4, [3]).to_composition() == (3, 1)
+        assert SubsetMask.empty(6).to_composition() == (6,)
+        assert SubsetMask(1, 0).to_composition() == (1,)
 
     def test_round_trip_over_all_subsets(self):
         for n in range(1, 11):
             for s in all_subsets(n):
-                assert tuple(itertools.accumulate(s.to_composition().parts))[:-1] == s.elements()
+                assert tuple(itertools.accumulate(s.to_composition()))[:-1] == s.elements()
 
     def test_round_trip_over_all_compositions(self):
         def compositions(m):
@@ -100,19 +99,7 @@ class TestCompositions:
 
         for n in range(1, 11):
             for parts in compositions(n):
-                c = Composition(parts)
-                assert SubsetMask.from_elements(n, itertools.accumulate(parts[:-1])).to_composition() == c
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Composition(())
-        with pytest.raises(ValueError):
-            Composition((2, 0, 1))
-        with pytest.raises(ValueError):
-            Composition((2, True))
-
-    def test_str(self):
-        assert str(Composition((3, 1))) == "(3,1)"
+                assert SubsetMask.from_elements(n, itertools.accumulate(parts[:-1])).to_composition() == parts
 
 
 class TestWeights:
