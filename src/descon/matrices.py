@@ -27,7 +27,7 @@ by matrix side.
 :func:`gamma_matrix`, plain or with ``q``, is the one public sweep: it
 scatters the tally of S_n by statistics through ``_tally``. ``_tally``,
 which scatters ``b`` too, is the oracle of ``verify`` for the top rows and
-the inverses; ``verify`` hands it the one tally it keeps per n. The dense
+the inverses; ``verify`` hands it the one tally it keeps per n. The
 products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together. The multiset count matrix
 is a walk over the prefix contents of multiset words, with no word listed;
@@ -36,20 +36,22 @@ is a walk over the prefix contents of multiset words, with no word listed;
 Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots; a count is the same code at w = 0, where
 q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
-``_conjugation``) return int grids at a given w, which the public builders
-unpack, each distinct value once. ``verify`` reads the family only through
-them, and multiplies and compares grids at w = 0 for counts and, with q, at
+``_conjugation``) return *support rows* at a given w: row S is a dict from
+column mask T (inside S) to packed int that stores no zero. ``_product``
+multiplies them, and ``_unpacked`` alone makes them dense, unpacking each
+distinct value once. ``verify`` reads the family only through them, and
+multiplies and compares support rows at w = 0 for counts and, with q, at
 a width that holds every product (:func:`_family_width`). A matrix's ring is
 the type of all its cells: int for counts, :class:`LaurentPolynomial` with q.
-``@`` starts every cell from the zero of both operands, so an integer matrix
-times a weighted one needs no cast. ``descon table`` expands packed top rows
-into sparse cells (column mask, packed int) and renders each value once.
+``@`` fills every cell it does not store with the zero of both operands, so
+an integer matrix times a weighted one needs no cast. ``descon table`` and
+``_expand`` read the same sparse cells of :func:`_block_cells`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, product
 from math import comb, factorial
 from operator import mul
 from typing import Callable
@@ -81,18 +83,21 @@ def _side(n: int) -> int:
     return 1 << (n - 1)
 
 
-def _product(left, right, zero=0) -> list[list]:
-    """The product of two square matrices over one ring, summed against the
-    nonzero cells of each row of ``right``; ``zero`` starts every cell."""
-    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+def _support_rows(rows) -> list[dict]:
+    """The support rows of dense rows: the nonzero cells of each, by column."""
+    return [dict(compress(enumerate(row), row)) for row in rows]
+
+
+def _product(left: list[dict], right: list[dict]) -> list[dict]:
+    """The product of two matrices of support rows over one ring, as support
+    rows: a cell that sums to 0 is dropped."""
     out = []
     for arow in left:
-        acc = [zero] * len(right)
-        for a, bcells in zip(arow, nonzero):
-            if a:
-                for j, b in bcells:
-                    acc[j] += a * b
-        out.append(acc)
+        acc = {}
+        for u, a in arow.items():
+            for t, b in right[u].items():
+                acc[t] = acc.get(t, 0) + a * b
+        out.append({t: v for t, v in acc.items() if v})
     return out
 
 
@@ -127,13 +132,18 @@ def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs, lo)
 
 
-def _unpacked(n: int, grid: list[list[int]], w: int, lo: int = 0) -> SubsetMatrix:
-    """The matrix of a grid packed at slot width ``w`` (0 for counts), slot k
-    the coefficient of q**(lo + k); each distinct value is unpacked once."""
-    if not w:
-        return SubsetMatrix(n, grid)
-    values = {x: _unpack(x, lo, w) for x in set().union(*grid)}
-    return SubsetMatrix(n, [[values[x] for x in row] for row in grid])
+def _unpacked(n: int, rows: list[dict], w: int, lo: int = 0, zero=0) -> SubsetMatrix:
+    """The dense matrix of support rows packed at slot width ``w``, slot k the
+    coefficient of q**(lo + k), each distinct value unpacked once; at w = 0 the
+    values are the cells, and a cell not stored is ``zero``."""
+    if w:
+        values = {x: _unpack(x, lo, w) for x in set().union(*(row.values() for row in rows))}
+        rows, zero = [{t: values[x] for t, x in row.items()} for row in rows], _ZERO
+    dense = [[zero] * _side(n) for _row in rows]
+    for cells, row in zip(dense, rows):
+        for t, v in row.items():
+            cells[t] = v
+    return SubsetMatrix(n, dense)
 
 
 class SubsetMatrix(_Frozen):
@@ -158,7 +168,7 @@ class SubsetMatrix(_Frozen):
     @classmethod
     def identity(cls, n: int) -> "SubsetMatrix":
         _require_int(n, "n")
-        return cls(n, _identity_rows(n, 1))
+        return _unpacked(n, _identity_rows(n, 1), 0)
 
     @property
     def side(self) -> int:
@@ -170,14 +180,14 @@ class SubsetMatrix(_Frozen):
         return self.rows[s.mask][t.mask]
 
     def __matmul__(self, other: "SubsetMatrix") -> "SubsetMatrix":
-        """The product, every cell started from the zero of both operands'
+        """The product; a cell that sums to 0 is the zero of both operands'
         rings, so an int matrix times a polynomial one has polynomial cells."""
         if not isinstance(other, SubsetMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"matrix sizes differ: n={self.n} vs n={other.n}")
-        zero = self.rows[0][0] * 0 + other.rows[0][0] * 0
-        return SubsetMatrix(self.n, _product(self.rows, other.rows, zero))
+        product = _product(_support_rows(self.rows), _support_rows(other.rows))
+        return _unpacked(self.n, product, 0, zero=self.rows[0][0] * 0 + other.rows[0][0] * 0)
 
     def checkerboard_signed(self) -> "SubsetMatrix":
         """Negate every entry whose row and column cardinalities differ in
@@ -382,11 +392,11 @@ def block_row(n: int, tops: list[list], s: int) -> list:
     return row
 
 
-def _expand(kind: str, n: int, w: int) -> list[list[int]]:
-    """The rows of the matrix ``kind`` expanded from its top rows packed at
-    slot width ``w`` (0 for counts)."""
+def _expand(kind: str, n: int, w: int) -> list[dict]:
+    """The support rows of the matrix ``kind`` expanded from its top rows
+    packed at slot width ``w`` (0 for counts)."""
     tops = _TOP_ROWS[kind](n, w)
-    return [block_row(n, tops, s) for s in range(_side(n))]
+    return [dict(_block_cells(n, tops, s)) for s in range(_side(n))]
 
 
 def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
@@ -397,7 +407,7 @@ def block_matrix(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     multinomial times q to the least inversion count its forced descents
     require."""
     tops, w = _packed_tops(kind, n, q)
-    return _unpacked(n, [block_row(n, tops, s) for s in range(_side(n))], w)
+    return _unpacked(n, [dict(_block_cells(n, tops, s)) for s in range(_side(n))], w)
 
 
 def row_stream(kind: str, n: int, q: bool = False) -> tuple[Callable, Callable]:
@@ -423,27 +433,22 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _tally(joint: dict[tuple[int, int, int], int], kind: str, n: int, w: int) -> list[list[int]]:
-    """Scatter ``joint``, the tally ``joint_statistics(n)``, into the rows of
-    ``gamma`` or ``b`` packed at slot width ``w`` (0 for counts): each
+def _tally(joint: dict[tuple[int, int, int], int], kind: str, n: int, w: int) -> list[dict]:
+    """Scatter ``joint``, the tally ``joint_statistics(n)``, into the support
+    rows of ``gamma`` or ``b`` packed at slot width ``w`` (0 for counts): each
     permutation with connectivity mask c, descent mask d and inv inversions
     adds q**inv to the cell (S, d) of every S whose complement is c
     (``gamma``) or inside c (``b``)."""
-    side = _side(n)
-    full = side - 1
-    rows_of = _single if kind == "gamma" else _submasks
+    full = _side(n) - 1
+    rows_of = (lambda c: (c,)) if kind == "gamma" else _submasks
     by_masks: dict[tuple[int, int], int] = {}
     for (c, d, inv), count in joint.items():
         by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
-    cells = [[0] * side for _ in range(side)]
+    rows: list[dict] = [{} for _ in range(full + 1)]
     for (c, d), value in by_masks.items():
         for x in rows_of(c):
-            cells[full ^ x][d] += value
-    return cells
-
-
-def _single(mask: int) -> tuple[int]:
-    return (mask,)
+            rows[full ^ x][d] = rows[full ^ x].get(d, 0) + value
+    return rows
 
 
 def gamma_matrix(n: int, q: bool = False) -> SubsetMatrix:
@@ -482,14 +487,13 @@ def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:
     return _unpacked(n, inverse, w, -comb(n, 2))
 
 
-def _identity_rows(n: int, one) -> list[list]:
-    side = _side(n)
-    return [[one if s == t else 0 for t in range(side)] for s in range(side)]
+def _identity_rows(n: int, one) -> list[dict]:
+    return [{s: one} for s in range(_side(n))]
 
 
-def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
-    """The rows of :func:`inverse_closed` packed at slot width ``w`` (0 for
-    counts), slot k of a cell the coefficient of q**(k - C(n,2)). Each top
+def _signed_inverse(kind: str, n: int, w: int) -> list[dict]:
+    """The support rows of :func:`inverse_closed` packed at slot width ``w``
+    (0 for counts), slot k of a cell the coefficient of q**(k - C(n,2)). Each top
     value v_L, with no negative slot, is reversed over C(L,2) + 1 slots into
     q**C(L,2) v_L(1/q). Each nonzero cell of row S (:func:`_block_cells`)
     then shifts by the C(n,2) - sum C(L_i,2) its blocks L_i leave, and the
@@ -502,10 +506,8 @@ def _signed_inverse(kind: str, n: int, w: int) -> list[list[int]]:
     rows = []
     for s in range(_side(n)):
         shift = w * (comb(n, 2) - sum(comb(p, 2) for p in _cut_parts(n, s)))
-        row = [0] * _side(n)
-        for t, x in _block_cells(n, tops, s):
-            row[t] = (-x if (s ^ t).bit_count() & 1 else x) << shift
-        rows.append(row)
+        cells = _block_cells(n, tops, s)
+        rows.append({t: (-x if (s ^ t).bit_count() & 1 else x) << shift for t, x in cells})
     return rows
 
 
@@ -523,24 +525,22 @@ def diagonal_conjugation_matrix(n: int, q: bool = False) -> SubsetMatrix:
     return _unpacked(n, _conjugation(n, w), w)
 
 
-def _conjugation(n: int, w: int) -> list[list[int]]:
-    """The rows of :func:`diagonal_conjugation_matrix` packed at slot width
-    ``w`` (0 for counts); no slot of a weight or a ratio is negative."""
+def _conjugation(n: int, w: int) -> list[dict]:
+    """The support rows of :func:`diagonal_conjugation_matrix` packed at slot
+    width ``w`` (0 for counts); no slot of a weight or a ratio is negative."""
     side = _side(n)
     full = side - 1
     # weight[m] is the weight of the complement of the subset with mask m
     weight = [eta_q(SubsetMask(n, full ^ m)).evaluate(1 << w) for m in range(side)]
     shift = [w * min_inversions(SubsetMask(n, t)) for t in range(side)]
-    rows = []
-    for s in range(side):
-        row = [0] * side
+    rows: list[dict] = [{} for _ in range(side)]
+    for s, row in enumerate(rows):
         for t in _submasks(s):
             row[t], rem = divmod(weight[s] << shift[t], weight[t])
             if rem:
                 raise ArithmeticError(
                     f"eta ratio not exact at n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
                 )
-        rows.append(row)
     return rows
 
 

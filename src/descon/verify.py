@@ -11,10 +11,10 @@ Every check runs up to the hard ceiling n = 12 but ``multiset-bijection``,
 whose walk holds the inverses of all n! permutations at once: it stops at
 :data:`WALK_MAX_N` = 10 and reports that bound as its own ``max_n``.
 
-Every matrix compared is a list of int lists packed by q -> 2**w, w = 0 for
-counts and one width per n for the ``q``-checks, so each identity is one
-function of w and each comparison one ``==``; only a cell that a failure
-names is unpacked into a polynomial.
+Every matrix compared is a list of support rows of ints packed by q -> 2**w
+(see :mod:`descon.matrices`), w = 0 for counts and one width per n for the
+``q``-checks, so no grid is dense, each identity is one function of w and
+each comparison one ``==``; only a cell that a failure names is unpacked.
 
 The primitives that each side of each comparison reads, got | want: "tally"
 is ``permutations._rank_tally`` scattered by ``matrices._tally``; "tops X"
@@ -52,6 +52,7 @@ from .matrices import (
     _identity_rows,
     _product,
     _signed_inverse,
+    _support_rows,
     _tally,
     _unpack,
     mobius_matrix,
@@ -87,24 +88,23 @@ def _fmt(n: int, s: int, t: int) -> str:
     return f"n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
 
 
-def _first_mismatch(got: list[list[int]], want: list[list[int]]) -> tuple[int, int] | None:
+def _first_mismatch(got: list[dict], want: list[dict]) -> tuple[int, int] | None:
     for s, (grow, wrow) in enumerate(zip(got, want)):
-        for t, (g, w) in enumerate(zip(grow, wrow)):
-            if g != w:
-                return s, t
+        if grow != wrow:
+            return s, min(t for t in grow.keys() | wrow.keys() if grow.get(t, 0) != wrow.get(t, 0))
     return None
 
 
 def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> str | None:
-    """The first cell where two grids packed at the width w differ, slot k
-    of a cell the coefficient of q**(lo + k); the cells are walked, and
-    the two named are unpacked, only if the whole differs."""
+    """The first cell where two lists of support rows packed at the width w
+    differ (0 where not stored), slot k the coefficient of q**(lo + k); the
+    rows are walked, and the two cells named are unpacked, only if not equal."""
     if got == want:
         return None
     s, t = _first_mismatch(got, want)
     show = partial(_unpack, lo=lo, width=w) if w else str
     label = f"weighted {label}" if w else label
-    return f"{label} at {_fmt(n, s, t)}: {show(got[s][t])} != {show(want[s][t])}"
+    return f"{label} at {_fmt(n, s, t)}: {show(got[s].get(t, 0))} != {show(want[s].get(t, 0))}"
 
 
 # How each shared oracle of one n is built, at a width w for the members of
@@ -112,11 +112,10 @@ def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> s
 # they run, so substituting one of them takes effect here.
 _ORACLES = {
     "joint": lambda o, w: joint_statistics(o.n),
-    # the definitional matrices, by their public builders; zeta and mobius
-    # keep their tuple rows, since they are only factors of products
-    "zeta": lambda o, w: zeta_matrix(o.n).rows,
-    "mobius": lambda o, w: mobius_matrix(o.n).rows,
-    "multiset": lambda o, w: [list(row) for row in multiset_count_matrix(o.n).rows],
+    # the definitional matrices, by their public builders, as support rows
+    "zeta": lambda o, w: _support_rows(zeta_matrix(o.n).rows),
+    "mobius": lambda o, w: _support_rows(mobius_matrix(o.n).rows),
+    "multiset": lambda o, w: _support_rows(multiset_count_matrix(o.n).rows),
     # the family at w: gamma and b swept, a expanded from its top rows
     "gamma": lambda o, w: _tally(o("joint"), "gamma", o.n, w),
     "b": lambda o, w: _tally(o("joint"), "b", o.n, w),
@@ -287,7 +286,7 @@ def _multiset_bijection(o: _Oracles) -> str | None:
     groups = _group_inverses(o.n)
     for t_mask in range(1 << (o.n - 1)):
         classes = _reduce_classes(groups, SubsetMask(o.n, t_mask))
-        column = [row[t_mask] for row in o("multiset")]
+        column = [row.get(t_mask, 0) for row in o("multiset")]
         detail = _bijection_detail(o.n, t_mask, classes, column)
         if detail:
             return detail
@@ -303,20 +302,21 @@ def _connected_series(o: _Oracles) -> str | None:
     return None
 
 
-def _complemented(grid: list[list[int]]) -> list[list[int]]:
-    """Entry (S, T) is entry (complement of S, complement of T) of grid."""
-    return [row[::-1] for row in reversed(grid)]
+def _complemented(rows: list[dict]) -> list[dict]:
+    """Entry (S, T) is entry (complement of S, complement of T) of rows."""
+    full = len(rows) - 1
+    return [{full ^ t: v for t, v in row.items()} for row in reversed(rows)]
 
 
-def _at_q1(o: _Oracles, grid: list[list[int]]) -> list[list[int]]:
-    """q = 1 in a grid packed at the width w: modulo 2**w - 1 a cell is the
-    sum of its slots, which are nonnegative counts summing below that."""
+def _at_q1(o: _Oracles, rows: list[dict]) -> list[dict]:
+    """q = 1 in support rows packed at the width w: modulo 2**w - 1 a cell is
+    the sum of its slots, nonnegative counts summing below that, so not 0."""
     modulus = (1 << o.w) - 1
-    return [[x % modulus for x in row] for row in grid]
+    return [{t: x % modulus for t, x in row.items()} for row in rows]
 
 
 # Each identity that holds for counts and with q, as a list of comparisons
-# (got, want, label, w[, lo]) of grids packed at the width w, 0 for counts.
+# (got, want, label, w[, lo]) of support rows packed at the width w, 0 for counts.
 def _superset_closed_form(o: _Oracles, w: int) -> list:
     """Closed-form superset counts against the swept joint counts relaxed twice."""
     return [(o("a", w), _product(o("zeta*gamma", w), o("zeta")), "superset counts", w)]

@@ -36,10 +36,10 @@ _PACKED = {
 
 
 def _bump(m, unit=1):
-    """m with ``unit`` added to entry ({1,2}, {1}); m is a matrix or an int grid."""
-    rows = [list(row) for row in getattr(m, "rows", m)]
-    rows[3][1] = rows[3][1] + unit
-    return matrices.SubsetMatrix(m.n, rows) if hasattr(m, "rows") else rows
+    """m with ``unit`` added to entry ({1,2}, {1}); m is a matrix or support rows."""
+    rows = [dict(enumerate(row)) for row in m.rows] if hasattr(m, "rows") else m
+    rows[3][1] = rows[3].get(1, 0) + unit
+    return m if rows is m else matrices.SubsetMatrix(m.n, [[*row.values()] for row in rows])
 
 
 def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
@@ -244,8 +244,7 @@ def test_passing_q_checks_unpack_no_cell(monkeypatch):
 
 
 def test_passing_checks_walk_no_cell(monkeypatch):
-    # every side of every comparison is a list of int lists, so a passing
-    # comparison is one ==; a tuple grid against a list grid walks every cell
+    # a passing comparison is one == of support rows: no row stores a zero
     def refuse(*_args):
         raise AssertionError("a passing comparison walked its cells")
 
