@@ -27,7 +27,7 @@ by matrix side.
 :func:`gamma_matrix`, plain or with ``q``, is the one public sweep: it
 scatters the tally of S_n by statistics through ``_tally``. ``_tally``,
 which scatters ``b`` too, is the oracle of ``verify`` for the top rows and
-the inverses; ``verify`` hands it the one tally it keeps per n. The
+the inverses; ``verify`` hands it the tally it keeps per n and width. The
 products with the containment matrix ``M`` check the identity
 ``a = M gamma M`` that ties the family together. The multiset count matrix
 is a walk over the prefix contents of multiset words, with no word listed;
@@ -433,19 +433,15 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _tally(joint: dict[tuple[int, int, int], int], kind: str, n: int, w: int) -> list[dict]:
-    """Scatter ``joint``, the tally ``joint_statistics(n)``, into the support
-    rows of ``gamma`` or ``b`` packed at slot width ``w`` (0 for counts): each
-    permutation with connectivity mask c, descent mask d and inv inversions
-    adds q**inv to the cell (S, d) of every S whose complement is c
-    (``gamma``) or inside c (``b``)."""
+def _tally(tally: dict[tuple[int, int], int], kind: str, n: int) -> list[dict]:
+    """Scatter ``tally`` (``permutations._rank_tally`` at some width) into the
+    support rows of ``gamma`` or ``b`` at that width: the value of (c, d)
+    adds to the cell (S, d) of every S whose complement is c (``gamma``) or
+    inside c (``b``)."""
     full = _side(n) - 1
     rows_of = (lambda c: (c,)) if kind == "gamma" else _submasks
-    by_masks: dict[tuple[int, int], int] = {}
-    for (c, d, inv), count in joint.items():
-        by_masks[c, d] = by_masks.get((c, d), 0) + (count << w * inv)
     rows: list[dict] = [{} for _ in range(full + 1)]
-    for (c, d), value in by_masks.items():
+    for (c, d), value in tally.items():
         for x in rows_of(c):
             rows[full ^ x][d] = rows[full ^ x].get(d, 0) + value
     return rows
@@ -457,7 +453,10 @@ def gamma_matrix(n: int, q: bool = False) -> SubsetMatrix:
     exactly T; with q each permutation w counts as q**inv(w). Read from the
     tally of all n! permutations."""
     w = _slot_width(n, q)
-    return _unpacked(n, _tally(joint_statistics(n), "gamma", n, w), w)
+    tally: dict[tuple[int, int], int] = {}
+    for (c, d, inv), count in joint_statistics(n).items():
+        tally[c, d] = tally.get((c, d), 0) + (count << w * inv)
+    return _unpacked(n, _tally(tally, "gamma", n), w)
 
 
 def inverse_closed(kind: str, n: int, q: bool = False) -> SubsetMatrix:

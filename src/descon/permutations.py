@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 # The one size bound of the listings and the tally: 12! is 479,001,600
-# words, and the tally of every n <= 12 (`descon connected --max-n 12`)
-# peaks at 176 MB (ru_maxrss of a fresh process, read by os.wait4).
+# words. The counts of every n <= 12 (`descon connected --max-n 12`) peak at
+# 60 MB and `joint_statistics(12)` at 125 MB (ru_maxrss of a fresh process).
 HARD_CEILING = 12
 
 
@@ -269,15 +269,15 @@ def _letter_table(t: SubsetMask) -> tuple[int, ...]:
     return (0,) + tuple(bisect_left(thresholds, v) + 1 for v in range(1, t.n + 1))
 
 
-def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:
-    """Joint (connectivity mask, descent mask, inversions) counts of the
-    permutations of [n], by the relative-rank recurrence (Niven 1968; de
-    Bruijn 1970) with a hole count. With u values left, m of them below the
-    prefix maximum and r below the last value, placing the k-th smallest
-    adds k inversions and a descent iff k < r, and goes to (u-1, m-1, k) if
-    k < m, else to (u-1, k, k); the position before it is a cut iff m = 0.
-    A state maps ``c << n | d`` to its inversions packed by q -> 2**w."""
-    w = factorial(n).bit_length()  # a slot holds any count, at most n!
+def _rank_tally(n: int, w: int) -> dict[tuple[int, int], int]:
+    """The permutations of [n] by (connectivity mask, descent mask), each
+    pair mapped to its inversions packed by q -> 2**w, the plain count at
+    w = 0, by the relative-rank recurrence (Niven 1968; de Bruijn 1970) with
+    a hole count. With u values left, m of them below the prefix maximum and
+    r below the last value, placing the k-th smallest adds k inversions and
+    a descent iff k < r, and goes to (u-1, m-1, k) if k < m, else to
+    (u-1, k, k); the position before it is a cut iff m = 0. A state maps
+    ``c << n | d`` to its packed inversions; a slot holds any count if 2**w > n!."""
 
     @cache
     def tally(u: int, m: int, r: int) -> dict[int, int]:
@@ -295,11 +295,7 @@ def _rank_tally(n: int) -> dict[tuple[int, int, int], int]:
 
     top = tally(n, 0, 0)
     tally.cache_clear()  # the cache and tally hold each other: free it now
-    slot, low = (1 << w) - 1, (1 << n) - 1
-    return {(key >> n, key & low, inv): count
-            for key, x in top.items()
-            for inv in range(x.bit_length() // w + 1)
-            if (count := x >> w * inv & slot)}
+    return {divmod(key, 1 << n): x for key, x in top.items()}
 
 
 def joint_statistics(n: int) -> dict[tuple[int, int, int], int]:
@@ -315,4 +311,8 @@ def joint_statistics(n: int) -> dict[tuple[int, int, int], int]:
      ((1, 2, 1), 1), ((2, 1, 1), 1), ((3, 0, 0), 1)]
     """
     _require_within_cap(n)
-    return _rank_tally(n)
+    w = factorial(n).bit_length()  # a slot holds any count, at most n!
+    slot = (1 << w) - 1
+    return {(c, d, inv): count
+            for (c, d), x in _rank_tally(n, w).items()
+            for inv in range(x.bit_length() // w + 1) if (count := x >> w * inv & slot)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .permutations import _require_within_cap, joint_statistics
+from .permutations import _rank_tally, _require_within_cap
 from .rings import _require_int
 
 __all__ = ["connected_counts_enumerated", "connected_counts_series"]
@@ -25,8 +25,8 @@ def connected_counts_enumerated(max_n: int) -> tuple[int, ...]:
     """f(1), ..., f(max_n), each summed off the tally of S_n, one n at a
     time; max_n is checked against the hard ceiling first."""
     _require_within_cap(max_n, "max_n")
-    tallies = (joint_statistics(n) for n in range(1, max_n + 1))
-    return tuple(sum(v for (c, _d, _inv), v in joint.items() if not c) for joint in tallies)
+    tallies = (_rank_tally(n, 0) for n in range(1, max_n + 1))
+    return tuple(sum(v for (c, _d), v in tally.items() if not c) for tally in tallies)
 
 
 def connected_counts_series(max_n: int) -> tuple[int, ...]:

@@ -2,7 +2,7 @@
 package implements, each checked exactly against an independent route, with
 the first counterexample (n, S, T) reported on failure.
 
-n is the outer loop. The tally of S_n and the matrices of one n are built
+n is the outer loop. The tallies of S_n and the matrices of one n are built
 on first use, shared by all its checks and dropped before the next n. A
 check that fails is not run for larger n. The exact arithmetic means there
 is no tolerance anywhere, only equality.
@@ -16,15 +16,15 @@ Every matrix compared is a list of support rows of ints packed by q -> 2**w
 ``q``-checks, so no grid is dense, each identity is one function of w and
 each comparison one ``==``; only a cell that a failure names is unpacked.
 
-The primitives that each side of each comparison reads, got | want: "tally"
-is ``permutations._rank_tally`` scattered by ``matrices._tally``; "tops X"
-is ``matrices._TOP_ROWS[X]`` expanded by ``_block_cells`` over ``_cut_parts``
-(tops b: ``_superset_pass`` of tops a; tops gamma: a recursion on tops b),
-and an inverse reverses them (for b ``_h_tops``, the superset pass of tops
-gamma). Each ``q``-check reads what its plain check reads.
+The primitives that each side of each comparison reads, got | want: "tally" is
+``permutations._rank_tally`` at its reader's width, and ``matrices._tally``
+scatters it; "tops X" is ``matrices._TOP_ROWS[X]`` expanded by ``_block_cells``
+over ``_cut_parts`` (tops b: ``_superset_pass`` of tops a; tops gamma: a
+recursion on tops b), and an inverse reverses them (for b ``_h_tops``, the
+superset pass of tops gamma). A ``q``-check reads what its plain check reads.
 
     containment-counts    tally | eta, count_descent_subset
-    least-inversions      min_inversions | tally
+    least-inversions      min_inversions | the lowest slot of tally
     zeta-signed-inverse   zeta_matrix, mobius_matrix | the identity
     superset-closed-form  tops a | zeta, tally
     diagonal-conjugation  eta_q, and with q min_inversions | tops a
@@ -59,7 +59,7 @@ from .matrices import (
     multiset_count_matrix,
     zeta_matrix,
 )
-from .permutations import EnumerationCapError, _letter_table, _require_within_cap, joint_statistics
+from .permutations import EnumerationCapError, _letter_table, _rank_tally, _require_within_cap
 from .rings import _require_int
 from .series import connected_counts_series
 from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
@@ -107,18 +107,18 @@ def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> s
     return f"{label} at {_fmt(n, s, t)}: {show(got[s].get(t, 0))} != {show(want[s].get(t, 0))}"
 
 
-# How each shared oracle of one n is built, at a width w for the members of
-# the family (0 for counts). The lambdas read the module-level builders when
-# they run, so substituting one of them takes effect here.
+# How each shared oracle of one n is built, at a width w for the tally and
+# the members of the family (0 for counts). The lambdas read the module-level
+# builders when they run, so substituting one of them takes effect here.
 _ORACLES = {
-    "joint": lambda o, w: joint_statistics(o.n),
+    "joint": lambda o, w: _rank_tally(o.n, w),
     # the definitional matrices, by their public builders, as support rows
     "zeta": lambda o, w: _support_rows(zeta_matrix(o.n).rows),
     "mobius": lambda o, w: _support_rows(mobius_matrix(o.n).rows),
     "multiset": lambda o, w: _support_rows(multiset_count_matrix(o.n).rows),
     # the family at w: gamma and b swept, a expanded from its top rows
-    "gamma": lambda o, w: _tally(o("joint"), "gamma", o.n, w),
-    "b": lambda o, w: _tally(o("joint"), "b", o.n, w),
+    "gamma": lambda o, w: _tally(o("joint", w), "gamma", o.n),
+    "b": lambda o, w: _tally(o("joint", w), "b", o.n),
     "a": lambda o, w: _expand("a", o.n, w),
     "zeta*gamma": lambda o, w: _product(o("zeta"), o("gamma", w)),
 }
@@ -145,7 +145,7 @@ def _containment_counts(o: _Oracles) -> str | None:
     n = o.n
     by_c: dict[int, int] = {}
     by_d: dict[int, int] = {}
-    for (c, d, _inv), count in o("joint").items():
+    for (c, d), count in o("joint").items():
         by_c[c] = by_c.get(c, 0) + count
         by_d[d] = by_d.get(d, 0) + count
     for s in range(1 << (n - 1)):
@@ -168,10 +168,11 @@ def _least_inversions(o: _Oracles) -> str | None:
     """The binomial-sum weight of T equals the fewest inversions among
     permutations whose descent set contains T."""
     n = o.n
+    w = factorial(n).bit_length()  # the narrowest slot that holds any count
     least_by_d: dict[int, int] = {}
-    for (_c, d, inv), _count in o("joint").items():
-        if inv < least_by_d.get(d, inv + 1):
-            least_by_d[d] = inv
+    for (_c, d), x in o("joint", w).items():
+        inv = ((x & -x).bit_length() - 1) // w  # the lowest nonzero slot
+        least_by_d[d] = min(inv, least_by_d.get(d, inv))
     for t in range(1 << (n - 1)):
         enumerated = min(v for d, v in least_by_d.items() if d & t == t)
         weight = min_inversions(SubsetMask(n, t))
@@ -295,7 +296,7 @@ def _multiset_bijection(o: _Oracles) -> str | None:
 
 def _connected_series(o: _Oracles) -> str | None:
     """Connected counts read off the tally and by the series route agree."""
-    swept = sum(count for (c, _d, _inv), count in o("joint").items() if not c)
+    swept = sum(count for (c, _d), count in o("joint").items() if not c)
     series = connected_counts_series(o.n)[-1]
     if swept != series:
         return f"connected counts at n={o.n}: sweep {swept} != series {series}"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descon import permutations
+from descon import permutations, series, verify
 from descon.matrices import gamma_matrix, multiset_count_matrix, top_rows
 from descon.permutations import (
     EnumerationCapError,
@@ -328,27 +328,28 @@ class TestJointStatistics:
 
 
 def test_connected_counts_read_the_shared_sweep(monkeypatch):
-    # no pass over the permutations: the counts read the tally of each n,
-    # and the check that compares them with the series reads the tally that
-    # containment-counts made for the same n
+    # no pass over the permutations: the counts read the tally of each n as
+    # counts (w = 0), and the check that compares them with the series reads
+    # the tally that containment-counts made for the same n
     def refuse(*_args):
         raise AssertionError("connected counts must not enumerate permutations")
 
     tallied = []
     original = permutations._rank_tally
 
-    def recorded(n):
-        tallied.append(n)
-        return original(n)
+    def recorded(n, w):
+        tallied.append((n, w))
+        return original(n, w)
 
     monkeypatch.setattr(permutations, "_lex_permutations", refuse)
-    monkeypatch.setattr(permutations, "_rank_tally", recorded)
+    for module in (series, verify):
+        monkeypatch.setattr(module, "_rank_tally", recorded)
     assert connected_counts_enumerated(7) == (1, 1, 3, 13, 71, 461, 3447)
     results = run_checks(7, names=("containment-counts", "connected-series"))
     assert [(r.name, r.passed) for r in results] == [
         ("containment-counts", True), ("connected-series", True),
     ]
-    assert tallied == [*range(1, 8), *range(1, 8)]
+    assert tallied == [(n, 0) for n in range(1, 8)] * 2
 
 
 def test_reduction_bijection_through_n7():

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from descon import permutations
+from descon import series
 from descon.permutations import EnumerationCapError
 from descon.series import connected_counts_enumerated, connected_counts_series
 
@@ -72,14 +72,6 @@ def test_enumerated_rejects_what_the_series_rejects(bad):
 
 
 def test_enumerated_refuses_past_the_cap_before_any_tally(monkeypatch):
-    tallied = []
-    original = permutations._rank_tally
-
-    def recorded(n):
-        tallied.append(n)
-        return original(n)
-
-    monkeypatch.setattr(permutations, "_rank_tally", recorded)
+    monkeypatch.setattr(series, "_rank_tally", pytest.fail)
     with pytest.raises(EnumerationCapError, match="^max_n=13 exceeds the hard ceiling 12"):
         connected_counts_enumerated(13)
-    assert tallied == []

@@ -42,16 +42,16 @@ def test_connected_series_scans_every_n_it_reports(monkeypatch):
     # a tally whose connected count is wrong only at n = 10 must fail a
     # check reported as n <= 10
     scanned = []
-    original = verify.joint_statistics
+    original = verify._rank_tally
 
-    def recording(n):
+    def recording(n, w):
         scanned.append(n)
-        joint = original(n)
+        tally = original(n, w)
         if n == 10:
-            joint[0, 0, 0] = 1  # no permutation has c = d = 0
-        return joint
+            tally[0, 0] = 1  # no permutation has c = d = 0
+        return tally
 
-    monkeypatch.setattr(verify, "joint_statistics", recording)
+    monkeypatch.setattr(verify, "_rank_tally", recording)
     (result,) = run_checks(10, names=("connected-series",))
     assert scanned == list(range(1, 11))
     assert not result.passed

@@ -3,11 +3,11 @@ every matrix comparison, the first failing n, the cap check, and which
 oracles a run builds and how often."""
 
 from collections import Counter
+from math import factorial
 
 import pytest
 
 import descon.matrices as matrices
-import descon.permutations as permutations
 import descon.verify as verify
 from descon.permutations import EnumerationCapError
 from descon.rings import LaurentPolynomial
@@ -15,15 +15,15 @@ from descon.subsets import SubsetMask
 from descon.verify import run_checks
 
 _ORACLE_BUILDERS = (
-    "joint_statistics", "zeta_matrix", "mobius_matrix", "multiset_count_matrix", "_tally", "_expand",
+    "_rank_tally", "zeta_matrix", "mobius_matrix", "multiset_count_matrix", "_tally", "_expand",
 )
 _AT = "at n=3, S={1,2}, T={1}"
 _Q_CHECKS = ("q-specialization", "q-superset-closed-form", "q-diagonal-conjugation", "q-signed-inverses")
 
 # Each matrix that a row names by its public builder is built in verify by
 # the builder here: (name in verify, matrix kind, or None where the row
-# gives the kind). The packed builders take the slot width last, and
-# ``_tally`` takes the tally of S_n first.
+# gives the kind). The packed builders take the slot width last; ``_tally``
+# takes the tally of S_n at a width, so its oracle is substituted instead.
 _PACKED = {
     "mobius_matrix": ("mobius_matrix", None),
     "multiset_count_matrix": ("multiset_count_matrix", None),
@@ -50,13 +50,18 @@ def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
     kind first. A packed inverse holds q**0 in slot C(3,2) = 3."""
     builder, kind = _PACKED[name]
     kind = part or kind
+    if builder == "_tally":
+        oracle = verify._ORACLES[kind]
+        monkeypatch.setitem(verify._ORACLES, kind, lambda o, w: (
+            _bump(oracle(o, w)) if o.n in sizes and w == width else oracle(o, w)))
+        return
     tail = (width,) if builder.startswith("_") else ()
     picked = {(kind, n, *tail) if kind else (n, *tail) for n in sizes}
     original = getattr(verify, builder)
 
     def altered(*args):
         out = original(*args)
-        if _key(args) not in picked:
+        if args not in picked:
             return out
         return _bump(out, 1 << 3 * width if builder == "_signed_inverse" else 1)
 
@@ -64,9 +69,9 @@ def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
 
 
 def _key(args):
-    """The arguments of a builder call without the tally of S_n that
-    ``_tally`` takes, which is a dict and cannot be hashed."""
-    return tuple(a for a in args if not isinstance(a, dict))
+    """The arguments of a builder call, a tally of S_n (which ``_tally``
+    takes, a dict that cannot be hashed) by its identity."""
+    return tuple(id(a) if isinstance(a, dict) else a for a in args)
 
 
 def _record(monkeypatch, names):
@@ -152,23 +157,18 @@ def test_each_oracle_is_built_once_per_n(monkeypatch):
 
 
 def test_bijection_check_starts_no_sweep(monkeypatch):
-    calls = _record(monkeypatch, ("joint_statistics",))
+    calls = _record(monkeypatch, ("_rank_tally",))
     assert all(r.passed for r in run_checks(4, names=("multiset-bijection",)))
     assert calls == []
 
 
 def test_the_tally_is_made_once_per_n(monkeypatch):
-    # every check of one n reads the one tally of S_n that the runner keeps
-    tallied = []
-    original = permutations._rank_tally
-
-    def recorded(n):
-        tallied.append(n)
-        return original(n)
-
-    monkeypatch.setattr(permutations, "_rank_tally", recorded)
+    # every check of one n reads the tally of S_n that the runner keeps per
+    # width: counts, the narrowest width that holds a count, the q-checks' width
+    calls = _record(monkeypatch, ("_rank_tally",))
     assert all(r.passed for r in run_checks(7, include_q=True))
-    assert tallied == list(range(1, 8))
+    assert calls == [("_rank_tally", (n, w), ()) for n in range(1, 8)
+                     for w in (0, factorial(n).bit_length(), matrices._family_width(n))]
 
 
 def test_max_n_is_checked_before_any_check_runs(monkeypatch):
@@ -326,14 +326,14 @@ _FAULTS = [
     # slot 0, the words of the multiset of T = {1} with no cut, one more
     ("matrices._cut_paths", lambda original: lambda t, w: original(t, w) + (t.mask == 1),
      2, "multiset-counts", "multiset counts at n=2, S={}, T={1}: 2 != 1"),
-    # 321 counted twice
-    ("permutations._rank_tally-count", lambda original: lambda n: (
-        {**original(n), (0, 0b11, 3): 2} if n == 3 else original(n)
+    # 321, alone at (c, d) = ({}, {1,2}), with 3 inversions, counted twice
+    ("verify._rank_tally-count", lambda original: lambda n, w: (
+        {**original(n, w), (0, 0b11): 2 << 3 * w} if n == 3 else original(n, w)
     ), 3, "containment-counts", "connectivity-superset count at n=3, S={}: 7 != 6"),
-    # 4123 one inversion up, above the least of its descent set: only q shows it
-    ("permutations._rank_tally-inversion", lambda original: lambda n: {
-        (0, 0b1, 4) if key == (0, 0b1, 3) else key: count for key, count in original(n).items()
-    }, 4, "q-superset-closed-form", "weighted superset counts at n=4, S={1,2,3}, T={}: "
+    # 4123, alone at ({}, {1}), one inversion up, above its descent set's least: only q shows it
+    ("verify._rank_tally-inversion", lambda original: lambda n, w: (
+        {**original(n, w), (0, 0b1): 1 << 4 * w} if n == 4 else original(n, w)
+    ), 4, "q-superset-closed-form", "weighted superset counts at n=4, S={1,2,3}, T={}: "
        "1+3q+5q^2+6q^3+5q^4+3q^5+q^6 != 1+3q+5q^2+5q^3+6q^4+3q^5+q^6"),
     # a_3({2}) one more; the top rows of b call _a_tops by name and keep theirs
     ("matrices._TOP_ROWS", lambda rows: {**rows, "a": _cell_off(3, 0b10)(rows["a"])},
@@ -350,7 +350,7 @@ _FAULTS = [
 @pytest.mark.parametrize("target, fault, n, check, detail", _FAULTS, ids=[row[0] for row in _FAULTS])
 def test_a_fault_where_the_code_reads_it_fails_a_check(monkeypatch, target, fault, n, check, detail):
     module, name = target.split("-")[0].split(".")
-    owner = {"verify": verify, "matrices": matrices, "permutations": permutations}[module]
+    owner = {"verify": verify, "matrices": matrices}[module]
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     failed = [(r.name, r.detail) for r in run_checks(n, include_q=True) if not r.passed]
     assert failed[:1] == [(check, detail)]
