@@ -36,13 +36,14 @@ is a walk over the prefix contents of multiset words, with no word listed;
 Weighted values are computed on plain ints by Kronecker substitution
 q -> 2**w, in signed w-bit slots; a count is the same code at w = 0, where
 q -> 1. The packed builders (``_tally``, ``_expand``, ``_signed_inverse``,
-``_conjugation``) return *support rows* at a given w: row S is a dict from
-column mask T (inside S) to packed int that stores no zero. ``_product``
-multiplies them, and ``_unpacked`` alone makes them dense, unpacking each
-distinct value once. ``verify`` reads the family only through them, and
-multiplies and compares support rows at w = 0 for counts and, with q, at
-a width that holds every product (:func:`_family_width`). A matrix's ring is
-the type of all its cells: int for counts, :class:`LaurentPolynomial` with q.
+``_conjugation``, ``_containment_rows``, ``_multiset_rows``) return *support
+rows* at a given w: row S is a dict from column mask T (inside S) to packed
+int that stores no zero. ``_product`` multiplies them. Every matrix a public
+builder returns is ``_unpacked`` of them, the one dense step, each distinct
+value unpacked once. ``verify`` reads every matrix only through them, and
+multiplies and compares support rows at w = 0 for counts and, with q, at a
+width that holds every product (:func:`_family_width`). A matrix's ring is the
+type of all its cells: int for counts, :class:`LaurentPolynomial` with q.
 ``@`` fills every cell it does not store with the zero of both operands, so
 an integer matrix times a weighted one needs no cast. ``descon table`` and
 ``_expand`` read the same sparse cells of :func:`_block_cells`.
@@ -193,11 +194,9 @@ class SubsetMatrix(_Frozen):
         """Negate every entry whose row and column cardinalities differ in
         parity: entry (S, T) gains the factor (-1)^(#S + #T)."""
         parity = [m.bit_count() & 1 for m in range(self.side)]
-        out = []
-        for i, row in enumerate(self.rows):
-            pi = parity[i]
-            out.append([-v if pi ^ parity[j] else v for j, v in enumerate(row)])
-        return SubsetMatrix(self.n, out)
+        rows = [{t: -v if parity[s] ^ parity[t] else v for t, v in row.items()}
+                for s, row in enumerate(_support_rows(self.rows))]
+        return _unpacked(self.n, rows, 0, zero=self.rows[0][0] * 0)
 
     def __repr__(self) -> str:
         return f"SubsetMatrix(n={self.n})"
@@ -215,9 +214,13 @@ def zeta_matrix(n: int) -> SubsetMatrix:
     Lower-unitriangular in any order refining cardinality.
     """
     _require_closed_form_size(n)
-    side = _side(n)
-    rows = [[1 if t & ~s == 0 else 0 for t in range(side)] for s in range(side)]
-    return SubsetMatrix(n, rows)
+    return _unpacked(n, _containment_rows(n), 0)
+
+
+def _containment_rows(n: int, signed: bool = False) -> list[dict]:
+    """The support rows of :func:`zeta_matrix`, or with ``signed`` of :func:`mobius_matrix`."""
+    masks, sign = range(_side(n)), -1 if signed else 1
+    return [{t: sign ** (s ^ t).bit_count() for t in masks if t & ~s == 0} for s in masks]
 
 
 def mobius_matrix(n: int) -> SubsetMatrix:
@@ -556,14 +559,17 @@ def multiset_count_matrix(n: int) -> SubsetMatrix:
     ((1, 2, 2, 3), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))
     """
     _require_within_cap(n)
-    side = _side(n)
-    w = factorial(n).bit_length()
-    rows = [[0] * side for _ in range(side)]
-    for t in range(side):
+    return _unpacked(n, _multiset_rows(n), 0)
+
+
+def _multiset_rows(n: int) -> list[dict]:
+    """The support rows of :func:`multiset_count_matrix`: no count of S inside T is 0."""
+    w, rows = factorial(n).bit_length(), [{} for _ in range(_side(n))]
+    for t in range(_side(n)):
         packed = _cut_paths(SubsetMask(n, t), w)
         for s in _submasks(t):
             rows[s][t] = packed >> s * w & (1 << w) - 1
-    return SubsetMatrix(n, rows)
+    return rows
 
 
 def _cut_paths(t: SubsetMask, w: int) -> int:

@@ -25,10 +25,10 @@ superset pass of tops gamma). A ``q``-check reads what its plain check reads.
 
     containment-counts    tally | eta, count_descent_subset
     least-inversions      min_inversions | the lowest slot of tally
-    zeta-signed-inverse   zeta_matrix, mobius_matrix | the identity
+    zeta-signed-inverse   the containment rows, plain and signed | the identity
     superset-closed-form  tops a | zeta, tally
     diagonal-conjugation  eta_q, and with q min_inversions | tops a
-    b-factorization       tally | zeta, tally; tally | tops a, mobius_matrix;
+    b-factorization       tally | zeta, tally; tally | tops a, mobius;
                           tops b, tops gamma | tally
     signed-inverses       tally (tops a for a), the inverse | the identity
     multiset-counts       _cut_paths | tally, zeta
@@ -47,17 +47,15 @@ from math import comb, factorial
 
 from .matrices import (
     _conjugation,
+    _containment_rows,
     _expand,
     _family_width,
     _identity_rows,
+    _multiset_rows,
     _product,
     _signed_inverse,
-    _support_rows,
     _tally,
     _unpack,
-    mobius_matrix,
-    multiset_count_matrix,
-    zeta_matrix,
 )
 from .permutations import EnumerationCapError, _letter_table, _rank_tally, _require_within_cap
 from .rings import _require_int
@@ -112,10 +110,10 @@ def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> s
 # builders when they run, so substituting one of them takes effect here.
 _ORACLES = {
     "joint": lambda o, w: _rank_tally(o.n, w),
-    # the definitional matrices, by their public builders, as support rows
-    "zeta": lambda o, w: _support_rows(zeta_matrix(o.n).rows),
-    "mobius": lambda o, w: _support_rows(mobius_matrix(o.n).rows),
-    "multiset": lambda o, w: _support_rows(multiset_count_matrix(o.n).rows),
+    # the definitional matrices, read off their definitions as support rows
+    "zeta": lambda o, w: _containment_rows(o.n),
+    "mobius": lambda o, w: _containment_rows(o.n, signed=True),
+    "multiset": lambda o, w: _multiset_rows(o.n),
     # the family at w: gamma and b swept, a expanded from its top rows
     "gamma": lambda o, w: _tally(o("joint", w), "gamma", o.n),
     "b": lambda o, w: _tally(o("joint", w), "b", o.n),
@@ -126,10 +124,10 @@ _ORACLES = {
 
 class _Oracles:
     """The oracles of one n, each built on first use of its (name, width)
-    and then kept; ``w`` is the width of the ``q``-checks."""
+    and then kept; ``w`` is the width of the ``q``-checks, ``q`` if they run."""
 
-    def __init__(self, n: int):
-        self.n, self.w = n, _family_width(n)
+    def __init__(self, n: int, q: bool):
+        self.n, self.w, self.q = n, _family_width(n), q
         self.built: dict[tuple[str, int], object] = {}
 
     def __call__(self, name: str, w: int = 0):
@@ -168,7 +166,7 @@ def _least_inversions(o: _Oracles) -> str | None:
     """The binomial-sum weight of T equals the fewest inversions among
     permutations whose descent set contains T."""
     n = o.n
-    w = factorial(n).bit_length()  # the narrowest slot that holds any count
+    w = o.w if o.q else factorial(n).bit_length()  # the q-checks' tally, else the narrowest
     least_by_d: dict[int, int] = {}
     for (_c, d), x in o("joint", w).items():
         inv = ((x & -x).bit_length() - 1) // w  # the lowest nonzero slot
@@ -407,7 +405,7 @@ def run_checks(
         for name, _fn in selected
     ]
     for n in range(1, max_n + 1):
-        oracles = _Oracles(n)
+        oracles = _Oracles(n, include_q)
         for result, (_name, check) in zip(results, selected):
             if not result.passed or n > result.max_n:
                 continue

@@ -3,7 +3,7 @@
 import pytest
 
 from descon import verify
-from descon.matrices import _support_rows, zeta_matrix
+from descon.matrices import _containment_rows
 from descon.permutations import Permutation, enumerate_permutations, reduce_to_multiset
 from descon.subsets import SubsetMask
 from descon.verify import (
@@ -60,7 +60,7 @@ def test_connected_series_scans_every_n_it_reports(monkeypatch):
 
 def test_first_mismatch_locates_entry():
     # cell (2, 1) is off the support of zeta(3): a cell on one side only is found
-    z = _support_rows(zeta_matrix(3).rows)
+    z = _containment_rows(3)
     tweaked = [dict(row) for row in z]
     tweaked[2][1] = 5
     assert _first_mismatch(z, tweaked) == (2, 1)

@@ -14,32 +14,29 @@ from descon.rings import LaurentPolynomial
 from descon.subsets import SubsetMask
 from descon.verify import run_checks
 
-_ORACLE_BUILDERS = (
-    "_rank_tally", "zeta_matrix", "mobius_matrix", "multiset_count_matrix", "_tally", "_expand",
-)
+_ORACLE_BUILDERS = ("_rank_tally", "_containment_rows", "_multiset_rows", "_tally", "_expand")
 _AT = "at n=3, S={1,2}, T={1}"
 _Q_CHECKS = ("q-specialization", "q-superset-closed-form", "q-diagonal-conjugation", "q-signed-inverses")
 
-# Each matrix that a row names by its public builder is built in verify by
-# the builder here: (name in verify, matrix kind, or None where the row
-# gives the kind). The packed builders take the slot width last; ``_tally``
-# takes the tally of S_n at a width, so its oracle is substituted instead.
+# Each matrix that a row names by its public builder is built in verify as
+# support rows by the builder here: (name in verify, the arguments of its
+# call for a matrix kind at size n and slot width w). ``_tally`` takes the
+# tally of S_n at a width, so the oracle of its kind is substituted instead.
 _PACKED = {
-    "mobius_matrix": ("mobius_matrix", None),
-    "multiset_count_matrix": ("multiset_count_matrix", None),
+    "mobius_matrix": ("_containment_rows", lambda kind, n, w: (n, True)),
+    "multiset_count_matrix": ("_multiset_rows", lambda kind, n, w: (n,)),
     "b_matrix_direct": ("_tally", "b"),
     "gamma_matrix": ("_tally", "gamma"),
-    "block_matrix": ("_expand", None),
-    "diagonal_conjugation_matrix": ("_conjugation", None),
-    "inverse_closed": ("_signed_inverse", None),
+    "block_matrix": ("_expand", lambda kind, n, w: (kind, n, w)),
+    "diagonal_conjugation_matrix": ("_conjugation", lambda kind, n, w: (n, w)),
+    "inverse_closed": ("_signed_inverse", lambda kind, n, w: (kind, n, w)),
 }
 
 
-def _bump(m, unit=1):
-    """m with ``unit`` added to entry ({1,2}, {1}); m is a matrix or support rows."""
-    rows = [dict(enumerate(row)) for row in m.rows] if hasattr(m, "rows") else m
+def _bump(rows, unit=1):
+    """Support rows with ``unit`` added to entry ({1,2}, {1})."""
     rows[3][1] = rows[3].get(1, 0) + unit
-    return m if rows is m else matrices.SubsetMatrix(m.n, [[*row.values()] for row in rows])
+    return rows
 
 
 def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
@@ -48,20 +45,18 @@ def _alter(monkeypatch, name, part=None, sizes=(3,), width=0):
     term at the given sizes and, for a packed builder, at slot width
     ``width``. ``part`` picks one matrix kind of a builder that takes the
     kind first. A packed inverse holds q**0 in slot C(3,2) = 3."""
-    builder, kind = _PACKED[name]
-    kind = part or kind
+    builder, call = _PACKED[name]
     if builder == "_tally":
-        oracle = verify._ORACLES[kind]
-        monkeypatch.setitem(verify._ORACLES, kind, lambda o, w: (
+        oracle = verify._ORACLES[call]
+        monkeypatch.setitem(verify._ORACLES, call, lambda o, w: (
             _bump(oracle(o, w)) if o.n in sizes and w == width else oracle(o, w)))
         return
-    tail = (width,) if builder.startswith("_") else ()
-    picked = {(kind, n, *tail) if kind else (n, *tail) for n in sizes}
+    picked = {call(part, n, width) for n in sizes}
     original = getattr(verify, builder)
 
-    def altered(*args):
-        out = original(*args)
-        if args not in picked:
+    def altered(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if (*args, *kwargs.values()) not in picked:
             return out
         return _bump(out, 1 << 3 * width if builder == "_signed_inverse" else 1)
 
@@ -164,11 +159,16 @@ def test_bijection_check_starts_no_sweep(monkeypatch):
 
 def test_the_tally_is_made_once_per_n(monkeypatch):
     # every check of one n reads the tally of S_n that the runner keeps per
-    # width: counts, the narrowest width that holds a count, the q-checks' width
+    # width: counts and the q-checks' width, whose lowest slots least-inversions
+    # reads too; without q it reads the narrowest width that holds a count
     calls = _record(monkeypatch, ("_rank_tally",))
     assert all(r.passed for r in run_checks(7, include_q=True))
     assert calls == [("_rank_tally", (n, w), ()) for n in range(1, 8)
-                     for w in (0, factorial(n).bit_length(), matrices._family_width(n))]
+                     for w in (0, matrices._family_width(n))]
+    calls.clear()
+    assert all(r.passed for r in run_checks(7))
+    assert calls == [("_rank_tally", (n, w), ()) for n in range(1, 8)
+                     for w in (0, factorial(n).bit_length())]
 
 
 def test_max_n_is_checked_before_any_check_runs(monkeypatch):
@@ -244,11 +244,13 @@ def test_passing_q_checks_unpack_no_cell(monkeypatch):
 
 
 def test_passing_checks_walk_no_cell(monkeypatch):
-    # a passing comparison is one == of support rows: no row stores a zero
+    # a passing comparison is one == of support rows: no row stores a zero,
+    # and no check makes a dense matrix
     def refuse(*_args):
-        raise AssertionError("a passing comparison walked its cells")
+        raise AssertionError("a passing check walked its cells or made a SubsetMatrix")
 
     monkeypatch.setattr(verify, "_first_mismatch", refuse)
+    monkeypatch.setattr(matrices.SubsetMatrix, "__post_init__", refuse)
     assert all(r.passed for r in run_checks(6, include_q=True))
 
 
