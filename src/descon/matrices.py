@@ -194,9 +194,9 @@ class SubsetMatrix(_Frozen):
         """Negate every entry whose row and column cardinalities differ in
         parity: entry (S, T) gains the factor (-1)^(#S + #T)."""
         parity = [m.bit_count() & 1 for m in range(self.side)]
-        rows = [{t: -v if parity[s] ^ parity[t] else v for t, v in row.items()}
-                for s, row in enumerate(_support_rows(self.rows))]
-        return _unpacked(self.n, rows, 0, zero=self.rows[0][0] * 0)
+        out = [[-v if parity[i] ^ parity[j] else v for j, v in enumerate(row)]
+               for i, row in enumerate(self.rows)]
+        return SubsetMatrix(self.n, out)
 
     def __repr__(self) -> str:
         return f"SubsetMatrix(n={self.n})"
@@ -213,12 +213,12 @@ def zeta_matrix(n: int) -> SubsetMatrix:
 
     Lower-unitriangular in any order refining cardinality.
     """
-    _require_closed_form_size(n)
     return _unpacked(n, _containment_rows(n), 0)
 
 
 def _containment_rows(n: int, signed: bool = False) -> list[dict]:
     """The support rows of :func:`zeta_matrix`, or with ``signed`` of :func:`mobius_matrix`."""
+    _require_closed_form_size(n)
     masks, sign = range(_side(n)), -1 if signed else 1
     return [{t: sign ** (s ^ t).bit_count() for t in masks if t & ~s == 0} for s in masks]
 
@@ -228,7 +228,7 @@ def mobius_matrix(n: int) -> SubsetMatrix:
 
     Exact inverse of :func:`zeta_matrix`.
     """
-    return zeta_matrix(n).checkerboard_signed()
+    return _unpacked(n, _containment_rows(n, signed=True), 0)
 
 
 def _cut_parts(length: int, mask: int) -> list[int]:

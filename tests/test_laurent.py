@@ -9,8 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from descon.rings import LaurentPolynomial, q_factorial
 from descon.subsets import SubsetMask, eta_q
+
+coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
 
 class TestShiftedValues:
@@ -29,33 +34,25 @@ class TestShiftedValues:
 
 
 class TestHash:
-    def test_equal_values_hash_equal(self):
-        # hypothesis is imported when a property test runs, not at collection
-        # (see test_rings.py)
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @given(
-            st.lists(st.integers(min_value=-9, max_value=9), max_size=8),
-            st.integers(min_value=-5, max_value=5),
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=-9, max_value=9),
-        )
-        def check(coeffs, min_exp, pad_low, pad_high, k):
-            value = LaurentPolynomial(coeffs, min_exp)
-            padded = LaurentPolynomial([0] * pad_low + coeffs + [0] * pad_high, min_exp - pad_low)
-            assert padded == value and hash(padded) == hash(value)
-            assert len({value, padded}) == 1
-            if min_exp >= 0:
-                # the same value written densely from q^0
-                dense = LaurentPolynomial([0] * min_exp + coeffs)
-                assert dense == value and hash(dense) == hash(value)
-            constant = LaurentPolynomial([0] * pad_low + [k], -pad_low)
-            assert constant == k and hash(constant) == hash(k)
-            assert len({constant, k}) == 1
-
-        check()
+    @given(
+        coeff_lists,
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-9, max_value=9),
+    )
+    def test_equal_values_hash_equal(self, coeffs, min_exp, pad_low, pad_high, k):
+        value = LaurentPolynomial(coeffs, min_exp)
+        padded = LaurentPolynomial([0] * pad_low + coeffs + [0] * pad_high, min_exp - pad_low)
+        assert padded == value and hash(padded) == hash(value)
+        assert len({value, padded}) == 1
+        if min_exp >= 0:
+            # the same value written densely from q^0
+            dense = LaurentPolynomial([0] * min_exp + coeffs)
+            assert dense == value and hash(dense) == hash(value)
+        constant = LaurentPolynomial([0] * pad_low + [k], -pad_low)
+        assert constant == k and hash(constant) == hash(k)
+        assert len({constant, k}) == 1
 
 
 class TestSealed:

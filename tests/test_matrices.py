@@ -7,6 +7,8 @@ from functools import partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import descon.matrices as matrices
 from descon.matrices import (
@@ -112,65 +114,50 @@ def schoolbook(x, y):
     return SubsetMatrix(x.n, rows)
 
 
-def matrix_pairs():
-    """Two matrices of one n and cell type; a quarter of the rows are zero.
-    hypothesis is imported when a property test runs (see test_rings.py)."""
-    from hypothesis import strategies as st
+# small coefficients collide in the slots; huge ones (past 2**64) widen them
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
-    # small coefficients collide in the slots; huge ones (past 2**64) widen them
-    coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
-    @st.composite
-    def pairs(draw):
-        n = draw(st.integers(1, 3))
-        cell = draw(st.sampled_from((int, LaurentPolynomial)))
-        side = 1 << (n - 1)
-        if cell is int:
-            entry = coeffs
-        else:
-            entry = st.builds(
-                LaurentPolynomial, st.lists(coeffs, max_size=4), st.integers(-4, 4)
-            )
-        zero = cell()
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of one n and cell type; a quarter of the rows are zero."""
+    n = draw(st.integers(1, 3))
+    cell = draw(st.sampled_from((int, LaurentPolynomial)))
+    side = 1 << (n - 1)
+    if cell is int:
+        entry = COEFFS
+    else:
+        entry = st.builds(
+            LaurentPolynomial, st.lists(COEFFS, max_size=4), st.integers(-4, 4)
+        )
+    zero = cell()
 
-        def matrix():
-            rows = []
-            for _ in range(side):
-                if draw(st.integers(0, 3)):
-                    rows.append(draw(st.lists(entry, min_size=side, max_size=side)))
-                else:
-                    rows.append([zero] * side)
-            return SubsetMatrix(n, rows)
+    def matrix():
+        rows = []
+        for _ in range(side):
+            if draw(st.integers(0, 3)):
+                rows.append(draw(st.lists(entry, min_size=side, max_size=side)))
+            else:
+                rows.append([zero] * side)
+        return SubsetMatrix(n, rows)
 
-        return matrix(), matrix()
-
-    return pairs()
+    return matrix(), matrix()
 
 
 class TestProduct:
-    def test_equals_schoolbook(self):
-        from hypothesis import given, settings
+    @settings(max_examples=150, deadline=None)
+    @given(pair=matrix_pairs())
+    def test_equals_schoolbook(self, pair):
+        x, y = pair
+        assert x @ y == schoolbook(x, y)
 
-        @settings(max_examples=150, deadline=None)
-        @given(pair=matrix_pairs())
-        def check(pair):
-            x, y = pair
-            assert x @ y == schoolbook(x, y)
-
-        check()
-
-    def test_all_zero_operand(self):
-        from hypothesis import given, settings
-
-        @settings(max_examples=30, deadline=None)
-        @given(pair=matrix_pairs())
-        def check(pair):
-            x, y = pair
-            zero = SubsetMatrix(x.n, [[v * 0 for v in row] for row in x.rows])
-            assert zero @ y == schoolbook(zero, y) == zero
-            assert y @ zero == zero
-
-        check()
+    @settings(max_examples=30, deadline=None)
+    @given(pair=matrix_pairs())
+    def test_all_zero_operand(self, pair):
+        x, y = pair
+        zero = SubsetMatrix(x.n, [[v * 0 for v in row] for row in x.rows])
+        assert zero @ y == schoolbook(zero, y) == zero
+        assert y @ zero == zero
 
     @pytest.mark.parametrize("c", (1, 3, 2**64 + 1))
     @pytest.mark.parametrize("sign", (1, -1))
@@ -361,26 +348,20 @@ class TestB:
 
 
 class TestTransformRoute:
-    def test_equals_sweep_and_keeps_support(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        @settings(max_examples=20, deadline=None)
-        @given(n=st.integers(1, 7), q=st.booleans())
-        def check(n, q):
-            routes = (
-                (block_matrix("gamma", n, q), gamma_matrix(n, q)),
-                (block_matrix("b", n, q), b_swept(n, q)),
-            )
-            for expanded, swept in routes:
-                assert expanded == swept
-                for matrix in (expanded, swept):
-                    for s in range(matrix.side):
-                        for t in range(matrix.side):
-                            if t & ~s:
-                                assert not matrix.rows[s][t]
-
-        check()
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 7), q=st.booleans())
+    def test_equals_sweep_and_keeps_support(self, n, q):
+        routes = (
+            (block_matrix("gamma", n, q), gamma_matrix(n, q)),
+            (block_matrix("b", n, q), b_swept(n, q)),
+        )
+        for expanded, swept in routes:
+            assert expanded == swept
+            for matrix in (expanded, swept):
+                for s in range(matrix.side):
+                    for t in range(matrix.side):
+                        if t & ~s:
+                            assert not matrix.rows[s][t]
 
     @pytest.mark.parametrize("q", (False, True))
     def test_sampled_row_mobius_check(self, q):

@@ -6,6 +6,8 @@ from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from descon import permutations, series, verify
 from descon.matrices import gamma_matrix, multiset_count_matrix, top_rows
@@ -62,16 +64,9 @@ class TestStatistics:
             for word in itertools.permutations(range(1, n + 1)):
                 assert connectivity_mask(word) == connectivity_quadratic(word), word
 
-    def test_multiset_connectivity_matches_quadratic_definition(self):
-        # hypothesis is imported when a property test runs (see test_rings.py)
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8))
-        def check(word):
-            assert connectivity_mask(word) == connectivity_quadratic(word)
-
-        check()
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8))
+    def test_multiset_connectivity_matches_quadratic_definition(self, word):
+        assert connectivity_mask(word) == connectivity_quadratic(word)
 
     def test_multiset_connectivity_examples(self):
         assert MultisetWord((1, 2, 2)).connectivity_set() == SubsetMask.from_elements(3, [1])
@@ -177,22 +172,16 @@ class TestPermutationType:
         assert p == Permutation([2, 3, 1])
         assert hash(p) == hash(Permutation((2, 3, 1)))
 
-    def test_inherited_statistics_agree_with_definitions(self):
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
-        def check(word):
-            p = Permutation(tuple(word))
-            n = len(word)
-            assert p.n == n
-            assert p.descent_set().elements() == tuple(i for i in range(1, n) if word[i - 1] > word[i])
-            assert p.connectivity_set().mask == connectivity_quadratic(word)
-            inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if word[i] > word[j])
-            assert p.inversions() == inversions
-            assert str(p) == str(MultisetWord(tuple(word)))
-
-        check()
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_inherited_statistics_agree_with_definitions(self, word):
+        p = Permutation(tuple(word))
+        n = len(word)
+        assert p.n == n
+        assert p.descent_set().elements() == tuple(i for i in range(1, n) if word[i - 1] > word[i])
+        assert p.connectivity_set().mask == connectivity_quadratic(word)
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if word[i] > word[j])
+        assert p.inversions() == inversions
+        assert str(p) == str(MultisetWord(tuple(word)))
 
     def test_text_uses_commas_past_nine(self):
         nine = Permutation(tuple(range(9, 0, -1)))

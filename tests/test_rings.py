@@ -3,16 +3,13 @@
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from descon.rings import LaurentPolynomial, q_factorial, q_int
 
 
-# The property tests import hypothesis when they run, not at module level.
-# Loading it (with unittest.mock, asyncio and ssl) adds about 13 MB to the
-# test process, and on Linux a child started from that process reports the
-# process's peak RSS as its own, which perfbench's self-test bounds.
-def coeff_lists(st):
-    return st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
+coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
 
 class TestQPrimitives:
@@ -86,19 +83,13 @@ class TestIntPolynomial:
         assert (-p).coeffs == (-1, -1)
         assert LaurentPolynomial((1, 1), 2) == LaurentPolynomial((0, 0, 1, 1))
 
-    def test_evaluation_is_a_ring_homomorphism(self):
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @given(coeff_lists(st), coeff_lists(st), st.integers(-3, 3), st.integers(-3, 3))
-        def check(a, b, j, k):
-            p, r = LaurentPolynomial(a, j), LaurentPolynomial(b, k)
-            for v in (1, -1, 2):
-                assert (p * r).evaluate(v) == p.evaluate(v) * r.evaluate(v)
-                assert (p + r).evaluate(v) == p.evaluate(v) + r.evaluate(v)
-                assert (p - r).evaluate(v) == p.evaluate(v) - r.evaluate(v)
-
-        check()
+    @given(coeff_lists, coeff_lists, st.integers(-3, 3), st.integers(-3, 3))
+    def test_evaluation_is_a_ring_homomorphism(self, a, b, j, k):
+        p, r = LaurentPolynomial(a, j), LaurentPolynomial(b, k)
+        for v in (1, -1, 2):
+            assert (p * r).evaluate(v) == p.evaluate(v) * r.evaluate(v)
+            assert (p + r).evaluate(v) == p.evaluate(v) + r.evaluate(v)
+            assert (p - r).evaluate(v) == p.evaluate(v) - r.evaluate(v)
 
     def test_substitute_reciprocal_examples(self):
         assert LaurentPolynomial((0, 1, 1, 1)).substitute_reciprocal() == LaurentPolynomial((1, 1, 1), -3)
@@ -144,16 +135,10 @@ class TestLaurentPolynomial:
         assert LaurentPolynomial((7,), 0) == 7
         assert 7 - LaurentPolynomial((7,), 0) == 0
 
-    def test_substitute_reciprocal_is_an_involution(self):
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @given(coeff_lists(st), st.integers(min_value=-5, max_value=5))
-        def check(coeffs, min_exp):
-            lp = LaurentPolynomial(coeffs, min_exp)
-            assert lp.substitute_reciprocal().substitute_reciprocal() == lp
-
-        check()
+    @given(coeff_lists, st.integers(min_value=-5, max_value=5))
+    def test_substitute_reciprocal_is_an_involution(self, coeffs, min_exp):
+        lp = LaurentPolynomial(coeffs, min_exp)
+        assert lp.substitute_reciprocal().substitute_reciprocal() == lp
 
     def test_evaluate_at_one(self):
         assert LaurentPolynomial((1, 2, 3), -4).evaluate(1) == 6
