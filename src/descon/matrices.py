@@ -58,7 +58,7 @@ from operator import mul
 from typing import Callable
 
 from .permutations import _require_within_cap, joint_statistics
-from .rings import LaurentPolynomial, _require_int
+from .rings import InexactDivisionError, LaurentPolynomial, _require_int
 from .subsets import SubsetMask, _Frozen, eta_q, min_inversions
 
 __all__ = [
@@ -114,10 +114,12 @@ def _family_width(n: int) -> int:
 _ZERO = LaurentPolynomial()
 
 
-def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial:
+def _unpack(x: int, lo: int, width: int) -> LaurentPolynomial | int:
     """Read the signed ``width``-bit slots of ``x`` back into the polynomial
     whose slot k is the coefficient of q**(lo + k); a negative slot borrows
-    one from the slot above it."""
+    one from the slot above it. At width 0, q -> 1 and ``x`` is the count."""
+    if not width:
+        return x
     if not x:
         return _ZERO
     full = 1 << width
@@ -353,9 +355,7 @@ def top_rows(kind: str, n: int, q: bool = False) -> list[list]:
     ['1', 'q+q^2', 'q+q^2', 'q^3']
     """
     tops, w = _packed_tops(kind, n, q)
-    if q:
-        return [[_unpack(x, 0, w) for x in row] for row in tops]
-    return tops
+    return [[_unpack(x, 0, w) for x in row] for row in tops]
 
 
 def _block_cells(n: int, tops: list[list], s: int) -> list[tuple[int, object]]:
@@ -423,8 +423,7 @@ def row_stream(kind: str, n: int, q: bool = False) -> tuple[Callable, Callable]:
     [(0, '1'), (1, 'q+q^2'), (2, 'q+q^2'), (3, 'q^3')]
     """
     tops, w = _packed_tops(kind, n, q)
-    value_of = partial(_unpack, lo=0, width=w) if w else int
-    return partial(_block_cells, n, tops), value_of
+    return partial(_block_cells, n, tops), partial(_unpack, lo=0, width=w)
 
 
 def _submasks(mask: int):
@@ -540,7 +539,7 @@ def _conjugation(n: int, w: int) -> list[dict]:
         for t in _submasks(s):
             row[t], rem = divmod(weight[s] << shift[t], weight[t])
             if rem:
-                raise ArithmeticError(
+                raise InexactDivisionError(
                     f"eta ratio not exact at n={n}, S={SubsetMask(n, s)}, T={SubsetMask(n, t)}"
                 )
     return rows

@@ -166,29 +166,25 @@ class LaurentPolynomial(_Sealed):
             return hash(self._coeffs[0] if self._coeffs else 0)
         return hash((self._min_exp, self._coeffs))
 
-    def _plus(self, o: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
-        """``self + sign * o`` for sign +1 or -1, in one pass over ``o``."""
+    def _plus(self, o: "LaurentPolynomial") -> "LaurentPolynomial":
+        """``self + o``, in one pass over ``o``."""
         if not o:
             return self
         if not self:
-            return o if sign > 0 else -o
+            return o
         lo = min(self._min_exp, o._min_exp)
         out = [0] * (self._min_exp - lo) + list(self._coeffs)
         start = o._min_exp - lo
         out.extend([0] * (start + len(o._coeffs) - len(out)))
-        if sign > 0:
-            for i, c in enumerate(o._coeffs, start):
-                out[i] += c
-        else:
-            for i, c in enumerate(o._coeffs, start):
-                out[i] -= c
+        for i, c in enumerate(o._coeffs, start):
+            out[i] += c
         return LaurentPolynomial(out, lo)
 
     def __add__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(o, 1)
+        return self._plus(o)
 
     __radd__ = __add__
 
@@ -199,13 +195,13 @@ class LaurentPolynomial(_Sealed):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._plus(o, -1)
+        return self._plus(-o)
 
     def __rsub__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._plus(self, -1)
+        return o._plus(-self)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         o = self._coerce(other)

@@ -32,18 +32,20 @@ superset pass of tops gamma). A ``q``-check reads what its plain check reads.
                           tops b, tops gamma | tally
     signed-inverses       tally (tops a for a), the inverse | the identity
     multiset-counts       _cut_paths | tally, zeta
-    multiset-bijection    the walk, _letter_table, _late_marks | _cut_paths
+    multiset-bijection    the walk, _letter_table, _late_marks | _cut_paths;
+                          _letter_table | to_composition
     connected-series      tally | the series recurrence
     q-specialization      _at_q1 of tally and tops a | tally and tops a
 """
 
 from __future__ import annotations
 
-import re
 import time
 from functools import partial
 from itertools import permutations
 from math import comb, factorial
+from operator import itemgetter
+from struct import Struct
 
 from .matrices import (
     _conjugation,
@@ -58,7 +60,7 @@ from .matrices import (
     _unpack,
 )
 from .permutations import EnumerationCapError, _letter_table, _rank_tally, _require_within_cap
-from .rings import _require_int
+from .rings import InexactDivisionError, _require_int
 from .series import connected_counts_series
 from .subsets import SubsetMask, _Record, count_descent_subset, eta, min_inversions
 
@@ -100,7 +102,7 @@ def _matrices_equal(n: int, got, want, label: str, w: int = 0, lo: int = 0) -> s
     if got == want:
         return None
     s, t = _first_mismatch(got, want)
-    show = partial(_unpack, lo=lo, width=w) if w else str
+    show = partial(_unpack, lo=lo, width=w)
     label = f"weighted {label}" if w else label
     return f"{label} at {_fmt(n, s, t)}: {show(got[s].get(t, 0))} != {show(want[s].get(t, 0))}"
 
@@ -249,29 +251,28 @@ def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: li
     reduced words repeat, else the smallest connectivity mask S whose class
     holds a word with another connectivity set, has a size other than
     entry S of ``column``, the count of the multiset words of T with
-    connectivity set S, or holds letter j other than part j of T's
-    composition times per word. A word in two classes has the wrong
-    connectivity set in one."""
-    words = re.compile(b"(?s).{%d}" % n).findall
+    connectivity set S, or holds a word whose letters are not T's: each word
+    is the letter table applied to a permutation of [n], so every class does
+    if the table's letters are not T's composition. A word in two classes
+    has the wrong connectivity set in one."""
+    words = Struct(f"{n}s").iter_unpack  # the n-byte words of a blob, each in a 1-tuple
     for s_mask, reduced in classes.items():
-        if len(set(words(reduced))) * n != len(reduced):
+        if len(set(map(itemgetter(0), words(reduced)))) * n != len(reduced):
             return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
+    t = SubsetMask(n, t_mask)
     sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
     counts = {s_mask: count for s_mask, count in enumerate(column) if count}
     bad = {s for s in sizes.keys() | counts.keys() if sizes.get(s) != counts.get(s) or s & ~t_mask}
-    parts = SubsetMask(n, t_mask).to_composition()
-    for s_mask, reduced in classes.items():
-        if any(reduced.count(j) != sizes[s_mask] * part for j, part in enumerate(parts, 1)):
-            bad.add(s_mask)
-    for i, late in _late_marks(b"".join(classes.values()), n, SubsetMask(n, t_mask)).items():
-        # the marks of a class whose words all have connectivity set S
-        want = b"".join((b"\0" if s >> (i - 1) & 1 else b"\1") * size for s, size in sizes.items())
-        if late != want:
-            start = 0
-            for s_mask, size in sizes.items():
-                if late[start:start + size] != want[start:start + size]:
-                    bad.add(s_mask)
-                start += size
+    parts = t.to_composition()
+    if tuple(map(_letter_table(t)[1:].count, range(1, len(parts) + 1))) != parts:
+        bad.update(sizes)
+    for i, late in _late_marks(b"".join(classes.values()), n, t).items():
+        start = 0
+        for s_mask, size in sizes.items():
+            # a word of connectivity set S is marked 0 at i if i is in S, else 1
+            if late.count(b"\0" if s_mask >> (i - 1) & 1 else b"\1", start, start + size) != size:
+                bad.add(s_mask)
+            start += size
     return f"reduction misses a class at {_fmt(n, min(bad), t_mask)}" if bad else None
 
 
@@ -390,7 +391,9 @@ def run_checks(
     """Run the identity suite for all n up to max_n and return one result
     per check, in a fixed order; ``multiset-bijection`` runs and reports
     only up to min(max_n, WALK_MAX_N). A check's seconds are summed over n
-    and include every shared oracle it is the first to build."""
+    and include every shared oracle it is the first to build. A division
+    that a check's identity makes exact and that leaves a remainder fails
+    the check, with the error's text as its counterexample."""
     _require_within_cap(max_n, "max_n")
     selected = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
     if names is not None:
@@ -410,7 +413,10 @@ def run_checks(
             if not result.passed or n > result.max_n:
                 continue
             start = time.perf_counter()
-            detail = check(oracles)
+            try:
+                detail = check(oracles)
+            except InexactDivisionError as error:  # a division the identity says is exact
+                detail = str(error)
             if isinstance(detail, list):
                 detail = next(filter(None, (_matrices_equal(n, *c) for c in detail)), None)
             result.seconds += time.perf_counter() - start

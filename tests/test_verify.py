@@ -120,9 +120,13 @@ def test_bijection_detail_reports_a_collision():
 
 
 def test_bijection_detail_reports_a_missed_class():
-    classes = {0b0: bytes((2, 1, 2, 2, 2, 1))}
-    detail = _bijection_detail(3, 0b1, classes, _COLUMN_N3_T1)
-    assert detail == "reduction misses a class at n=3, S={1}, T={1}"
+    for classes in (
+        {0b0: bytes((2, 1, 2, 2, 2, 1))},
+        # the sizes are right, but 212 in class {1}, the last, is not cut at 1
+        {0b0: bytes((2, 1, 2, 2, 2, 1)), 0b1: bytes((2, 1, 2))},
+    ):
+        detail = _bijection_detail(3, 0b1, classes, _COLUMN_N3_T1)
+        assert detail == "reduction misses a class at n=3, S={1}, T={1}", classes
 
 
 def test_bijection_detail_reports_a_collision_before_a_missed_class():

@@ -254,11 +254,16 @@ def test_passing_checks_walk_no_cell(monkeypatch):
     assert all(r.passed for r in run_checks(6, include_q=True))
 
 
-@pytest.mark.parametrize("power, detail", [(0, "q^3 != 0"), (-3, "1 != 0")])
-def test_inverse_fault_at_an_end_of_the_packed_range(monkeypatch, power, detail):
+@pytest.mark.parametrize("check, power, detail", [
+    ("q-signed-inverses", 0, "weighted a inverse product at n=3, S={1,2}, T={}: q^3 != 0"),
+    ("q-signed-inverses", -3, "weighted a inverse product at n=3, S={1,2}, T={}: 1 != 0"),
+    # counts, w = 0: _unpack(x, -3, 0) is the count x itself
+    ("signed-inverses", 0, "a inverse product at n=3, S={1,2}, T={}: 1 != 0"),
+], ids=["0-q^3 != 0", "-3-1 != 0", "counts"])
+def test_inverse_fault_at_an_end_of_the_packed_range(monkeypatch, check, power, detail):
     # a's inverse at ({1,2}, {}) is 1 + 2/q + 2/q^2 + 1/q^3, which fills every
     # slot from q^-3 = q^-C(3,2) to q^0; a fault at either end reaches the
-    # product cell ({1,2}, {}) times a({1,2}, {1,2}) = q^3
+    # product cell ({1,2}, {}) times a({1,2}, {1,2}) = q^3, at q = 1 for counts
     assert matrices.inverse_closed("a", 3, q=True).rows[3][0] == LaurentPolynomial((1, 2, 2, 1), -3)
     original = verify._signed_inverse
 
@@ -269,10 +274,8 @@ def test_inverse_fault_at_an_end_of_the_packed_range(monkeypatch, power, detail)
         return rows
 
     monkeypatch.setattr(verify, "_signed_inverse", faulty)
-    (result,) = run_checks(3, include_q=True, names=("q-signed-inverses",))
-    assert (result.passed, result.detail) == (
-        False, f"weighted a inverse product at n=3, S={{1,2}}, T={{}}: {detail}",
-    )
+    (result,) = run_checks(3, include_q=True, names=(check,))
+    assert (result.passed, result.detail) == (False, detail)
 
 
 def _one_more_at(arg):
@@ -302,6 +305,9 @@ _FAULTS = [
      "least inversions at n=1, T={}: weight 1 != enumerated 0"),
     ("matrices.eta_q", _one_more_at(SubsetMask(2, 0)), 2, "diagonal-conjugation",
      "diagonal conjugation at n=2, S={1}, T={}: 3 != 2"),
+    # eta_3({}) = [3]_q! one more is not a multiple of eta_3({1}) = 1 + q, the weight of T = {2}
+    ("matrices.eta_q-inexact", _one_more_at(SubsetMask(3, 0)), 3, "diagonal-conjugation",
+     "eta ratio not exact at n=3, S={1,2}, T={2}"),
     ("matrices.min_inversions", _one_more_at(SubsetMask(1, 0)), 1, "q-diagonal-conjugation",
      "weighted diagonal conjugation at n=1, S={}, T={}: q != 1"),
     ("verify._at_q1", _cell_off(0, 0), 1, "q-specialization",
