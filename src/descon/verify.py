@@ -45,7 +45,7 @@ from functools import partial
 from itertools import permutations
 from math import comb, factorial
 from operator import itemgetter
-from struct import Struct
+from struct import iter_unpack
 
 from .matrices import (
     _conjugation,
@@ -251,13 +251,11 @@ def _bijection_detail(n: int, t_mask: int, classes: dict[int, bytes], column: li
     reduced words repeat, else the smallest connectivity mask S whose class
     holds a word with another connectivity set, has a size other than
     entry S of ``column``, the count of the multiset words of T with
-    connectivity set S, or holds a word whose letters are not T's: each word
-    is the letter table applied to a permutation of [n], so every class does
-    if the table's letters are not T's composition. A word in two classes
-    has the wrong connectivity set in one."""
-    words = Struct(f"{n}s").iter_unpack  # the n-byte words of a blob, each in a 1-tuple
+    connectivity set S, or holds letters other than T's: each word is the
+    letter table applied to a permutation of [n], so the table decides the
+    letters of all. A word in two classes has the wrong connectivity set in one."""
     for s_mask, reduced in classes.items():
-        if len(set(map(itemgetter(0), words(reduced)))) * n != len(reduced):
+        if len(set(map(itemgetter(0), iter_unpack(f"{n}s", reduced)))) * n != len(reduced):
             return f"reduction not injective at {_fmt(n, s_mask, t_mask)}"
     t = SubsetMask(n, t_mask)
     sizes = {s_mask: len(reduced) // n for s_mask, reduced in classes.items()}
@@ -391,9 +389,8 @@ def run_checks(
     """Run the identity suite for all n up to max_n and return one result
     per check, in a fixed order; ``multiset-bijection`` runs and reports
     only up to min(max_n, WALK_MAX_N). A check's seconds are summed over n
-    and include every shared oracle it is the first to build. A division
-    that a check's identity makes exact and that leaves a remainder fails
-    the check, with the error's text as its counterexample."""
+    and include every shared oracle it is the first to build. An inexact
+    division fails its check, with the error's text as the counterexample."""
     _require_within_cap(max_n, "max_n")
     selected = _INTEGER_CHECKS + (_Q_CHECKS if include_q else ())
     if names is not None:

@@ -387,7 +387,7 @@ class TestTransformRoute:
         rows = (0, full, 0x555 & full, full & ~(1 << 5), full & ~(1 << 2) & ~(1 << 6))
         for kind in ("gamma", "b", "a"):
             packed, value_of = row_stream(kind, n, q=True)
-            laurent, counts = top_rows(kind, n, q=True), row_stream(kind, n)[0]
+            laurent, (counts, count_of) = top_rows(kind, n, q=True), row_stream(kind, n)
             for s in rows:
                 want = {}
                 for t in range(full + 1):
@@ -402,6 +402,8 @@ class TestTransformRoute:
                 assert got == want, (kind, n, s)
                 at_one = {t: v.evaluate(1) for t, v in got.items()}
                 assert at_one == dict(counts(s)), (kind, n, s)
+                # counts are width 0: _unpack(x, 0, 0) is the count x itself
+                assert all(count_of(x) is x for _t, x in counts(s)), (kind, n, s)
 
     def test_row_mask_and_top_rows_are_checked(self):
         tops = top_rows("b", 3)
